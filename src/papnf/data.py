@@ -8,6 +8,7 @@ channel. Rows are assumed to be in time order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,9 @@ def load_csv(path: str) -> RawSeries:
     """Load an ETT-style CSV.
 
     The header's first cell names the timestamp column; every other column is
-    a numeric channel. Ragged rows, non-numeric cells and empty files are
-    reported with the file line number where they occur.
+    a numeric channel. Ragged rows, non-numeric or non-finite cells (``nan``,
+    ``inf``) and empty files are reported with the file line number where
+    they occur.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -94,9 +96,15 @@ def load_csv(path: str) -> RawSeries:
                 )
             timestamps.append(row[0])
             try:
-                rows.append([float(cell) for cell in row[1:]])
+                values = [float(cell) for cell in row[1:]]
             except ValueError as exc:
                 raise CsvFormatError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+            for name, v in zip(channel_names, values):
+                if not math.isfinite(v):
+                    raise CsvFormatError(
+                        f"{path}: line {lineno}: non-finite value {v} in column {name!r}"
+                    )
+            rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows after the header")
     values = np.asarray(rows, dtype=np.float64)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from papnf.checkpoint import canonical_json
+from papnf.tensor import pairwise_spread
 
 __all__ = [
     "point_metrics",
@@ -39,13 +40,6 @@ def point_metrics(pred: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     return float(np.mean(diff * diff)), float(np.mean(np.abs(diff)))
 
 
-def _pairwise_spread_sum(sorted_samples: np.ndarray) -> np.ndarray:
-    """sum_i sum_j |x_i - x_j| along axis 0 of an ascending-sorted array."""
-    s = sorted_samples.shape[0]
-    coeff = 2.0 * np.arange(s) - s + 1.0
-    return 2.0 * np.tensordot(coeff, sorted_samples, axes=(0, 0))
-
-
 def crps_empirical(samples: np.ndarray, y: float, fair: bool = False) -> float:
     """Energy-form CRPS of a scalar ensemble against one observation.
 
@@ -58,9 +52,8 @@ def crps_empirical(samples: np.ndarray, y: float, fair: bool = False) -> float:
     if s < 2:
         raise ValueError("crps_empirical needs at least two samples")
     term1 = float(np.mean(np.abs(samples - y)))
-    spread = float(_pairwise_spread_sum(np.sort(samples)))
     denom = s * (s - 1) if fair else s * s
-    return term1 - spread / (2.0 * denom)
+    return term1 - float(pairwise_spread(np.sort(samples))) / denom
 
 
 def crps_grid(ensemble: np.ndarray, target: np.ndarray, fair: bool = False) -> np.ndarray:
@@ -73,9 +66,8 @@ def crps_grid(ensemble: np.ndarray, target: np.ndarray, fair: bool = False) -> n
     if s < 2:
         raise ValueError("crps_grid needs at least two samples")
     term1 = np.abs(ensemble - target[None]).mean(axis=0)
-    spread = _pairwise_spread_sum(np.sort(ensemble, axis=0))
     denom = s * (s - 1) if fair else s * s
-    return term1 - spread / (2.0 * denom)
+    return term1 - pairwise_spread(np.sort(ensemble, axis=0)) / denom
 
 
 def weighted_crps(

@@ -27,6 +27,8 @@ __all__ = [
     "matmul",
     "softmax_rows",
     "layernorm_rows",
+    "pairwise_spread",
+    "energy_score",
     "grad_check",
     "zero_grads",
 ]
@@ -51,7 +53,7 @@ class Tensor:
             with requires_grad=False (frozen weights never grow grad buffers).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_seq")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_seq", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -162,6 +164,12 @@ class Tape:
     Nodes are sorted by creation order, so ``replay_backward`` visits backward
     closures in the exact reverse of forward execution order, which makes two
     backward passes over identical forwards bitwise identical.
+
+    Backward consumes the graph, as PyTorch's default ``retain_graph=False``
+    does: each node drops its closure and parents once its closure has run.
+    Every closure holds its own output, so without the release a step's graph
+    is a reference cycle that lives until the cyclic collector runs. A
+    consumed graph cannot be replayed; build it again from the inputs.
     """
 
     __slots__ = ("nodes",)
@@ -191,6 +199,8 @@ class Tape:
     def replay_backward(self) -> None:
         for node in self.nodes:
             node._backward()
+            node._backward = None
+            node._parents = ()
 
 
 # -- construction helpers ----------------------------------------------------
@@ -525,6 +535,61 @@ def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
         gm = g.mean(axis=1, keepdims=True)
         gx = (g * xhat).mean(axis=1, keepdims=True)
         x.accumulate_grad(inv * (g - gm - xhat * gx))
+
+    out._backward = _bw
+    return out
+
+
+# -- scoring ops -----------------------------------------------------------------
+
+
+def _rank_coefficients(s: int) -> np.ndarray:
+    """Weight 2k - s + 1 of the k-th smallest of s samples (k = 0..s-1)."""
+    return 2.0 * np.arange(s) - s + 1.0
+
+
+def pairwise_spread(sorted_samples: np.ndarray) -> np.ndarray:
+    """sum_{i<j} |x_i - x_j| along axis 0 of an ascending-sorted array.
+
+    Uses sum_k (2k - S + 1) x_(k), which costs one sort instead of S(S-1)/2
+    differences (the scoringRules estimator, Jordan, Kruger & Lerch 2019).
+    """
+    return np.tensordot(_rank_coefficients(sorted_samples.shape[0]), sorted_samples, axes=(0, 0))
+
+
+def energy_score(samples: Tensor, target: Tensor) -> Tensor:
+    """Fair energy score of an (S, n) ensemble against a (1, n) target row.
+
+    mean_s|x_s - y| - (1/(S(S-1))) sum_{i<j} |x_i - x_j|, averaged over the
+    n columns, as one graph node. Each column is sorted once; the spread is
+    ``pairwise_spread`` of the sorted rows, and its gradient scatters the rank
+    coefficients 2k - S + 1 back to the unsorted rows.
+
+    Ties: a stable sort gives tied samples distinct ranks in row order, so
+    their spread subgradients differ, where the pairwise form gives each the
+    same value with sign(0) = 0. The sum over a tie group is the same in both
+    conventions, and ties have measure zero for continuous samples.
+    """
+    s, n = samples.shape
+    if s < 2:
+        raise ShapeError("energy_score needs at least two samples")
+    if target.shape != (1, n):
+        raise ShapeError(f"target shape {target.shape} does not match (1, {n})")
+    diff = samples.data - target.data
+    order = np.argsort(samples.data, axis=0, kind="stable")
+    spread = pairwise_spread(np.take_along_axis(samples.data, order, axis=0)).sum()
+    value = np.abs(diff).sum() * (1.0 / (s * n)) - spread * (1.0 / (s * (s - 1) * n))
+    out = _make(np.asarray(value), (samples, target), lambda: None)
+    if not out.requires_grad:
+        return out
+
+    def _bw():
+        g = out.grad
+        sign = np.sign(diff) * (g / (s * n))
+        coeff = np.empty_like(samples.data)
+        np.put_along_axis(coeff, order, _rank_coefficients(s)[:, None], axis=0)
+        samples.accumulate_grad(sign - coeff * (g / (s * (s - 1) * n)))
+        target.accumulate_grad(-sign.sum(axis=0, keepdims=True))
 
     out._backward = _bw
     return out

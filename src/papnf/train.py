@@ -21,7 +21,7 @@ from papnf.flow import sample_forecasts
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
 from papnf.synthetic import pretrain_sequences
-from papnf.tensor import Tensor, matmul, repeat_rows
+from papnf.tensor import Tensor, energy_score, matmul, repeat_rows
 
 __all__ = [
     "OBJECTIVES",
@@ -160,20 +160,9 @@ def loss_energy(pred_rows: Tensor, target_row: Tensor) -> Tensor:
 
     mean_s|pred_s - y| - (1/(S(S-1))) sum_{i<j} |pred_i - pred_j|, averaged
     over the H*C points. Proper: minimized only by the true predictive law.
+    Built as one sort-based graph node (``tensor.energy_score``).
     """
-    s, n = pred_rows.shape
-    if s < 2:
-        raise ValueError("loss_energy needs at least two samples")
-    if target_row.shape != (1, n):
-        raise ValueError(f"target shape {target_row.shape} does not match (1, {n})")
-    term1 = (pred_rows - repeat_rows(target_row, s)).abs().sum() * (1.0 / (s * n))
-    rows = [pred_rows[i : i + 1, :] for i in range(s)]
-    spread = None
-    for i in range(s):
-        for j in range(i + 1, s):
-            d = (rows[i] - rows[j]).abs().sum()
-            spread = d if spread is None else spread + d
-    return term1 - spread * (1.0 / (s * (s - 1) * n))
+    return energy_score(pred_rows, target_row)
 
 
 def _window_loss(model: PapNfModel, window, cfg: TrainConfig, epoch: int) -> Tensor:

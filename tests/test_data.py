@@ -35,6 +35,14 @@ def test_load_csv_non_numeric_reports_line(tmp_path):
         D.load_csv(str(path))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_non_finite_reports_line_and_column(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"date,a,load\n2020,1,2\n2021,3,{cell}\n")
+    with pytest.raises(D.CsvFormatError, match=r"line 3: non-finite .* column 'load'"):
+        D.load_csv(str(path))
+
+
 def test_load_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -1,5 +1,8 @@
 """Tensor core: forward oracles, backward checks, tape behaviour."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,6 +304,29 @@ def test_tape_replays_in_reverse_execution_order():
     tape = tz.Tape.from_root(c)
     seqs = [t._seq for t in tape.nodes]
     assert seqs == sorted(seqs, reverse=True)
+
+
+def test_backward_releases_the_graph():
+    # every closure holds its own output, so only the release after backward
+    # frees the graph while the cyclic collector is off
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+        kept = x * 2.0
+        mid = kept.tanh()
+        probe = weakref.ref(mid)
+        loss = (mid * mid).sum()
+        del mid
+        loss.backward()
+        del loss
+        assert probe() is None
+        assert len(tz.Tape.from_root(kept)) == 0
+        want = 2.0 * 2.0 * np.tanh(2.0 * x.data) * (1.0 - np.tanh(2.0 * x.data) ** 2)
+        np.testing.assert_allclose(x.grad, want, atol=1e-12)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_no_graph_recorded_without_requires_grad():

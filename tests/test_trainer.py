@@ -10,7 +10,7 @@ from papnf.data import make_windows
 from papnf.metrics import crps_empirical
 from papnf.model import ModelConfig, PapNfModel
 from papnf.synthetic import ar1_seasonal
-from papnf.tensor import Tensor
+from papnf.tensor import Tape, Tensor, energy_score, grad_check
 from papnf.train import (
     Adam,
     Checkpoint,
@@ -134,6 +134,84 @@ class TestLosses:
             loss_reconstruction(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 5))))
         with pytest.raises(ValueError):
             loss_energy(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
+
+
+def pairwise_energy(pred: Tensor, target: Tensor) -> Tensor:
+    """The energy score as S(S-1)/2 pairwise sub-graphs, sign(0) = 0 at ties."""
+    s, n = pred.shape
+    term1 = (pred - Tensor(np.repeat(target.data, s, axis=0))).abs().sum() * (1.0 / (s * n))
+    rows = [pred[i : i + 1, :] for i in range(s)]
+    spread = None
+    for i in range(s):
+        for j in range(i + 1, s):
+            d = (rows[i] - rows[j]).abs().sum()
+            spread = d if spread is None else spread + d
+    return term1 - spread * (1.0 / (s * (s - 1) * n))
+
+
+def value_and_grad(loss_fn, base: np.ndarray, target: np.ndarray):
+    pred = Tensor(base.copy(), requires_grad=True)
+    loss = loss_fn(pred, Tensor(target))
+    loss.backward()
+    return loss.item(), pred.grad
+
+
+class TestEnergyScoreOp:
+    @pytest.mark.parametrize("s", [2, 3, 8, 32, 100])
+    def test_matches_pairwise_loop(self, s):
+        rng = np.random.default_rng(s)
+        base = rng.normal(size=(s, 5))
+        target = rng.normal(size=(1, 5))
+        want, want_grad = value_and_grad(pairwise_energy, base, target)
+        got, got_grad = value_and_grad(loss_energy, base, target)
+        assert got == pytest.approx(want, abs=1e-12)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+
+    def test_is_one_graph_node(self):
+        pred = Tensor(np.random.default_rng(0).normal(size=(32, 4)), requires_grad=True)
+        assert len(Tape.from_root(loss_energy(pred, Tensor(np.zeros((1, 4)))))) == 1
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(6)
+        pred = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        target = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        # the outermost samples' gradients are exactly zero (their accuracy and
+        # spread terms cancel), where central differences leave rounding noise
+        # that reads as relative error 1; a quadratic moves every coordinate
+        # off zero without hiding an error in the op's own gradient
+        def fn(p, t):
+            return energy_score(p, t) + ((p * p).sum() + (t * t).sum()) * 0.01
+
+        assert grad_check(fn, [pred, target]) < 1e-6
+
+    def test_target_gradient_matches_numeric(self):
+        rng = np.random.default_rng(7)
+        pred = Tensor(rng.normal(size=(5, 3)))
+        base = rng.normal(size=(1, 3))
+        target = Tensor(base.copy(), requires_grad=True)
+        loss_energy(pred, target).backward()
+        eps = 1e-6
+        num = np.zeros_like(base)
+        for j in range(3):
+            up = base.copy()
+            up[0, j] += eps
+            dn = base.copy()
+            dn[0, j] -= eps
+            num[0, j] = (
+                loss_energy(pred, Tensor(up)).item() - loss_energy(pred, Tensor(dn)).item()
+            ) / (2 * eps)
+        np.testing.assert_allclose(target.grad, num, atol=1e-8)
+
+    def test_fully_tied_ensemble(self):
+        # ties get distinct rank coefficients, so per-row subgradients differ
+        # from the pairwise loop's sign(0) = 0, but each column sums the same
+        base = np.tile(np.array([[0.5, -1.0, 2.0]]), (6, 1))
+        target = np.array([[0.0, 0.0, 3.0]])
+        want, want_grad = value_and_grad(pairwise_energy, base, target)
+        got, got_grad = value_and_grad(loss_energy, base, target)
+        assert np.isfinite(got) and got == pytest.approx(want, abs=1e-15)
+        assert np.all(np.isfinite(got_grad))
+        np.testing.assert_allclose(got_grad.sum(axis=0), want_grad.sum(axis=0), atol=1e-15)
 
 
 class TestTrainConfig:
