@@ -20,6 +20,7 @@ from papnf.seeding import substream
 from papnf.tensor import ShapeError, Tensor
 
 BACKBONE_KINDS = ("frozen_random", "frozen_checkpoint", "identity")
+_LAYER_PARAMS = ("Wq", "Wk", "Wv", "Wo", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "W1", "W2")
 
 
 @dataclass(frozen=True)
@@ -104,18 +105,7 @@ class TransformerBackbone:
     def _expected_names(self) -> list[str]:
         names = ["pos"]
         for i in range(self.arch.n_layers):
-            names += [
-                f"layers.{i}.Wq",
-                f"layers.{i}.Wk",
-                f"layers.{i}.Wv",
-                f"layers.{i}.Wo",
-                f"layers.{i}.ln1_g",
-                f"layers.{i}.ln1_b",
-                f"layers.{i}.ln2_g",
-                f"layers.{i}.ln2_b",
-                f"layers.{i}.W1",
-                f"layers.{i}.W2",
-            ]
+            names += [f"layers.{i}.{name}" for name in _LAYER_PARAMS]
         names += ["ln_f_g", "ln_f_b"]
         return names
 
@@ -177,26 +167,6 @@ class TransformerBackbone:
 
     # -- forward ------------------------------------------------------------
 
-    def _ln(self, x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-        return tz.add_rowvec(tz.mul_rowvec(tz.layernorm_rows(x), g), b)
-
-    def _attention(self, x: Tensor, i: int, mask: np.ndarray) -> Tensor:
-        a = self.arch
-        p = self.params
-        n = x.shape[0]
-        d_head = a.d // a.n_heads
-        q = x @ p[f"layers.{i}.Wq"]
-        k = x @ p[f"layers.{i}.Wk"]
-        v = x @ p[f"layers.{i}.Wv"]
-        mask_t = Tensor(mask)
-        heads = []
-        for h in range(a.n_heads):
-            c0, c1 = h * d_head, (h + 1) * d_head
-            qh, kh, vh = q[:, c0:c1], k[:, c0:c1], v[:, c0:c1]
-            scores = (qh @ kh.T) * (1.0 / math.sqrt(d_head)) + mask_t
-            heads.append(tz.softmax_rows(scores) @ vh)
-        return tz.concat_cols(heads) @ p[f"layers.{i}.Wo"]
-
     def forward(self, x: Tensor) -> Tensor:
         """(N, d) tokens in, (N, d) hidden states out; causal within N."""
         a = self.arch
@@ -209,12 +179,15 @@ class TransformerBackbone:
             return x
         p = self.params
         h = x + p["pos"][0:n, :]
-        mask = np.triu(np.full((n, n), -1e9), k=1)
         for i in range(a.n_layers):
-            h = h + self._attention(self._ln(h, p[f"layers.{i}.ln1_g"], p[f"layers.{i}.ln1_b"]), i, mask)
-            ff_in = self._ln(h, p[f"layers.{i}.ln2_g"], p[f"layers.{i}.ln2_b"])
-            h = h + (ff_in @ p[f"layers.{i}.W1"]).tanh() @ p[f"layers.{i}.W2"]
-        return self._ln(h, p["ln_f_g"], p["ln_f_b"])
+            layer = {name: p[f"layers.{i}.{name}"] for name in _LAYER_PARAMS}
+            att_in = tz.layernorm_affine(h, layer["ln1_g"], layer["ln1_b"])
+            h = h + tz.causal_attention(
+                att_in, layer["Wq"], layer["Wk"], layer["Wv"], layer["Wo"], a.n_heads
+            )
+            ff_in = tz.layernorm_affine(h, layer["ln2_g"], layer["ln2_b"])
+            h = h + (ff_in @ layer["W1"]).tanh() @ layer["W2"]
+        return tz.layernorm_affine(h, p["ln_f_g"], p["ln_f_b"])
 
     # -- persistence ----------------------------------------------------------
 
@@ -268,7 +241,7 @@ class ContextProjector:
             raise ShapeError(
                 f"context projector expects rows of width {self.W_c.shape[1]}, got {h_rows.shape}"
             )
-        return tz.add_rowvec(h_rows @ self.W_c.T, self.b_c)
+        return tz.linear(h_rows, self.W_c, self.b_c)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"context.W_c": self.W_c, "context.b_c": self.b_c}

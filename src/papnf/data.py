@@ -21,7 +21,6 @@ __all__ = [
     "Scaler",
     "WindowSample",
     "ETT_HOURLY_SPLIT",
-    "ETT_MINUTE_SPLIT",
     "STD_FLOOR",
     "load_csv",
     "split_series",
@@ -130,7 +129,6 @@ class SplitSpec:
 
 
 ETT_HOURLY_SPLIT = SplitSpec(8640, 2880, 2880)
-ETT_MINUTE_SPLIT = SplitSpec(34560, 11520, 11520)
 
 
 def split_series(series: RawSeries, spec: SplitSpec) -> tuple[RawSeries, RawSeries, RawSeries]:

@@ -86,11 +86,11 @@ class NumericalEncoder:
             raise ShapeError(
                 f"window flattens to {flat.shape[1]} values, encoder expects {self.W.shape[1]}"
             )
-        return tz.add_rowvec(Tensor(flat) @ self.W.T, self.b)
+        return tz.linear(Tensor(flat), self.W, self.b)
 
     def encode_patches(self, x_std: np.ndarray) -> Tensor:
         patches = patchify(x_std, self.patch_cfg)
-        return tz.add_rowvec(Tensor(patches) @ self.W_patch.T, self.b_patch)
+        return tz.linear(Tensor(patches), self.W_patch, self.b_patch)
 
     def parameters(self) -> dict[str, Tensor]:
         return {
@@ -113,7 +113,7 @@ class Reprogrammer:
             raise ShapeError(
                 f"reprogram: rows have width {z_rows.shape[1]}, expected {self.W_p.shape[1]}"
             )
-        return tz.add_rowvec(z_rows @ self.W_p.T, self.b_p)
+        return tz.linear(z_rows, self.W_p, self.b_p)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"reprogram.W_p": self.W_p, "reprogram.b_p": self.b_p}

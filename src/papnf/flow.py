@@ -42,7 +42,7 @@ class FusionLayer:
             raise ShapeError(
                 f"fuse: [z; c] has width {joined.shape[1]}, expected {self.W_h.shape[1]}"
             )
-        return tz.add_rowvec(joined @ self.W_h.T, self.b_h)
+        return tz.linear(joined, self.W_h, self.b_h)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"fusion.W_h": self.W_h, "fusion.b_h": self.b_h}
@@ -74,15 +74,12 @@ class FlowLayer:
         c2[0:d_u] = self.A_BIAS_NORM / math.sqrt(d_u)
         self.c2 = Tensor(c2, requires_grad=True)
 
-    def hyper(self, h: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Map h (1, d_h) to (a, w, b) with shapes (1, d_u), (1, d_u), (1, 1)."""
-        hid = tz.add_rowvec(h @ self.U1.T, self.c1).tanh()
-        out = tz.add_rowvec(hid @ self.U2.T, self.c2)
-        d_u = self.d_u
-        return out[:, 0:d_u], out[:, d_u : 2 * d_u], out[:, 2 * d_u : 2 * d_u + 1]
+    def hyper_row(self, h: Tensor) -> Tensor:
+        """Map h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b]."""
+        return tz.linear(tz.linear(h, self.U1, self.c1).tanh(), self.U2, self.c2)
 
     def hyper_np(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Numpy mirror of ``hyper`` for the diagnostic/inversion paths."""
+        """Numpy mirror of ``hyper_row`` split into (a, w, b), for diagnostics and inversion."""
         hid = np.tanh(h.reshape(1, -1) @ self.U1.data.T + self.c1.data)
         out = (hid @ self.U2.data.T + self.c2.data).reshape(-1)
         d_u = self.d_u
@@ -91,19 +88,6 @@ class FlowLayer:
     def parameters(self) -> dict[str, Tensor]:
         p = f"flow.{self.index}"
         return {f"{p}.U1": self.U1, f"{p}.c1": self.c1, f"{p}.U2": self.U2, f"{p}.c2": self.c2}
-
-
-def planar_step(u_rows: Tensor, a: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Apply one conditioned planar map to each latent row of (S, d_u)."""
-    if u_rows.shape[1] != a.shape[1]:
-        raise ShapeError(f"planar_step: latent width {u_rows.shape[1]} vs a width {a.shape[1]}")
-    wa = w @ a.T  # (1, 1)
-    m = wa.softplus() + (PLANAR_MARGIN - 1.0)
-    norm2 = (a * a).sum()
-    coef = (m - wa) * (norm2 + _NORM_EPS).reciprocal()
-    w_hat = w + coef * a
-    gate = (u_rows @ a.T + b).tanh()  # (S, 1)
-    return u_rows + gate @ w_hat
 
 
 def reparameterize_np(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -171,8 +155,7 @@ def flow_forward(u_rows: Tensor, h: Tensor, layers: list[FlowLayer]) -> Tensor:
     """Push (S, d_u) latents through every planar layer conditioned on h."""
     out = u_rows
     for layer in layers:
-        a, w, b = layer.hyper(h)
-        out = planar_step(out, a, w, b)
+        out = tz.planar_step(out, layer.hyper_row(h), PLANAR_MARGIN, _NORM_EPS)
     return out
 
 
@@ -220,8 +203,7 @@ class ReconstructionHead:
         """(S, d_u) latents + (1, d_h) summary -> (S, H*C) standardized rows."""
         s = u_rows.shape[0]
         x = tz.concat_cols([u_rows, tz.repeat_rows(h, s)])
-        hid = tz.add_rowvec(x @ self.G1.T, self.g1).tanh()
-        return tz.add_rowvec(hid @ self.G2.T, self.g2)
+        return tz.linear(tz.linear(x, self.G1, self.g1).tanh(), self.G2, self.g2)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"recon.G1": self.G1, "recon.g1": self.g1, "recon.G2": self.G2, "recon.g2": self.g2}

@@ -5,11 +5,29 @@ Every differentiable op records a backward closure on its output; calling
 reach the loss, in exact reverse execution order. Broadcasting in binary ops
 is restricted to scalar-vs-tensor so shape bugs surface as errors instead of
 silently stretched arrays.
+
+Per-node Python overhead, not arithmetic, dominates the model's small graphs,
+so its layers run as fused ops: one graph node each, with a hand-written
+backward that skips the gradient of any operand with requires_grad=False
+(``matmul`` skips them too):
+
+* ``linear``: ``x @ W.T + b``;
+* ``layernorm_affine``: row layer norm, then scale and shift;
+* ``causal_attention``: multi-head causal self-attention, all heads at once
+  on (heads, n, d_head) arrays;
+* ``planar_step``: one planar-flow map from a packed ``[a | w | b]`` row,
+  with the invertibility reparameterization folded in;
+* ``energy_score``: the fair energy score of an ensemble.
+
+Each fused op does the arithmetic of the unfused composition of elementary
+ops it replaces, in the same order; the tests keep those compositions as
+references and require agreement within 1e-12.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,6 +45,10 @@ __all__ = [
     "matmul",
     "softmax_rows",
     "layernorm_rows",
+    "linear",
+    "layernorm_affine",
+    "causal_attention",
+    "planar_step",
     "pairwise_spread",
     "energy_score",
     "grad_check",
@@ -89,12 +111,15 @@ class Tensor:
     # -- gradient plumbing --------------------------------------------------
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` into this tensor's grad buffer (allocating it lazily)."""
+        """Add ``g`` into this tensor's grad buffer (the first ``g`` is copied)."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            if g.shape != self.data.shape:
+                raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -279,9 +304,13 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) computed without overflow for large |x|."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(x: Tensor) -> Tensor:
-    # log(1 + e^x) computed without overflow for large |x|.
-    y = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
+    y = _softplus(x.data)
     out = _make(y, (x,), lambda: None)
     if out.requires_grad:
         sig = 1.0 / (1.0 + np.exp(-x.data))
@@ -326,8 +355,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw():
         g = out.grad
-        a.accumulate_grad(g @ b.data.T)
-        b.accumulate_grad(a.data.T @ g)
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ g)
 
     out._backward = _bw
     return out
@@ -500,41 +531,206 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
     return out
 
 
+def _softmax_last(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, shifted by the maximum for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_last_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Input gradient of ``_softmax_last`` with output ``s`` and output gradient ``g``."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor; each output row sums to one."""
     _require_2d(x, "softmax_rows")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax_last(x.data)
     out = _make(s, (x,), lambda: None)
-    if not out.requires_grad:
-        return out
-
-    def _bw():
-        g = out.grad
-        inner = (g * s).sum(axis=1, keepdims=True)
-        x.accumulate_grad(s * (g - inner))
-
-    out._backward = _bw
+    if out.requires_grad:
+        out._backward = lambda: x.accumulate_grad(_softmax_last_grad(out.grad, s))
     return out
+
+
+def _normalize_rows(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, 1/std): each row shifted to zero mean and scaled to unit variance."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    return (x - mu) * inv, inv
+
+
+def _normalize_rows_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Input gradient of ``_normalize_rows`` given the gradient ``g`` on xhat."""
+    gm = g.mean(axis=1, keepdims=True)
+    gx = (g * xhat).mean(axis=1, keepdims=True)
+    return inv * (g - gm - xhat * gx)
 
 
 def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean / unit variance (no affine part)."""
     _require_2d(x, "layernorm_rows")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat, inv = _normalize_rows(x.data, eps)
     out = _make(xhat, (x,), lambda: None)
+    if out.requires_grad:
+        out._backward = lambda: x.accumulate_grad(_normalize_rows_grad(out.grad, xhat, inv))
+    return out
+
+
+# -- fused layer ops ----------------------------------------------------------------
+
+
+def _require_rowvec(v: Tensor, n: int, op: str) -> None:
+    if v.data.ndim != 1 or v.shape[0] != n:
+        raise ShapeError(f"{op}: expected a vector of length {n}, got shape {v.shape}")
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ W.T + b`` of (r, k) rows by an (m, k) weight and a length-m bias."""
+    x = _as_tensor(x)
+    _require_2d(x, "linear")
+    _require_2d(W, "linear")
+    if x.shape[1] != W.shape[1]:
+        raise ShapeError(f"linear: rows of width {x.shape[1]} for a weight of shape {W.shape}")
+    _require_rowvec(b, W.shape[0], "linear bias")
+    out = _make(x.data @ W.data.T + b.data[None, :], (x, W, b), lambda: None)
     if not out.requires_grad:
         return out
 
     def _bw():
         g = out.grad
-        gm = g.mean(axis=1, keepdims=True)
-        gx = (g * xhat).mean(axis=1, keepdims=True)
-        x.accumulate_grad(inv * (g - gm - xhat * gx))
+        if x.requires_grad:
+            x.accumulate_grad(g @ W.data)
+        if W.requires_grad:
+            W.accumulate_grad(g.T @ x.data)
+        b.accumulate_grad(g.sum(axis=0))
+
+    out._backward = _bw
+    return out
+
+
+def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+    """``layernorm_rows(x)`` scaled by the length-n vector g and shifted by b."""
+    _require_2d(x, "layernorm_affine")
+    _require_rowvec(g, x.shape[1], "layernorm_affine gain")
+    _require_rowvec(b, x.shape[1], "layernorm_affine bias")
+    xhat, inv = _normalize_rows(x.data, eps)
+    out = _make(xhat * g.data[None, :] + b.data[None, :], (x, g, b), lambda: None)
+    if not out.requires_grad:
+        return out
+
+    def _bw():
+        gy = out.grad
+        if x.requires_grad:
+            x.accumulate_grad(_normalize_rows_grad(gy * g.data[None, :], xhat, inv))
+        if g.requires_grad:
+            g.accumulate_grad((gy * xhat).sum(axis=0))
+        b.accumulate_grad(gy.sum(axis=0))
+
+    out._backward = _bw
+    return out
+
+
+def causal_attention(
+    x: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, n_heads: int
+) -> Tensor:
+    """Multi-head causal self-attention of (n, d) rows, as one graph node.
+
+    Q, K, V = x @ Wq, x @ Wk, x @ Wv, each (d, d); head h owns columns
+    [h*d_head, (h+1)*d_head). Row i of head h is softmax over j <= i of
+    q_i . k_j / sqrt(d_head), applied to the rows of v; later positions get a
+    -1e9 additive mask. The heads' outputs, concatenated along columns, are
+    mapped by Wo. All heads run together on (heads, n, d_head) arrays.
+    """
+    _require_2d(x, "causal_attention")
+    n, d = x.shape
+    if n_heads < 1 or d % n_heads != 0:
+        raise ShapeError(f"causal_attention: width {d} does not split into {n_heads} heads")
+    for W in (Wq, Wk, Wv, Wo):
+        if W.shape != (d, d):
+            raise ShapeError(f"causal_attention: weight {W.shape} for rows of width {d}")
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
+
+    def split(m):  # (n, d) -> contiguous (heads, n, d_head)
+        return np.ascontiguousarray(m.reshape(n, n_heads, d_head).transpose(1, 0, 2))
+
+    def merge(m):  # (heads, n, d_head) -> (n, d)
+        return m.transpose(1, 0, 2).reshape(n, d)
+
+    q = split(x.data @ Wq.data)
+    k = split(x.data @ Wk.data)
+    v = split(x.data @ Wv.data)
+    mask = np.triu(np.full((n, n), -1e9), k=1)
+    p = _softmax_last((q @ k.transpose(0, 2, 1)) * scale + mask)
+    heads = merge(p @ v)
+    out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), lambda: None)
+    if not out.requires_grad:
+        return out
+
+    def _bw():
+        g = out.grad
+        if Wo.requires_grad:
+            Wo.accumulate_grad(heads.T @ g)
+        g_heads = split(g @ Wo.data.T)
+        g_scores = _softmax_last_grad(g_heads @ v.transpose(0, 2, 1), p) * scale
+        grads = (
+            (Wq, merge(g_scores @ k)),
+            (Wk, merge(g_scores.transpose(0, 2, 1) @ q)),
+            (Wv, merge(p.transpose(0, 2, 1) @ g_heads)),
+        )
+        if x.requires_grad:
+            x.accumulate_grad(sum(gm @ W.data.T for W, gm in grads))
+        for W, gm in grads:
+            if W.requires_grad:
+                W.accumulate_grad(x.data.T @ gm)
+
+    out._backward = _bw
+    return out
+
+
+def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Tensor:
+    """One invertible planar map on each latent row of u (S, d), as one graph node.
+
+    ``theta`` is the packed (1, 2d + 1) row [a | w | b]. The map is
+    u' = u + tanh(u . a + b) w_hat, where
+    w_hat = w + (m(w.a) - w.a) a / (|a|^2 + norm_eps) and
+    m(s) = softplus(s) + margin - 1, so w_hat.a > -1 and the map is invertible.
+    """
+    _require_2d(u, "planar_step")
+    d = u.shape[1]
+    if theta.shape != (1, 2 * d + 1):
+        raise ShapeError(f"planar_step: parameter row {theta.shape} for latents of width {d}")
+    # contiguous copies, as the unfused slices were, so every product sees
+    # the same operands as the reference chain
+    a = theta.data[:, 0:d].copy()
+    w = theta.data[:, d : 2 * d].copy()
+    b = theta.data[:, 2 * d :].copy()
+    wa = w @ a.T  # (1, 1)
+    m = _softplus(wa) + (margin - 1.0)
+    r = 1.0 / ((a * a).sum() + norm_eps)
+    coef = (m - wa) * r
+    w_hat = w + coef * a
+    gate = np.tanh(u.data @ a.T + b)  # (S, 1)
+    out = _make(u.data + gate @ w_hat, (u, theta), lambda: None)
+    if not out.requires_grad:
+        return out
+
+    def _bw():
+        g = out.grad
+        g_pre = (g @ w_hat.T) * (1.0 - gate * gate)  # (S, 1)
+        if u.requires_grad:
+            u.accumulate_grad(g + g_pre @ a)
+        if not theta.requires_grad:
+            return
+        g_w_hat = gate.T @ g  # (1, d)
+        g_coef = (g_w_hat * a).sum()
+        g_num = g_coef * r  # gradient on m - w.a
+        g_wa = g_num / (1.0 + np.exp(-wa)) - g_num  # through softplus(w.a) and -w.a
+        g_norm2 = -g_coef * (m - wa) * r * r
+        g_a = g_pre.T @ u.data + coef * g_w_hat + (2.0 * g_norm2) * a + g_wa * w
+        g_w = g_w_hat + g_wa * a
+        theta.accumulate_grad(np.concatenate([g_a, g_w, g_pre.sum(keepdims=True)], axis=1))
 
     out._backward = _bw
     return out
@@ -611,8 +807,14 @@ def grad_check(
     """Compare backward() gradients of a scalar function to central differences.
 
     ``fn`` receives the point tensors and must rebuild its graph on each call.
-    Returns the maximum relative error max |analytic - numeric| /
-    (|analytic| + |numeric| + 1e-12) over every coordinate of every point.
+    Returns the largest error over every coordinate of every point. A
+    coordinate whose |analytic - numeric| is within the central difference's
+    rounding noise, atol = 1e-14 * max(1, |fn(points)|) / epsilon (1e-8 at
+    the default epsilon for |fn| <= 1), counts as an exact match (error 0).
+    Any other coordinate contributes its relative error
+    |analytic - numeric| / (|analytic| + |numeric|). Without the absolute
+    tolerance, a coordinate whose true gradient is exactly zero would read as
+    relative error 1 from rounding noise alone.
     """
     if isinstance(points, Tensor):
         points = [points]
@@ -623,6 +825,7 @@ def grad_check(
         raise ShapeError("grad_check function must return a scalar Tensor")
     if not np.isfinite(loss.data).all():
         raise ValueError("grad_check: non-finite function value at the base point")
+    atol = 1e-14 * max(1.0, abs(loss.item())) / epsilon
     loss.backward()
     analytic = [
         np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in points
@@ -642,6 +845,7 @@ def grad_check(
                 raise ValueError("grad_check: non-finite function value during probing")
             numeric = (hi - lo) / (2.0 * epsilon)
             a = ga.reshape(-1)[i]
-            err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-            worst = max(worst, err)
+            diff = abs(a - numeric)
+            if diff > atol:
+                worst = max(worst, diff / (abs(a) + abs(numeric)))
     return worst

@@ -45,17 +45,27 @@ OBJECTIVES = ("energy", "mse")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss turns non-finite; carries where and the history."""
+    """Raised when a loss or a gradient turns non-finite; carries where and history.
 
-    def __init__(self, epoch: int, batch: int, loss: float, history: list):
+    ``param`` names the first parameter with a non-finite gradient, or is
+    None when the loss itself was non-finite.
+    """
+
+    def __init__(
+        self, epoch: int, batch: int, loss: float, history: list, param: str | None = None
+    ):
+        if param is None:
+            what = f"non-finite loss {loss!r}"
+        else:
+            what = f"non-finite gradient of {param} (loss {loss!r})"
         super().__init__(
-            f"non-finite loss {loss!r} at epoch {epoch}, batch {batch} "
-            f"({len(history)} completed epochs)"
+            f"{what} at epoch {epoch}, batch {batch} ({len(history)} completed epochs)"
         )
         self.epoch = epoch
         self.batch = batch
         self.loss = loss
         self.history = history
+        self.param = param
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,13 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+    def nonfinite_grad(self) -> str | None:
+        """Name of the first parameter whose gradient holds a NaN or an inf, else None."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                return name
+        return None
 
 
 # -- objectives -------------------------------------------------------------------
@@ -276,7 +293,8 @@ def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Chec
 
     The model is left holding the best epoch's weights; the returned
     Checkpoint records them together with the config and loss history.
-    Raises TrainingDiverged on a non-finite loss.
+    Raises TrainingDiverged on a non-finite loss or gradient, before the
+    optimizer step, so no parameter is ever written to a non-finite value.
     """
     if not train_windows or not val_windows:
         raise ValueError("fit needs non-empty train and validation splits")
@@ -302,6 +320,9 @@ def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Chec
                 raise TrainingDiverged(epoch, n_batches, loss_value, history)
             opt.zero_grad()
             loss.backward()
+            bad = opt.nonfinite_grad()
+            if bad is not None:
+                raise TrainingDiverged(epoch, n_batches, loss_value, history, param=bad)
             opt.step()
             epoch_loss += loss_value
             n_batches += 1
@@ -384,6 +405,9 @@ def pretrain_backbone(cfg: PretrainConfig, path: str) -> PretrainResult:
             raise TrainingDiverged(0, step, loss_value, history)
         opt.zero_grad()
         loss.backward()
+        bad = opt.nonfinite_grad()
+        if bad is not None:
+            raise TrainingDiverged(0, step, loss_value, history, param=bad)
         opt.step()
         history.append(loss_value)
     head = max(1, min(20, cfg.steps // 10))

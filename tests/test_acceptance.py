@@ -22,6 +22,7 @@ from papnf.data import SplitSpec, load_csv, make_windows, split_series
 from papnf.encoder import PrefixBank, build_llm_input
 from papnf.evaluate import baseline_report, evaluate_split
 from papnf.flow import (
+    PLANAR_MARGIN,
     FlowLayer,
     flow_invert_np,
     flow_forward_np,
@@ -166,7 +167,12 @@ def _op_cases(rng):
         w = Tensor(rng.normal(size=shape))
         return lambda *ts: tz.tensor_sum(g(*ts) * w)
 
-    return [
+    def attention_weights(trainable):
+        # scaled like the backbone's init so the softmax does not saturate
+        return [Tensor(rng.normal(size=(6, 6)) / math.sqrt(6), requires_grad=trainable)
+                for _ in range(4)]
+
+    cases = [
         ("add", probed((3, 4), lambda x, y: x + y), [t(3, 4), t(3, 4)]),
         ("add_scalar", probed((3, 4), lambda x: x + 2.5), [t(3, 4)]),
         ("sub", probed((3, 4), lambda x, y: x - y), [t(3, 4), t(3, 4)]),
@@ -191,6 +197,22 @@ def _op_cases(rng):
         ("softmax_rows", probed((3, 4), lambda x: tz.softmax_rows(x)), [t(3, 4)]),
         ("layernorm_rows", probed((3, 4), lambda x: tz.layernorm_rows(x)), [t(3, 4)]),
     ]
+    # the fused layer ops; "_frozen" variants hold the weights constant
+    lin_W, lin_b = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=5))
+    att_frozen = attention_weights(False)
+    cases += [
+        ("linear", probed((3, 5), tz.linear), [t(3, 4), t(5, 4), t(5)]),
+        ("linear_frozen", probed((3, 5), lambda x: tz.linear(x, lin_W, lin_b)), [t(3, 4)]),
+        ("layernorm_affine", probed((3, 4), tz.layernorm_affine), [t(3, 4), t(4), t(4)]),
+        ("causal_attention", probed((4, 6), lambda x, *w: tz.causal_attention(x, *w, 2)),
+         [t(4, 6), *attention_weights(True)]),
+        ("causal_attention_frozen",
+         probed((4, 6), lambda x: tz.causal_attention(x, *att_frozen, 2)), [t(4, 6)]),
+        ("planar_step", probed((3, 4), lambda u, th: tz.planar_step(u, th, PLANAR_MARGIN, 1e-12)),
+         [t(3, 4), t(1, 9)]),
+        ("energy_score", tz.energy_score, [t(6, 4), t(1, 4)]),
+    ]
+    return cases
 
 
 def test_criterion_1_autodiff_fidelity():

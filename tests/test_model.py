@@ -1,5 +1,7 @@
 """Assembled forecaster: shapes, ablation wiring, gradient routing."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from papnf.backbone import BackboneArch
 from papnf.data import make_windows
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import substream
-from papnf.tensor import grad_check
+from papnf.tensor import Tape, Tensor, grad_check
+from papnf.train import loss_energy
 
 
 def toy_config(**over) -> ModelConfig:
@@ -186,3 +189,19 @@ def test_end_to_end_grad_check_small():
         return (err * err).sum() * (1.0 / err.size)
 
     assert grad_check(fn, list(model.parameters().values())) < 1e-4
+
+
+def test_window_loss_graph_uses_one_node_per_fused_layer():
+    # one window's energy loss under the default config; each attention layer
+    # and each planar step is a single node (the unfused graph had 248)
+    cfg = ModelConfig(lookback=96, horizon=24, channels=1)
+    model = PapNfModel(cfg, seed=26)
+    rng = substream(27, "window")
+    values = rng.normal(size=(cfg.lookback + cfg.horizon, 1))
+    w = make_windows(values, cfg.lookback, cfg.horizon)[0]
+    u0 = substream(28, "u").standard_normal((8, cfg.d_u))
+    loss = loss_energy(model.forward_samples(w.x_std, u0), Tensor(w.y_std.reshape(1, -1)))
+    kinds = Counter(node._backward.__qualname__.split(".")[0] for node in Tape.from_root(loss).nodes)
+    assert kinds["causal_attention"] == cfg.backbone.n_layers
+    assert kinds["planar_step"] == cfg.t_flow
+    assert sum(kinds.values()) < 60

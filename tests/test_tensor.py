@@ -190,6 +190,44 @@ def test_grad_check_constant_function_is_zero():
     assert grad_check(lambda t: (t * 0.0).sum(), x) == 0.0
 
 
+def test_grad_check_accepts_exactly_zero_gradients():
+    # the outermost samples' accuracy and spread gradients cancel exactly; the
+    # central difference there is pure rounding noise
+    rng = np.random.default_rng(6)
+    pred = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    target = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+    tz.energy_score(pred, target).backward()
+    assert (pred.grad == 0.0).any()
+    assert grad_check(tz.energy_score, [pred, target]) < 1e-6
+
+
+def _tanh_with_wrong_backward(x: Tensor) -> Tensor:
+    y = np.tanh(x.data)
+    out = tz._make(y, (x,), lambda: None)
+    out._backward = lambda: x.accumulate_grad(1.5 * out.grad * (1.0 - y * y))
+    return out
+
+
+def test_grad_check_still_flags_a_wrong_backward():
+    x = Tensor(np.array([[0.3, -0.7, 1.2], [0.05, -1.4, 0.6]]), requires_grad=True)
+    assert grad_check(lambda t: _tanh_with_wrong_backward(t).sum(), x) > 0.1
+
+
+def test_first_gradient_is_an_owned_copy():
+    # tensor_sum hands back a read-only broadcast view; the buffer must own
+    # its memory so later contributions can be added in place
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    (x.sum() + x.sum()).backward()
+    assert x.grad.flags.owndata and x.grad.flags.writeable
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_gradient_of_the_wrong_shape_is_rejected():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match="gradient"):
+        x.accumulate_grad(np.ones((3, 2)))
+
+
 def test_grad_check_nonfinite_raises():
     x = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ValueError, match="non-finite"):
@@ -261,6 +299,23 @@ def test_gradients_accumulate_across_reuse():
     y = x * x + x * 3.0  # x appears in two terms
     y.sum().backward()
     np.testing.assert_allclose(x.grad, [7.0])
+
+
+def test_matmul_computes_no_gradient_for_a_frozen_operand(monkeypatch):
+    frozen = Tensor(np.ones((2, 2)))
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    out = x @ frozen
+    receivers = []
+    original = Tensor.accumulate_grad
+
+    def recording(self, g):
+        receivers.append(self)
+        original(self, g)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+    out.sum().backward()
+    assert not any(t is frozen for t in receivers)
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
 
 
 def test_frozen_tensors_never_get_grad_buffers():

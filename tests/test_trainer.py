@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from papnf import tensor as tz
+from papnf import train as train_mod
 from papnf.backbone import BackboneArch, load_frozen_checkpoint
 from papnf.data import make_windows
 from papnf.metrics import crps_empirical
@@ -388,6 +390,29 @@ class TestFit:
             fit(model, windows, windows, tc)
         assert err.value.epoch == 0
         assert not math.isfinite(err.value.loss)
+
+    def test_nonfinite_gradient_aborts_before_the_step(self, monkeypatch):
+        # a finite loss whose backward writes NaN into the predictions' gradient
+        def poisoned(pred, target):
+            def nan_grad():
+                pred.accumulate_grad(np.full(pred.shape, np.nan))
+
+            return energy_score(tz._make(pred.data.copy(), (pred,), nan_grad), target)
+
+        monkeypatch.setattr(train_mod, "loss_energy", poisoned)
+        cfg = tiny_config()
+        windows = tiny_windows()[:4]
+        model = PapNfModel(cfg, seed=9)
+        before = model.all_weights()
+        tc = TrainConfig(model=cfg, batch_size=2, epochs=1, seed=9,
+                         train_samples=2, val_samples=2)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient") as err:
+            fit(model, windows, windows, tc)
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+        assert math.isfinite(err.value.loss)
+        assert err.value.param in model.parameters()
+        after = model.all_weights()
+        assert all(np.array_equal(after[name], before[name]) for name in before)
 
     def test_ablation_switches_compose(self):
         # no_pap and no_global_context together still train and evaluate
