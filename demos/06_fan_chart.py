@@ -1,10 +1,16 @@
 """Demo: fan-chart rendering.
 
 Trains a small model, samples one window's forecast ensemble, and writes a
-static SVG fan chart (history, nested central intervals, median, truth).
+static SVG fan chart (history, nested central intervals, median, truth),
+plus the per-point quantile CSV of the whole test split.
+
+    python demos/06_fan_chart.py [OUT_DIR]
+
+OUT_DIR defaults to demos/out next to this file.
 """
 
 import os
+import sys
 
 from papnf.data import SplitSpec, make_windows, split_series
 from papnf.evaluate import evaluate_split, write_fan_chart_svg, write_quantiles_csv
@@ -30,7 +36,7 @@ fit(model, train_w, val_w, TrainConfig(model=cfg, epochs=6, seed=0))
 
 report, ensembles = evaluate_split(model, test_w, n_samples=200, seed=0)
 
-out_dir = os.path.join(os.path.dirname(__file__), "out")
+out_dir = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(out_dir, exist_ok=True)
 svg_path = os.path.join(out_dir, "fan_chart.svg")
 write_fan_chart_svg(svg_path, test_w[10], ensembles[10])

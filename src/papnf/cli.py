@@ -373,21 +373,15 @@ def cmd_ablate(args) -> int:
     series, splits = _prepare(cfg)
     base_cfg = _model_config(cfg, series.channels)
     base_cfg = _ensure_backbone(cfg, base_cfg, out_dir)
-    digest = windows_digest(splits["test"])
+    digest = windows_digest(splits["test"])  # every arm shares these windows
     results: dict[str, dict] = {}
     for arm in ABLATION_ARMS:
-        _, arm_splits = _prepare(cfg)  # rebuilt per arm, hash-checked below
-        arm_digest = windows_digest(arm_splits["test"])
-        if arm_digest != digest:
-            raise RuntimeError(f"arm {arm}: test windows diverged from the shared set")
         try:
             arm_cfg = ablation_variant(base_cfg, arm)
-            model, ckpt = _train_model(
-                cfg, arm_splits, series.channels, out_dir, model_cfg=arm_cfg
-            )
+            model, ckpt = _train_model(cfg, splits, series.channels, out_dir, model_cfg=arm_cfg)
             report, _ = evaluate_split(
                 model,
-                arm_splits["test"],
+                splits["test"],
                 n_samples=cfg["eval"]["n_samples"],
                 seed=cfg["seed"],
             )

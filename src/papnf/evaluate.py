@@ -138,7 +138,11 @@ def baseline_report(
 
 
 def write_quantiles_csv(path: str, windows, ensembles) -> None:
-    """Per-point quantile table: window_id, step, channel, q05..q95, truth."""
+    """Per-point quantile table: window_id, step, channel, q05..q95, truth.
+
+    Each ensemble is sorted once for all quantile columns. Values are Python
+    floats, which the csv module writes with ``repr``, so they round-trip.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -147,15 +151,13 @@ def write_quantiles_csv(path: str, windows, ensembles) -> None:
             + ["truth"]
         )
         for w, ens in zip(windows, ensembles):
-            qs = [ens.quantile(q) for q in QUANTILE_COLUMNS]
-            h, c = w.y.shape
-            for step in range(h):
-                for ch in range(c):
-                    writer.writerow(
-                        [int(w.index), step, ch]
-                        + [repr(float(q[step, ch])) for q in qs]
-                        + [repr(float(w.y[step, ch]))]
-                    )
+            index = int(w.index)
+            c = w.y.shape[1]
+            columns = np.concatenate([ens.quantiles(QUANTILE_COLUMNS), w.y[None]])
+            points = columns.reshape(len(columns), -1).T.tolist()
+            writer.writerows(
+                [index, k // c, k % c, *values] for k, values in enumerate(points)
+            )
 
 
 def write_ensemble_csv(path: str, windows, ensembles) -> None:
@@ -164,19 +166,12 @@ def write_ensemble_csv(path: str, windows, ensembles) -> None:
         writer = csv.writer(fh)
         writer.writerow(["window_id", "sample_id", "step", "channel", "value"])
         for w, ens in zip(windows, ensembles):
+            index = int(w.index)
             s, h, c = ens.samples.shape
-            for sample_id in range(s):
-                for step in range(h):
-                    for ch in range(c):
-                        writer.writerow(
-                            [
-                                int(w.index),
-                                sample_id,
-                                step,
-                                ch,
-                                repr(float(ens.samples[sample_id, step, ch])),
-                            ]
-                        )
+            for sample_id, values in enumerate(ens.samples.reshape(s, h * c).tolist()):
+                writer.writerows(
+                    [index, sample_id, k // c, k % c, v] for k, v in enumerate(values)
+                )
 
 
 # -- SVG fan chart ----------------------------------------------------------------

@@ -3,10 +3,16 @@
 Everything here is plain numpy on destandardized values. The point forecast
 of an ensemble is its mean; probabilistic scores use the empirical energy
 form of CRPS computed per (step, channel) and aggregated over a split.
+
+Each window's (S, H, C) ensemble is sorted once along the samples. That
+sorted block feeds the CRPS spread term (``pairwise_spread``) and, through
+``sorted_quantile``, every interval bound and quantile, so a split report
+costs one sort per window and no call to numpy's quantile routine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +27,7 @@ __all__ = [
     "weighted_crps",
     "coverage",
     "coverage_mask",
+    "sorted_quantile",
     "extreme_coverage",
     "persistence",
     "seasonal_naive",
@@ -56,18 +63,142 @@ def crps_empirical(samples: np.ndarray, y: float, fair: bool = False) -> float:
     return term1 - float(pairwise_spread(np.sort(samples))) / denom
 
 
-def crps_grid(ensemble: np.ndarray, target: np.ndarray, fair: bool = False) -> np.ndarray:
-    """Per-(step, channel) CRPS of an (S, H, C) ensemble against (H, C) truth."""
+def _grid_operands(ensemble, target) -> tuple[np.ndarray, np.ndarray]:
     ensemble = np.asarray(ensemble, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if ensemble.ndim != 3 or ensemble.shape[1:] != target.shape:
         raise ValueError(f"ensemble {ensemble.shape} does not match target {target.shape}")
-    s = ensemble.shape[0]
-    if s < 2:
+    if ensemble.shape[0] < 2:
         raise ValueError("crps_grid needs at least two samples")
+    return ensemble, target
+
+
+def _crps_sorted(
+    ensemble: np.ndarray, ordered: np.ndarray, target: np.ndarray, fair: bool
+) -> np.ndarray:
+    """crps_grid given the ensemble and its samples-axis sort ``ordered``."""
+    s = ensemble.shape[0]
     term1 = np.abs(ensemble - target[None]).mean(axis=0)
     denom = s * (s - 1) if fair else s * s
-    return term1 - pairwise_spread(np.sort(ensemble, axis=0)) / denom
+    return term1 - pairwise_spread(ordered) / denom
+
+
+def crps_grid(ensemble: np.ndarray, target: np.ndarray, fair: bool = False) -> np.ndarray:
+    """Per-(step, channel) CRPS of an (S, H, C) ensemble against (H, C) truth."""
+    ensemble, target = _grid_operands(ensemble, target)
+    return _crps_sorted(ensemble, np.sort(ensemble, axis=0), target, fair)
+
+
+def sorted_quantile(sorted_samples: np.ndarray, q: float) -> np.ndarray:
+    """Quantile q along axis 0 of x, given ``sorted_samples = np.sort(x, axis=0)``.
+
+    Reproduces numpy's quantile with its default ``linear`` method bit for
+    bit, so one sort serves any number of levels. The virtual index is
+    (S-1)q. From S-1 on, both neighbours are the last row and gamma is the
+    index plus one, as in numpy's ``_get_indexes``. The interpolation is
+    a + (b-a)g for g < 0.5 and b - (b-a)(1-g) otherwise, as in numpy's
+    ``_lerp``. A column whose largest value is NaN gives NaN. The one
+    difference is the sign of a zero result drawn from tied -0.0 and 0.0
+    samples, which sort and numpy's partition may order differently.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile level must be in [0, 1], got {q}")
+    n = sorted_samples.shape[0]
+    virtual = (n - 1) * q
+    below = math.floor(virtual)
+    above = below + 1
+    if virtual >= n - 1:
+        below = above = -1
+    gamma = virtual - below
+    a = sorted_samples[below]
+    b = sorted_samples[above]
+    diff = b - a
+    out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    last = sorted_samples[-1]
+    nan_cols = np.isnan(last)
+    if nan_cols.any():
+        out = np.where(nan_cols, last, out)
+    return out
+
+
+def _interval_mask(ordered: np.ndarray, target: np.ndarray, level: float) -> np.ndarray:
+    alpha = (1.0 - level) / 2.0
+    lo = sorted_quantile(ordered, alpha)
+    hi = sorted_quantile(ordered, 1.0 - alpha)
+    return (target >= lo) & (target <= hi)
+
+
+def coverage_mask(ensemble: np.ndarray, target: np.ndarray, level: float) -> np.ndarray:
+    """Boolean (H, C) mask: truth inside the central interval (inclusive)."""
+    return _interval_mask(np.sort(ensemble, axis=0), target, level)
+
+
+def _window_scores(
+    position: int, ensemble, target, levels: tuple[float, ...], fair: bool | None
+) -> tuple[np.ndarray | None, dict[float, np.ndarray]]:
+    """One window's CRPS grid and interval masks from a single sort.
+
+    ``fair=None`` skips the CRPS grid. An ensemble holding NaN or inf raises
+    ValueError naming the window's position in the split: a NaN bound would
+    otherwise count as a silent coverage miss.
+    """
+    ensemble = np.asarray(ensemble, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    ordered = np.sort(ensemble, axis=0)
+    # NaN sorts last and -inf/+inf to the ends, so the end rows show them all
+    if not (np.isfinite(ordered[0]).all() and np.isfinite(ordered[-1]).all()):
+        raise ValueError(f"window {position} of the split: ensemble holds NaN or inf")
+    grid = None
+    if fair is not None:
+        ensemble, target = _grid_operands(ensemble, target)
+        grid = _crps_sorted(ensemble, ordered, target, fair)
+    return grid, {lvl: _interval_mask(ordered, target, lvl) for lvl in levels}
+
+
+def _split_masks(ensembles, targets, level: float) -> list[np.ndarray]:
+    return [
+        _window_scores(i, ens, y, (level,), None)[1][level]
+        for i, (ens, y) in enumerate(zip(ensembles, targets))
+    ]
+
+
+def _weighted_ratio(grids: list[np.ndarray], targets) -> tuple[float, bool]:
+    total_crps = 0.0
+    total_abs = 0.0
+    for grid, y in zip(grids, targets):
+        total_crps += float(grid.sum())
+        total_abs += float(np.abs(y).sum())
+    if total_abs == 0.0:
+        return total_crps, False
+    return total_crps / total_abs, True
+
+
+def _hit_fraction(masks: list[np.ndarray]) -> float:
+    hits = 0
+    total = 0
+    for mask in masks:
+        hits += int(mask.sum())
+        total += mask.size
+    if total == 0:
+        raise ValueError("coverage over an empty split")
+    return hits / total
+
+
+def _extreme_fraction(masks: list[np.ndarray], targets, baseline_preds, top_frac: float) -> float:
+    errs = []
+    hits = []
+    for mask, y, base in zip(masks, targets, baseline_preds):
+        y = np.asarray(y, dtype=np.float64)
+        errs.append(np.abs(np.asarray(base) - y).reshape(-1))
+        hits.append(mask.reshape(-1))
+    if not errs:
+        raise ValueError("extreme_coverage over an empty split")
+    err = np.concatenate(errs)
+    hit = np.concatenate(hits)
+    k = max(1, int(np.floor(top_frac * err.size)))
+    order = np.argsort(-err, kind="stable")  # stable: ties keep earliest index
+    selected = order[:k]
+    return float(hit[selected].mean())
 
 
 def weighted_crps(
@@ -78,35 +209,16 @@ def weighted_crps(
     Returns (value, normalized). When sum|y| is zero the raw CRPS sum is
     returned with normalized=False instead of dividing by zero.
     """
-    total_crps = 0.0
-    total_abs = 0.0
-    for ens, y in zip(ensembles, targets):
-        total_crps += float(crps_grid(ens, y, fair=fair).sum())
-        total_abs += float(np.abs(y).sum())
-    if total_abs == 0.0:
-        return total_crps, False
-    return total_crps / total_abs, True
-
-
-def coverage_mask(ensemble: np.ndarray, target: np.ndarray, level: float) -> np.ndarray:
-    """Boolean (H, C) mask: truth inside the central interval (inclusive)."""
-    alpha = (1.0 - level) / 2.0
-    lo = np.quantile(ensemble, alpha, axis=0)
-    hi = np.quantile(ensemble, 1.0 - alpha, axis=0)
-    return (target >= lo) & (target <= hi)
+    grids = [
+        _window_scores(i, ens, y, (), fair)[0]
+        for i, (ens, y) in enumerate(zip(ensembles, targets))
+    ]
+    return _weighted_ratio(grids, targets)
 
 
 def coverage(ensembles: list[np.ndarray], targets: list[np.ndarray], level: float) -> float:
     """Fraction of all (window, step, channel) points inside the interval."""
-    hits = 0
-    total = 0
-    for ens, y in zip(ensembles, targets):
-        mask = coverage_mask(ens, np.asarray(y), level)
-        hits += int(mask.sum())
-        total += mask.size
-    if total == 0:
-        raise ValueError("coverage over an empty split")
-    return hits / total
+    return _hit_fraction(_split_masks(ensembles, targets, level))
 
 
 def extreme_coverage(
@@ -124,20 +236,8 @@ def extreme_coverage(
     """
     if not 0.0 < top_frac <= 1.0:
         raise ValueError(f"top_frac must be in (0, 1], got {top_frac}")
-    errs = []
-    hits = []
-    for ens, y, base in zip(ensembles, targets, baseline_preds):
-        y = np.asarray(y, dtype=np.float64)
-        errs.append(np.abs(np.asarray(base) - y).reshape(-1))
-        hits.append(coverage_mask(ens, y, level).reshape(-1))
-    if not errs:
-        raise ValueError("extreme_coverage over an empty split")
-    err = np.concatenate(errs)
-    hit = np.concatenate(hits)
-    k = max(1, int(np.floor(top_frac * err.size)))
-    order = np.argsort(-err, kind="stable")  # stable: ties keep earliest index
-    selected = order[:k]
-    return float(hit[selected].mean())
+    masks = _split_masks(ensembles, targets, level)
+    return _extreme_fraction(masks, targets, baseline_preds, top_frac)
 
 
 # -- baselines -----------------------------------------------------------------
@@ -176,6 +276,8 @@ def gaussian_residual(window, n_samples: int, rng: np.random.Generator) -> np.nd
 
 
 # -- aggregate report ------------------------------------------------------------
+
+EXTREME_LEVEL = 0.9  # interval level of MetricsReport.extreme_coverage_90
 
 
 @dataclass
@@ -225,31 +327,43 @@ def build_report(
     """Aggregate per-window ensembles and truths into one MetricsReport.
 
     ``baseline_preds`` (default: persistence is computed by the caller) feeds
-    the extreme-coverage selection; point metrics use the ensemble mean.
+    the extreme-coverage selection; point metrics use the ensemble mean. Each
+    ensemble is sorted once, and that sort feeds its CRPS grid and the
+    interval masks at every level. An ensemble holding NaN or inf raises
+    ValueError naming its window's position.
     """
     if not ensembles:
         raise ValueError("cannot build a report from zero windows")
     if len(ensembles) != len(targets):
         raise ValueError("ensemble/target count mismatch")
+    mask_levels = tuple(levels)
+    if baseline_preds is not None and EXTREME_LEVEL not in mask_levels:
+        mask_levels += (EXTREME_LEVEL,)
     h = targets[0].shape[0]
     sq_sum = np.zeros(h)
     abs_sum = np.zeros(h)
     crps_sum = np.zeros(h)
     per_point = 0
-    for ens, y in zip(ensembles, targets):
+    grids = []
+    masks: dict[float, list[np.ndarray]] = {lvl: [] for lvl in mask_levels}
+    for position, (ens, y) in enumerate(zip(ensembles, targets)):
         mean = ens.mean(axis=0)
         diff = mean - y
         sq_sum += (diff * diff).mean(axis=1)
         abs_sum += np.abs(diff).mean(axis=1)
-        crps_sum += crps_grid(ens, y, fair=fair).mean(axis=1)
+        grid, window_masks = _window_scores(position, ens, y, mask_levels, fair)
+        crps_sum += grid.mean(axis=1)
+        grids.append(grid)
+        for lvl, mask in window_masks.items():
+            masks[lvl].append(mask)
         per_point += y.size
     n = len(targets)
-    w_crps, normalized = weighted_crps(ensembles, targets, fair=fair)
-    cov = {f"{lvl:g}": coverage(ensembles, targets, lvl) for lvl in levels}
+    w_crps, normalized = _weighted_ratio(grids, targets)
+    cov = {f"{lvl:g}": _hit_fraction(masks[lvl]) for lvl in levels}
     if baseline_preds is None:
         extreme = float("nan")
     else:
-        extreme = extreme_coverage(ensembles, targets, baseline_preds, level=0.9, top_frac=0.1)
+        extreme = _extreme_fraction(masks[EXTREME_LEVEL], targets, baseline_preds, top_frac=0.1)
     return MetricsReport(
         n_windows=n,
         n_points=per_point,

@@ -3,12 +3,15 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from papnf import cli
 from papnf.cli import main
 from papnf.synthetic import ar1_seasonal, write_csv
+from papnf.train import load_checkpoint, save_checkpoint
 
 LOOKBACK, HORIZON = 16, 4
 TEST_LEN = 26  # -> 26 - 16 - 4 + 1 = 7 test windows
@@ -206,6 +209,20 @@ class TestEval:
     def test_missing_checkpoint_flag_exits_2(self, ws, tmp_path):
         assert run("eval", "--config", ws["config"], "--out", str(tmp_path / "o")) == 2
 
+    def test_nonfinite_ensemble_exits_1(self, ws, trained, tmp_path, capsys):
+        ckpt = load_checkpoint(trained["checkpoint"])
+        bad_weights = dict(ckpt.weights)
+        bad_weights["recon.g2"] = np.full_like(ckpt.weights["recon.g2"], np.nan)
+        bad = tmp_path / "nan.papnf"
+        save_checkpoint(replace(ckpt, weights=bad_weights), str(bad))
+        code = run(
+            "eval", "--config", ws["config"], "--out", str(tmp_path / "o"),
+            "--checkpoint", str(bad),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "window 0 " in err and "NaN or inf" in err
+
     def test_corrupt_checkpoint_exits_1(self, ws, tmp_path):
         bad = tmp_path / "bad.papnf"
         bad.write_bytes(b"PAPNF1\x00garbage")
@@ -260,6 +277,19 @@ class TestAblate:
         assert diff == {"prefix.P"}
         assert set(census["full"]) == set(census["random_backbone"])
         assert set(census["full"]) == set(census["no_global_context"])
+
+
+    def test_splits_built_once_for_all_arms(self, ws, tmp_path, monkeypatch):
+        calls = []
+        real_prepare = cli._prepare
+
+        def counting_prepare(cfg):
+            calls.append(1)
+            return real_prepare(cfg)
+
+        monkeypatch.setattr(cli, "_prepare", counting_prepare)
+        assert run("ablate", "--config", ws["config"], "--out", str(tmp_path / "a")) == 0
+        assert len(calls) == 1
 
 
 class TestSweepPrefix:

@@ -9,6 +9,7 @@ import pytest
 from papnf.backbone import BackboneArch
 from papnf.data import make_windows
 from papnf.evaluate import (
+    QUANTILE_COLUMNS,
     baseline_ensembles,
     baseline_report,
     evaluate_split,
@@ -17,6 +18,7 @@ from papnf.evaluate import (
     write_fan_chart_svg,
     write_quantiles_csv,
 )
+from papnf.flow import ForecastEnsemble, sample_forecasts
 from papnf.metrics import crps_empirical
 from papnf.model import ModelConfig, PapNfModel
 from papnf.synthetic import ar1_seasonal
@@ -191,3 +193,118 @@ class TestFanChart:
         write_fan_chart_svg(str(p1), windows[0], ensembles[0], channel=0)
         write_fan_chart_svg(str(p2), windows[0], ensembles[0], channel=1)
         assert p1.read_text() != p2.read_text()
+
+
+# -- sorted-ensemble writers against per-element references ---------------------------
+
+
+def reference_quantiles_csv(path, windows, ensembles):
+    """write_quantiles_csv one np.quantile call and one repr per value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["window_id", "step", "channel"]
+            + [f"q{int(q * 100):02d}" for q in QUANTILE_COLUMNS]
+            + ["truth"]
+        )
+        for w, ens in zip(windows, ensembles):
+            qs = [np.quantile(ens.samples, q, axis=0) for q in QUANTILE_COLUMNS]
+            h, c = w.y.shape
+            for step in range(h):
+                for ch in range(c):
+                    writer.writerow(
+                        [int(w.index), step, ch]
+                        + [repr(float(q[step, ch])) for q in qs]
+                        + [repr(float(w.y[step, ch]))]
+                    )
+
+
+def reference_ensemble_csv(path, windows, ensembles):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window_id", "sample_id", "step", "channel", "value"])
+        for w, ens in zip(windows, ensembles):
+            s, h, c = ens.samples.shape
+            for sample_id in range(s):
+                for step in range(h):
+                    for ch in range(c):
+                        value = repr(float(ens.samples[sample_id, step, ch]))
+                        writer.writerow([int(w.index), sample_id, step, ch, value])
+
+
+def _synthetic_ensembles(windows, s, seed):
+    """Continuous and tied ensembles, with large and tiny magnitudes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, w in enumerate(windows):
+        samples = rng.normal(size=(s,) + w.y.shape) * 10.0 ** rng.integers(-8, 9)
+        if k % 2:
+            samples = np.round(samples, 1) + 0.0
+        out.append(ForecastEnsemble(window_index=int(w.index), samples=samples))
+    return out
+
+
+class TestWriterParity:
+    @pytest.mark.parametrize("s", [2, 3, 8, 100, 101])
+    def test_quantiles_csv_bytes_match_reference(self, small_setup, tmp_path, s):
+        _, windows = small_setup
+        ensembles = _synthetic_ensembles(windows, s, seed=s)
+        write_quantiles_csv(str(tmp_path / "got.csv"), windows, ensembles)
+        reference_quantiles_csv(str(tmp_path / "want.csv"), windows, ensembles)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_model_csvs_bytes_match_reference(self, small_setup, tmp_path):
+        model, windows = small_setup
+        _, ensembles = evaluate_split(model, windows, n_samples=100, seed=4)
+        for writer, reference in (
+            (write_quantiles_csv, reference_quantiles_csv),
+            (write_ensemble_csv, reference_ensemble_csv),
+        ):
+            writer(str(tmp_path / "got.csv"), windows, ensembles)
+            reference(str(tmp_path / "want.csv"), windows, ensembles)
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_ensemble_csv_bytes_match_reference(self, small_setup, tmp_path):
+        _, windows = small_setup
+        ensembles = _synthetic_ensembles(windows, 7, seed=1)
+        write_ensemble_csv(str(tmp_path / "got.csv"), windows, ensembles)
+        reference_ensemble_csv(str(tmp_path / "want.csv"), windows, ensembles)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_quantiles_csv_sorts_each_ensemble_once(self, small_setup, tmp_path, monkeypatch):
+        _, windows = small_setup
+        ensembles = _synthetic_ensembles(windows, 20, seed=2)
+        calls = []
+        real_sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        write_quantiles_csv(str(tmp_path / "q.csv"), windows, ensembles)
+        assert calls == [(20,) + windows[0].y.shape] * len(windows)
+
+    def test_ensemble_quantiles_match_np_quantile(self, small_setup):
+        _, windows = small_setup
+        for ens in _synthetic_ensembles(windows, 50, seed=3):
+            for q in (0.0, 0.025, 0.5, 0.975, 1.0):
+                assert ens.quantile(q).tobytes() == np.quantile(ens.samples, q, axis=0).tobytes()
+            alpha = (1.0 - 0.9) / 2.0
+            lo, hi = ens.interval(0.9)
+            assert lo.tobytes() == np.quantile(ens.samples, alpha, axis=0).tobytes()
+            assert hi.tobytes() == np.quantile(ens.samples, 1.0 - alpha, axis=0).tobytes()
+        with pytest.raises(ValueError):
+            ens.quantile(1.5)
+
+
+class TestSampleForecasts:
+    def test_block_destandardize_matches_per_sample(self, small_setup):
+        model, windows = small_setup
+        w = windows[2]
+        ens = sample_forecasts(w, model, 9, np.random.default_rng(11))
+        u0 = np.random.default_rng(11).standard_normal((9, model.cfg.d_u))
+        std = model.forward_samples(w.x_std, u0).data.reshape(9, *w.y.shape)
+        want = np.stack([w.scaler.destandardize(row) for row in std])
+        assert ens.samples.shape == want.shape
+        assert ens.samples.tobytes() == want.tobytes()

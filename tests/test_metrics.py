@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from papnf.data import make_windows
+from papnf.evaluate import DEFAULT_LEVELS, QUANTILE_COLUMNS, baseline_ensembles
 from papnf.metrics import (
     MetricsReport,
     build_report,
@@ -20,8 +21,10 @@ from papnf.metrics import (
     persistence,
     point_metrics,
     seasonal_naive,
+    sorted_quantile,
     weighted_crps,
 )
+from papnf.synthetic import ar1_seasonal
 
 
 def crps_gaussian(mu: float, sigma: float, y: float) -> float:
@@ -279,3 +282,195 @@ class TestReport:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             build_report([], [])
+
+
+# -- one sort per window ------------------------------------------------------------
+
+SIZES = (2, 3, 8, 100, 101)
+ALPHAS = [(1.0 - lvl) / 2.0 for lvl in DEFAULT_LEVELS + (0.5, 0.99)]
+LEVELS_Q = (0.0, 1.0) + QUANTILE_COLUMNS + tuple(ALPHAS) + tuple(1.0 - a for a in ALPHAS)
+
+
+def _ensembles(s: int, seed: int) -> dict[str, np.ndarray]:
+    """Continuous, tied and constant (S, 4, 3) ensembles.
+
+    Rounded values get + 0.0, which turns -0.0 into 0.0: sort and numpy's
+    partition may order tied -0.0 and 0.0 differently, so a quantile that
+    lands on such a tie may differ from numpy's in the sign of zero only.
+    """
+    rng = np.random.default_rng(seed)
+    return {
+        "continuous": rng.normal(size=(s, 4, 3)) * 10.0,
+        "tied": np.round(rng.normal(size=(s, 4, 3)), 0) + 0.0,
+        "constant": np.full((s, 4, 3), -2.5),
+        "two_values": rng.choice([0.0, 1.0], size=(s, 4, 3)),
+    }
+
+
+def reference_report(ensembles, targets, baseline_preds=None, levels=(0.8, 0.9, 0.95), fair=False):
+    """build_report computed function by function, with np.quantile bounds."""
+
+    def mask(ens, y, level):
+        alpha = (1.0 - level) / 2.0
+        lo = np.quantile(ens, alpha, axis=0)
+        hi = np.quantile(ens, 1.0 - alpha, axis=0)
+        return (y >= lo) & (y <= hi)
+
+    def cov(level):
+        masks = [mask(e, np.asarray(y), level) for e, y in zip(ensembles, targets)]
+        return sum(int(m.sum()) for m in masks) / sum(m.size for m in masks)
+
+    h = targets[0].shape[0]
+    sq_sum, abs_sum, crps_sum = np.zeros(h), np.zeros(h), np.zeros(h)
+    total_crps = total_abs = 0.0
+    for ens, y in zip(ensembles, targets):
+        diff = ens.mean(axis=0) - y
+        sq_sum += (diff * diff).mean(axis=1)
+        abs_sum += np.abs(diff).mean(axis=1)
+        crps_sum += crps_grid(ens, y, fair=fair).mean(axis=1)
+    for ens, y in zip(ensembles, targets):
+        total_crps += float(crps_grid(ens, y, fair=fair).sum())
+        total_abs += float(np.abs(y).sum())
+    normalized = total_abs != 0.0
+    extreme = float("nan")
+    if baseline_preds is not None:
+        err = np.concatenate([np.abs(b - y).reshape(-1) for y, b in zip(targets, baseline_preds)])
+        hit = np.concatenate([mask(e, y, 0.9).reshape(-1) for e, y in zip(ensembles, targets)])
+        k = max(1, int(np.floor(0.1 * err.size)))
+        extreme = float(hit[np.argsort(-err, kind="stable")[:k]].mean())
+    n = len(targets)
+    return MetricsReport(
+        n_windows=n,
+        n_points=sum(y.size for y in targets),
+        mse=float(sq_sum.mean() / n),
+        mae=float(abs_sum.mean() / n),
+        crps_mean=float(crps_sum.mean() / n),
+        weighted_crps=total_crps / total_abs if normalized else total_crps,
+        weighted_crps_normalized=normalized,
+        coverage={f"{lvl:g}": cov(lvl) for lvl in levels},
+        extreme_coverage_90=extreme,
+        per_horizon_mse=[float(v / n) for v in sq_sum],
+        per_horizon_mae=[float(v / n) for v in abs_sum],
+        per_horizon_crps=[float(v / n) for v in crps_sum],
+    )
+
+
+class TestSortedQuantile:
+    @pytest.mark.parametrize("s", SIZES)
+    def test_bitwise_equal_to_np_quantile(self, s):
+        for name, ens in _ensembles(s, seed=s).items():
+            ordered = np.sort(ens, axis=0)
+            for q in LEVELS_Q:
+                got = sorted_quantile(ordered, q)
+                want = np.quantile(ens, q, axis=0)
+                assert np.array_equal(got, want), (name, s, q)
+                assert got.tobytes() == want.tobytes(), (name, s, q)
+
+    def test_signed_zero_ties_compare_equal(self):
+        ens = np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 0.0, -0.0]).reshape(8, 1, 1)
+        for q in LEVELS_Q:
+            got = sorted_quantile(np.sort(ens, axis=0), q)
+            assert np.array_equal(got, np.quantile(ens, q, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 257), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_any_level_and_size(self, s, q, seed):
+        ens = np.round(np.random.default_rng(seed).normal(size=(s, 2, 2)), 1) + 0.0
+        got = sorted_quantile(np.sort(ens, axis=0), q)
+        assert got.tobytes() == np.quantile(ens, q, axis=0).tobytes()
+
+    def test_nan_column_gives_nan_like_numpy(self):
+        ens = np.random.default_rng(1).normal(size=(9, 2, 2))
+        ens[4, 1, 0] = np.nan
+        for q in (0.0, 0.05, 0.5, 1.0):
+            got = sorted_quantile(np.sort(ens, axis=0), q)
+            want = np.quantile(ens, q, axis=0)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.isnan(got[1, 0]) and np.isfinite(got[0, 0])
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01, float("nan")])
+    def test_rejects_levels_outside_unit_interval(self, q):
+        with pytest.raises(ValueError):
+            sorted_quantile(np.zeros((4, 1, 1)), q)
+
+    def test_coverage_mask_matches_np_quantile_bounds(self):
+        rng = np.random.default_rng(4)
+        ens = np.round(rng.normal(size=(100, 5, 2)), 1)
+        y = np.round(rng.normal(size=(5, 2)) * 2.0, 1)
+        for lvl in DEFAULT_LEVELS:
+            alpha = (1.0 - lvl) / 2.0
+            lo = np.quantile(ens, alpha, axis=0)
+            hi = np.quantile(ens, 1.0 - alpha, axis=0)
+            want = (y >= lo) & (y <= hi)
+            assert np.array_equal(coverage_mask(ens, y, lvl), want)
+
+
+class TestReportParity:
+    def _split(self, s, seed, ties=False):
+        rng = np.random.default_rng(seed)
+        ensembles = [rng.normal(size=(s, 6, 3)) for _ in range(7)]
+        if ties:
+            ensembles = [np.round(e, 0) for e in ensembles]
+        targets = [rng.normal(size=(6, 3)) * 1.5 for _ in range(7)]
+        baselines = [rng.normal(size=(6, 3)) for _ in range(7)]
+        return ensembles, targets, baselines
+
+    @pytest.mark.parametrize("s", SIZES)
+    @pytest.mark.parametrize("fair", [False, True])
+    def test_json_matches_reference(self, s, fair):
+        for ties in (False, True):
+            ens, ys, base = self._split(s, seed=s, ties=ties)
+            got = build_report(ens, ys, base, fair=fair).to_json()
+            assert got == reference_report(ens, ys, base, fair=fair).to_json()
+
+    def test_levels_without_baseline_match_reference(self):
+        ens, ys, _ = self._split(40, seed=9)
+        levels = (0.5, 0.99)
+        got = build_report(ens, ys, None, levels=levels).to_json()
+        assert got == reference_report(ens, ys, None, levels=levels).to_json()
+
+    @pytest.mark.parametrize("name", ["persistence", "seasonal_naive", "gaussian_residual"])
+    def test_baseline_reports_match_reference(self, name):
+        series = ar1_seasonal(80, channels=2, period=12, seed=4)
+        windows = make_windows(series, lookback=24, horizon=6)[:6]
+        ensembles = [e.samples for e in baseline_ensembles(windows, name, 50, 3, period=12)]
+        ys = [w.y for w in windows]
+        base = [persistence(w) for w in windows]
+        got = build_report(ensembles, ys, base).to_json()
+        assert got == reference_report(ensembles, ys, base).to_json()
+
+    def test_standalone_functions_match_report(self):
+        ens, ys, base = self._split(30, seed=2)
+        rep = build_report(ens, ys, base, fair=True)
+        assert weighted_crps(ens, ys, fair=True) == (rep.weighted_crps, True)
+        for lvl in (0.8, 0.9, 0.95):
+            assert coverage(ens, ys, lvl) == rep.coverage[f"{lvl:g}"]
+        assert extreme_coverage(ens, ys, base) == rep.extreme_coverage_90
+
+    def test_one_sort_per_window(self, monkeypatch):
+        ens, ys, base = self._split(20, seed=5)
+        calls = []
+        real_sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        build_report(ens, ys, base, levels=(0.5, 0.8))  # 0.9 added for extreme coverage
+        assert calls == [(20, 6, 3)] * len(ens)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_report_names_the_window(self, bad):
+        rng = np.random.default_rng(0)
+        ens = [rng.normal(size=(10, 4, 2)) for _ in range(4)]
+        ys = [np.zeros((4, 2)) for _ in range(4)]
+        ens[2][3, 1, 1] = bad
+        with pytest.raises(ValueError, match="window 2 "):
+            build_report(ens, ys, [np.zeros((4, 2))] * 4)
+        with pytest.raises(ValueError, match="window 2 "):
+            coverage(ens, ys, 0.9)
+        with pytest.raises(ValueError, match="window 2 "):
+            weighted_crps(ens, ys)
