@@ -16,16 +16,17 @@ import numpy as np
 
 from papnf import tensor as tz
 from papnf.checkpoint import CheckpointError, read_container, write_container
+from papnf.config import ConfigError, DictConfig
 from papnf.seeding import substream
 from papnf.tensor import ShapeError, Tensor
 
-BACKBONE_KINDS = ("frozen_random", "frozen_checkpoint", "identity")
+BACKBONE_KINDS = ("frozen_random", "frozen_checkpoint")
 _LAYER_PARAMS = ("Wq", "Wk", "Wv", "Wo", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "W1", "W2")
 
 
 @dataclass(frozen=True)
-class BackboneArch:
-    """Architecture of the desk-scale backbone."""
+class BackboneArch(DictConfig):
+    """Architecture of the desk-scale backbone; ``n_layers=0`` is the identity stack."""
 
     n_layers: int = 2
     n_heads: int = 4
@@ -36,42 +37,10 @@ class BackboneArch:
     def __post_init__(self):
         if self.n_layers < 0:
             raise ValueError("n_layers must be >= 0")
+        if min(self.n_heads, self.d, self.ffn_width, self.max_len) < 1:
+            raise ValueError("n_heads, d, ffn_width and max_len must be >= 1")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d": self.d,
-            "ffn_width": self.ffn_width,
-            "max_len": self.max_len,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneArch":
-        return cls(**{k: int(v) for k, v in d.items()})
-
-
-class IdentityBackbone:
-    """Zero-layer stand-in: forward returns its input untouched."""
-
-    kind = "identity"
-
-    def __init__(self, arch: BackboneArch):
-        self.arch = arch
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def weights(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def weight_hash(self) -> str:
-        return hashlib.sha256(b"identity").hexdigest()
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {}
 
 
 class TransformerBackbone:
@@ -90,7 +59,7 @@ class TransformerBackbone:
         trainable: bool = False,
         weights: dict[str, np.ndarray] | None = None,
     ):
-        if kind not in ("frozen_random", "frozen_checkpoint"):
+        if kind not in BACKBONE_KINDS:
             raise ValueError(f"unsupported transformer kind {kind!r}")
         self.arch = arch
         self.kind = kind
@@ -201,14 +170,16 @@ def load_frozen_checkpoint(path: str, expected: BackboneArch | None = None) -> T
     header, weights = read_container(path)
     if header.get("kind") != "backbone":
         raise CheckpointError(f"{path}: not a backbone checkpoint (kind={header.get('kind')!r})")
-    arch = BackboneArch.from_dict(header["arch"])
+    try:
+        arch = BackboneArch.from_dict(header.get("arch"), "arch")
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: bad header: {err}") from None
     if expected is not None and arch != expected:
         raise CheckpointError(
             f"{path}: architecture mismatch: checkpoint has {arch.to_dict()}, "
             f"config expects {expected.to_dict()}"
         )
-    bb = TransformerBackbone(arch, kind="frozen_checkpoint", trainable=False, weights=weights)
-    return bb
+    return TransformerBackbone(arch, kind="frozen_checkpoint", trainable=False, weights=weights)
 
 
 def build_backbone(
@@ -217,16 +188,12 @@ def build_backbone(
     seed: int = 0,
     checkpoint_path: str | None = None,
 ):
-    """Construct the backbone named by ``kind``."""
-    if kind == "identity":
-        return IdentityBackbone(arch)
-    if kind == "frozen_random":
-        return TransformerBackbone(arch, seed=seed, kind="frozen_random")
+    """Construct the backbone named by ``kind``; TransformerBackbone rejects unknown kinds."""
     if kind == "frozen_checkpoint":
         if not checkpoint_path:
             raise ValueError("frozen_checkpoint backbone needs a checkpoint path")
         return load_frozen_checkpoint(checkpoint_path, expected=arch)
-    raise ValueError(f"unknown backbone kind {kind!r}; choose one of {BACKBONE_KINDS}")
+    return TransformerBackbone(arch, seed=seed, kind=kind)
 
 
 class ContextProjector:

@@ -68,6 +68,8 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(blob[off : off + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     off += header_len
     body = blob[off:-4]
     (crc_stored,) = struct.unpack_from("<I", blob, len(blob) - 4)

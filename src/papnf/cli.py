@@ -17,9 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from papnf.backbone import BackboneArch
 from papnf.checkpoint import CheckpointError, canonical_json
-from papnf.data import RawSeries, SplitSpec, load_csv, make_windows, split_series, windows_digest
+from papnf.config import ConfigError, check_value, schema
+from papnf.data import SplitSpec, load_csv, make_windows, split_series, windows_digest
 from papnf.evaluate import (
     BASELINE_NAMES,
     DEFAULT_LEVELS,
@@ -48,53 +48,19 @@ ABLATION_ARMS = ("full", "no_pap", "random_backbone", "no_global_context")
 DEFAULT_K_LIST = (1, 3, 5, 8, 12)
 
 
-class ConfigError(ValueError):
-    """Invalid run configuration; maps to exit code 2."""
-
-
-# Allowed keys, nested. A None value means "leaf key, any JSON value".
+# Allowed keys, nested; a None value marks a leaf key. The dataclass sections
+# leave out the fields the command line fills in itself (model, arch, seed).
 _SCHEMA = {
     "version": None,
     "seed": None,
     "out": None,
     "dataset": {"path": None, "period": None},
-    "split": {"train_len": None, "val_len": None, "test_len": None},
-    "model": {
-        "lookback": None,
-        "horizon": None,
-        "channels": None,
-        "patch_len": None,
-        "d_n": None,
-        "d_c": None,
-        "d_h": None,
-        "d_u": None,
-        "t_flow": None,
-        "k_prefix": None,
-        "recon_hidden": None,
-        "hyper_hidden": None,
-        "backbone": {
-            "n_layers": None,
-            "n_heads": None,
-            "d": None,
-            "ffn_width": None,
-            "max_len": None,
-        },
-        "backbone_kind": None,
-        "backbone_checkpoint": None,
-        "no_global_context": None,
-        "no_pap": None,
-    },
-    "train": {
-        "learning_rate": None,
-        "batch_size": None,
-        "epochs": None,
-        "objective": None,
-        "train_samples": None,
-        "val_samples": None,
-    },
+    "split": schema(SplitSpec),
+    "model": schema(ModelConfig),
+    "train": schema(TrainConfig, skip=("model", "seed")),
     "eval": {"n_samples": None, "levels": None},
     "sweep": {"k_list": None},
-    "pretrain": {"steps": None, "batch": None, "seq_len": None, "learning_rate": None},
+    "pretrain": schema(PretrainConfig, skip=("arch", "seed")),
 }
 
 
@@ -155,33 +121,37 @@ def resolve_config(args) -> dict:
     if bad:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(bad)))
     cfg.setdefault("version", 1)
-    if cfg["version"] != 1:
+    if check_value(cfg["version"], int, "version") != 1:
         raise ConfigError(f"unsupported config version {cfg['version']!r}")
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("out", "papnf_out")
+    check_value(cfg.setdefault("seed", 0), int, "seed")
+    check_value(cfg.setdefault("out", "papnf_out"), str, "out")
     if "dataset" not in cfg or not cfg["dataset"].get("path"):
         raise ConfigError("config needs dataset.path")
-    cfg.setdefault("eval", {})
-    cfg["eval"].setdefault("n_samples", 100)
-    cfg["eval"].setdefault("levels", list(DEFAULT_LEVELS))
-    cfg["dataset"].setdefault("period", 24)
+    check_value(cfg["dataset"]["path"], str, "dataset.path")
+    _at_least(cfg["dataset"].setdefault("period", 24), 1, "dataset.period")
+    section = cfg.setdefault("eval", {})
+    _at_least(section.setdefault("n_samples", 100), 1, "eval.n_samples")
+    levels = section.setdefault("levels", list(DEFAULT_LEVELS))
+    for i, level in enumerate(check_value(levels, list[float], "eval.levels")):
+        if not 0.0 < level < 1.0:
+            raise ConfigError(f"eval.levels[{i}] must lie in (0, 1), got {level}")
+    section = cfg.get("sweep") or {}
+    if "k_list" in section:
+        if not check_value(section["k_list"], list[int], "sweep.k_list"):
+            raise ConfigError("sweep.k_list must be non-empty")
+        for i, k in enumerate(section["k_list"]):
+            _at_least(k, 0, f"sweep.k_list[{i}]")
     return cfg
 
 
-def _load_series(cfg: dict) -> RawSeries:
-    path = cfg["dataset"]["path"]
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
-    return load_csv(path)
+def _at_least(value, low: int, path: str) -> None:
+    if check_value(value, int, path) < low:
+        raise ConfigError(f"{path} must be >= {low}, got {value}")
 
 
 def _split_lengths(cfg: dict, total: int) -> SplitSpec:
-    split = cfg.get("split") or {}
-    if split:
-        missing = {"train_len", "val_len", "test_len"} - set(split)
-        if missing:
-            raise ConfigError(f"split needs {sorted(missing)}")
-        return SplitSpec(split["train_len"], split["val_len"], split["test_len"])
+    if cfg.get("split"):
+        return SplitSpec.from_dict(cfg["split"], "split")
     train = int(total * 0.6)
     val = int(total * 0.2)
     return SplitSpec(train, val, total - train - val)
@@ -189,28 +159,28 @@ def _split_lengths(cfg: dict, total: int) -> SplitSpec:
 
 def _model_config(cfg: dict, channels: int) -> ModelConfig:
     section = dict(cfg.get("model") or {})
-    if "lookback" not in section or "horizon" not in section:
-        raise ConfigError("config needs model.lookback and model.horizon")
     declared = section.get("channels")
     if declared is not None and declared != channels:
         raise ConfigError(
             f"config declares {declared} channels but the dataset has {channels}"
         )
     section["channels"] = channels
-    if "backbone" in section:
-        section["backbone"] = BackboneArch.from_dict(section["backbone"])
-    try:
-        return ModelConfig(**section)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid model config: {err}") from err
+    return ModelConfig.from_dict(section, "model")
 
 
 def _train_config(cfg: dict, model_cfg: ModelConfig) -> TrainConfig:
-    section = dict(cfg.get("train") or {})
-    try:
-        return TrainConfig(model=model_cfg, seed=cfg["seed"], **section)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid train config: {err}") from err
+    section = cfg.get("train") or {}
+    return TrainConfig.from_dict({**section, "model": model_cfg, "seed": cfg["seed"]}, "train")
+
+
+def _pretrain_config(cfg: dict, model_cfg: ModelConfig) -> PretrainConfig:
+    """The pretrain section; a seq_len beyond the backbone's max_len is clamped to it."""
+    arch = model_cfg.backbone
+    seed = derive_seed(cfg["seed"], "pretrain")
+    section = {**(cfg.get("pretrain") or {}), "arch": arch, "seed": seed}
+    seq_len = check_value(section.get("seq_len", PretrainConfig.seq_len), int, "pretrain.seq_len")
+    section["seq_len"] = min(seq_len, arch.max_len)
+    return PretrainConfig.from_dict(section, "pretrain")
 
 
 def _ensure_backbone(cfg: dict, model_cfg: ModelConfig, out_dir: str) -> ModelConfig:
@@ -221,36 +191,24 @@ def _ensure_backbone(cfg: dict, model_cfg: ModelConfig, out_dir: str) -> ModelCo
     if path and os.path.exists(path):
         return model_cfg
     target = path or os.path.join(out_dir, "backbone.papnf")
-    section = cfg.get("pretrain") or {}
-    pre_cfg = PretrainConfig(
-        arch=model_cfg.backbone,
-        steps=section.get("steps", 2000),
-        batch=section.get("batch", 8),
-        seq_len=min(section.get("seq_len", 48), model_cfg.backbone.max_len),
-        learning_rate=section.get("learning_rate", 1e-3),
-        seed=derive_seed(cfg["seed"], "pretrain"),
-    )
-    result = pretrain_backbone(pre_cfg, target)
+    result = pretrain_backbone(_pretrain_config(cfg, model_cfg), target)
     print(f"pretrained backbone -> {target} (loss decrease {result.loss_decrease:.1%})")
     return replace(model_cfg, backbone_checkpoint=target)
 
 
 def _prepare(cfg: dict):
-    """Series, splits, and windows shared by the training-style commands."""
-    series = _load_series(cfg)
-    spec = _split_lengths(cfg, series.length)
-    train_series, val_series, test_series = split_series(series, spec)
-    model_section = cfg.get("model") or {}
-    lookback = model_section.get("lookback")
-    horizon = model_section.get("horizon")
-    if lookback is None or horizon is None:
-        raise ConfigError("config needs model.lookback and model.horizon")
+    """The windows of each split and the checked model config."""
+    path = cfg["dataset"]["path"]
+    if not os.path.exists(path):
+        raise ConfigError(f"dataset file not found: {path}")
+    series = load_csv(path)
+    model_cfg = _model_config(cfg, series.channels)
+    parts = split_series(series, _split_lengths(cfg, series.length))
     splits = {
-        "train": make_windows(train_series, lookback, horizon),
-        "val": make_windows(val_series, lookback, horizon),
-        "test": make_windows(test_series, lookback, horizon),
+        name: make_windows(part, model_cfg.lookback, model_cfg.horizon)
+        for name, part in zip(("train", "val", "test"), parts)
     }
-    return series, splits
+    return splits, model_cfg
 
 
 def _write_resolved(cfg: dict, out_dir: str, extra: dict | None = None) -> None:
@@ -267,8 +225,7 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _train_model(cfg: dict, splits, channels: int, out_dir: str, model_cfg=None):
-    model_cfg = model_cfg or _model_config(cfg, channels)
+def _train_model(cfg: dict, splits, out_dir: str, model_cfg: ModelConfig):
     model_cfg = _ensure_backbone(cfg, model_cfg, out_dir)
     train_cfg = _train_config(cfg, model_cfg)
     model = PapNfModel(model_cfg, seed=derive_seed(cfg["seed"], "init"))
@@ -290,12 +247,12 @@ def _write_training_log(path: str, history: list[dict]) -> None:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     out_dir = _out_dir(cfg)
-    series, splits = _prepare(cfg)
-    model, ckpt = _train_model(cfg, splits, series.channels, out_dir)
+    splits, model_cfg = _prepare(cfg)
+    model, ckpt = _train_model(cfg, splits, out_dir, model_cfg)
     ckpt_path = os.path.join(out_dir, "checkpoint.papnf")
     save_checkpoint(ckpt, ckpt_path)
     _write_training_log(os.path.join(out_dir, "training_log.csv"), ckpt.history)
-    _write_resolved(cfg, out_dir, {"resolved_channels": series.channels})
+    _write_resolved(cfg, out_dir, {"resolved_channels": model_cfg.channels})
     print(
         f"wrote {ckpt_path} (best epoch {ckpt.best_epoch}, "
         f"val_mse {ckpt.val_mse!r})"
@@ -312,13 +269,22 @@ def _require_checkpoint(args) -> str:
     return path
 
 
+def _window_picks(windows, picks: list[int]) -> list[int]:
+    """The --window indices, each checked against the test split."""
+    for idx in picks:
+        if not 0 <= idx < len(windows):
+            raise ConfigError(f"--window {idx} out of range (test split has {len(windows)})")
+    return picks
+
+
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     out_dir = _out_dir(cfg)
     ckpt_path = _require_checkpoint(args)
     model = model_from_checkpoint(ckpt_path)
-    series, splits = _prepare(cfg)
+    splits, _ = _prepare(cfg)
     windows = splits["test"]
+    picks = _window_picks(windows, args.window or [])
     report, ensembles = evaluate_split(
         model,
         windows,
@@ -329,9 +295,7 @@ def cmd_eval(args) -> int:
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         fh.write(report.to_json() + "\n")
     write_quantiles_csv(os.path.join(out_dir, "quantiles.csv"), windows, ensembles)
-    for idx in args.window or []:
-        if not 0 <= idx < len(windows):
-            raise ConfigError(f"--window {idx} out of range (test split has {len(windows)})")
+    for idx in picks:
         if args.svg:
             write_fan_chart_svg(
                 os.path.join(out_dir, f"fan_window_{idx}.svg"), windows[idx], ensembles[idx]
@@ -346,12 +310,9 @@ def cmd_sample(args) -> int:
     out_dir = _out_dir(cfg)
     ckpt_path = _require_checkpoint(args)
     model = model_from_checkpoint(ckpt_path)
-    series, splits = _prepare(cfg)
+    splits, _ = _prepare(cfg)
     windows = splits["test"]
-    picks = args.window or [0]
-    for idx in picks:
-        if not 0 <= idx < len(windows):
-            raise ConfigError(f"--window {idx} out of range (test split has {len(windows)})")
+    picks = _window_picks(windows, args.window or [0])
     chosen = [windows[i] for i in picks]
     _, ensembles = evaluate_split(
         model, chosen, n_samples=cfg["eval"]["n_samples"], seed=cfg["seed"]
@@ -370,15 +331,14 @@ def cmd_sample(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
     out_dir = _out_dir(cfg)
-    series, splits = _prepare(cfg)
-    base_cfg = _model_config(cfg, series.channels)
+    splits, base_cfg = _prepare(cfg)
     base_cfg = _ensure_backbone(cfg, base_cfg, out_dir)
     digest = windows_digest(splits["test"])  # every arm shares these windows
     results: dict[str, dict] = {}
     for arm in ABLATION_ARMS:
         try:
             arm_cfg = ablation_variant(base_cfg, arm)
-            model, ckpt = _train_model(cfg, splits, series.channels, out_dir, model_cfg=arm_cfg)
+            model, ckpt = _train_model(cfg, splits, out_dir, arm_cfg)
             report, _ = evaluate_split(
                 model,
                 splits["test"],
@@ -423,17 +383,12 @@ def cmd_sweep_prefix(args) -> int:
     cfg = resolve_config(args)
     out_dir = _out_dir(cfg)
     k_list = (cfg.get("sweep") or {}).get("k_list", list(DEFAULT_K_LIST))
-    if not k_list:
-        raise ConfigError("sweep.k_list must be non-empty")
-    if any((not isinstance(k, int)) or k < 0 for k in k_list):
-        raise ConfigError(f"sweep.k_list must hold integers >= 0, got {k_list}")
-    series, splits = _prepare(cfg)
-    base_cfg = _model_config(cfg, series.channels)
+    splits, base_cfg = _prepare(cfg)
     base_cfg = _ensure_backbone(cfg, base_cfg, out_dir)
     rows = []
     for k in sorted(set(k_list)):
         model_cfg = replace(base_cfg, k_prefix=k, no_pap=(k == 0))
-        model, _ = _train_model(cfg, splits, series.channels, out_dir, model_cfg=model_cfg)
+        model, _ = _train_model(cfg, splits, out_dir, model_cfg)
         report, _ = evaluate_split(
             model, splits["test"], n_samples=cfg["eval"]["n_samples"], seed=cfg["seed"]
         )
@@ -451,9 +406,9 @@ def cmd_sweep_prefix(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = resolve_config(args)
     out_dir = _out_dir(cfg)
-    series, splits = _prepare(cfg)
+    splits, model_cfg = _prepare(cfg)
     windows = splits["test"]
-    period = min(cfg["dataset"]["period"], (cfg.get("model") or {}).get("lookback", 1))
+    period = min(cfg["dataset"]["period"], model_cfg.lookback)
     model_report = None
     if args.checkpoint:
         model = model_from_checkpoint(_require_checkpoint(args))

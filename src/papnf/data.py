@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from papnf.config import DictConfig
+
 __all__ = [
     "CsvFormatError",
     "SplitError",
@@ -111,7 +113,7 @@ def load_csv(path: str) -> RawSeries:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(DictConfig):
     """Chronological train/validation/test lengths."""
 
     train_len: int

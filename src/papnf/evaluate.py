@@ -208,11 +208,11 @@ def write_fan_chart_svg(path: str, window, ensemble, channel: int = 0) -> None:
     tail = min(window.x.shape[0], 2 * h)
     hist = window.x[-tail:, channel]
     truth = window.y[:, channel]
-    bands = {}
-    for level in sorted(_BAND_STYLE, reverse=True):
-        lo, hi = ensemble.interval(level)
-        bands[level] = (lo[:, channel], hi[:, channel])
-    med = ensemble.quantile(0.5)[:, channel]
+    levels = sorted(_BAND_STYLE, reverse=True)
+    alphas = [(1.0 - level) / 2.0 for level in levels]  # ForecastEnsemble.interval's bounds
+    q = ensemble.quantiles([0.5, *alphas, *(1.0 - a for a in alphas)])[:, :, channel]
+    med = q[0]
+    bands = {level: (q[1 + i], q[1 + len(levels) + i]) for i, level in enumerate(levels)}
 
     all_vals = np.concatenate(
         [hist, truth, med] + [np.concatenate(pair) for pair in bands.values()]

@@ -13,7 +13,7 @@ costs one sort per window and no call to numpy's quantile routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -298,20 +298,7 @@ class MetricsReport:
     per_horizon_crps: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_windows": self.n_windows,
-            "n_points": self.n_points,
-            "mse": self.mse,
-            "mae": self.mae,
-            "crps_mean": self.crps_mean,
-            "weighted_crps": self.weighted_crps,
-            "weighted_crps_normalized": self.weighted_crps_normalized,
-            "coverage": self.coverage,
-            "extreme_coverage_90": self.extreme_coverage_90,
-            "per_horizon_mse": self.per_horizon_mse,
-            "per_horizon_mae": self.per_horizon_mae,
-            "per_horizon_crps": self.per_horizon_crps,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())

@@ -8,19 +8,21 @@ import numpy as np
 
 from papnf import tensor as tz
 from papnf.backbone import (
+    BACKBONE_KINDS,
     BackboneArch,
     ContextProjector,
     build_backbone,
     extract_context,
 )
-from papnf.encoder import NumericalEncoder, PrefixBank, Reprogrammer, build_llm_input
+from papnf.config import DictConfig
+from papnf.encoder import NumericalEncoder, PatchConfig, PrefixBank, Reprogrammer, build_llm_input
 from papnf.flow import FlowLayer, FusionLayer, ReconstructionHead, flow_forward
 from papnf.seeding import derive_seed, substream
 from papnf.tensor import ShapeError, Tensor
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(DictConfig):
     """Dimensions and switches for one forecaster instance."""
 
     lookback: int
@@ -43,13 +45,20 @@ class ModelConfig:
 
     def __post_init__(self):
         if isinstance(self.backbone, dict):
-            object.__setattr__(self, "backbone", BackboneArch.from_dict(self.backbone))
+            object.__setattr__(self, "backbone", BackboneArch.from_dict(self.backbone, "backbone"))
         if self.lookback <= 0 or self.horizon <= 0 or self.channels <= 0:
             raise ValueError("lookback, horizon and channels must be positive")
+        PatchConfig(self.lookback, self.patch_len)  # patch_len within [1, lookback]
+        if min(self.d_n, self.d_c, self.d_h, self.d_u, self.recon_hidden, self.hyper_hidden) < 1:
+            raise ValueError("d_n, d_c, d_h, d_u, recon_hidden and hyper_hidden must be >= 1")
         if self.k_prefix < 0:
             raise ValueError("k_prefix must be >= 0")
         if self.t_flow < 0:
             raise ValueError("t_flow must be >= 0")
+        if self.backbone_kind not in BACKBONE_KINDS:
+            raise ValueError(
+                f"unknown backbone kind {self.backbone_kind!r}; choose one of {BACKBONE_KINDS}"
+            )
 
     @property
     def n_patches(self) -> int:
@@ -62,33 +71,6 @@ class ModelConfig:
     @property
     def n_tokens(self) -> int:
         return self.effective_k + self.n_patches
-
-    def to_dict(self) -> dict:
-        return {
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "channels": self.channels,
-            "patch_len": self.patch_len,
-            "d_n": self.d_n,
-            "d_c": self.d_c,
-            "d_h": self.d_h,
-            "d_u": self.d_u,
-            "t_flow": self.t_flow,
-            "k_prefix": self.k_prefix,
-            "recon_hidden": self.recon_hidden,
-            "hyper_hidden": self.hyper_hidden,
-            "backbone": self.backbone.to_dict(),
-            "backbone_kind": self.backbone_kind,
-            "backbone_checkpoint": self.backbone_checkpoint,
-            "no_global_context": self.no_global_context,
-            "no_pap": self.no_pap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["backbone"] = BackboneArch.from_dict(d["backbone"])
-        return cls(**d)
 
 
 class PapNfModel:

@@ -17,6 +17,7 @@ import numpy as np
 
 from papnf.backbone import BackboneArch, TransformerBackbone
 from papnf.checkpoint import CheckpointError, read_container, write_container
+from papnf.config import ConfigError, DictConfig
 from papnf.flow import sample_forecasts
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
@@ -69,7 +70,7 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(DictConfig):
     """Optimization hyperparameters wrapped around a model configuration."""
 
     model: ModelConfig
@@ -96,24 +97,6 @@ class TrainConfig:
             raise ValueError("the energy objective needs train_samples >= 2")
         if self.val_samples < 2:
             raise ValueError("val_samples must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "objective": self.objective,
-            "train_samples": self.train_samples,
-            "val_samples": self.val_samples,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["model"] = ModelConfig.from_dict(d["model"])
-        return cls(**d)
 
 
 class Adam:
@@ -223,18 +206,30 @@ class Checkpoint:
     history: list[dict] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _Header(DictConfig):
+    """JSON header of a model checkpoint, checked field by field on load."""
+
+    model: ModelConfig
+    train: TrainConfig | None
+    rng_state: dict
+    val_mse: float
+    best_epoch: int
+    history: list[dict] = field(default_factory=list)
+    version: int = 1
+    kind: str = "model"
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    header = {
-        "version": 1,
-        "kind": "model",
-        "model": ckpt.model_config.to_dict(),
-        "train": None if ckpt.train_config is None else ckpt.train_config.to_dict(),
-        "rng_state": ckpt.rng_state,
-        "val_mse": ckpt.val_mse,
-        "best_epoch": ckpt.best_epoch,
-        "history": ckpt.history,
-    }
-    write_container(path, header, ckpt.weights)
+    header = _Header(
+        model=ckpt.model_config,
+        train=ckpt.train_config,
+        rng_state=ckpt.rng_state,
+        val_mse=ckpt.val_mse,
+        best_epoch=ckpt.best_epoch,
+        history=ckpt.history,
+    )
+    write_container(path, header.to_dict(), ckpt.weights)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -243,15 +238,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"expected a model checkpoint, found kind {header.get('kind')!r}")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
-    train_cfg = None if header["train"] is None else TrainConfig.from_dict(header["train"])
+    try:
+        h = _Header.from_dict(header)
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: bad header: {err}") from None
     return Checkpoint(
-        model_config=ModelConfig.from_dict(header["model"]),
+        model_config=h.model,
         weights=weights,
-        rng_state=header["rng_state"],
-        val_mse=header["val_mse"],
-        best_epoch=header["best_epoch"],
-        train_config=train_cfg,
-        history=header.get("history", []),
+        rng_state=h.rng_state,
+        val_mse=h.val_mse,
+        best_epoch=h.best_epoch,
+        train_config=h.train,
+        history=h.history,
     )
 
 
@@ -341,7 +339,7 @@ def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Chec
 # -- backbone pretraining ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PretrainConfig:
+class PretrainConfig(DictConfig):
     """Next-value regression pretraining for the small frozen backbone."""
 
     arch: BackboneArch = field(default_factory=BackboneArch)
@@ -354,6 +352,8 @@ class PretrainConfig:
     def __post_init__(self):
         if self.seq_len > self.arch.max_len:
             raise ValueError(f"seq_len {self.seq_len} exceeds max_len {self.arch.max_len}")
+        if self.seq_len < 2:
+            raise ValueError(f"seq_len {self.seq_len} must be >= 2 (next-value targets)")
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be positive")
 

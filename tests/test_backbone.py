@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from papnf import backbone as bb
-from papnf.checkpoint import CheckpointError
+from papnf.checkpoint import CheckpointError, read_container, write_container
 from papnf.tensor import ShapeError, Tensor
 
 
@@ -93,12 +93,6 @@ def test_permuting_rows_changes_output():
     assert np.abs(a - b_[::-1]).max() > 1e-6  # positions make order matter
 
 
-def test_identity_backbone_returns_input():
-    ident = bb.build_backbone(tiny_arch(), "identity")
-    x = Tensor(np.random.default_rng(19).normal(size=(3, 4)))
-    assert ident.forward(x) is x
-
-
 def test_zero_layer_stack_is_identity():
     backbone = bb.TransformerBackbone(tiny_arch(n_layers=0), seed=20)
     x = Tensor(np.random.default_rng(21).normal(size=(3, 4)))
@@ -176,6 +170,26 @@ def test_checkpoint_bad_magic(tmp_path):
     open(path, "wb").write(b"NOTPAPNF" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
         bb.load_frozen_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "tamper, needle",
+    [
+        (lambda h: h.pop("arch"), "arch: expected an object, got None"),
+        (lambda h: h["arch"].update(d="4"), "arch.d: expected int, got '4'"),
+        (lambda h: h["arch"].update(depth=2), "unknown config keys: arch.depth"),
+        (lambda h: h["arch"].update(n_heads=3), "arch: d=4 not divisible by n_heads=3"),
+    ],
+)
+def test_checkpoint_bad_arch_header_names_the_field(tmp_path, tamper, needle):
+    path = str(tmp_path / "bb.ckpt")
+    bb.TransformerBackbone(tiny_arch(), seed=32).save(path)
+    header, weights = read_container(path)
+    tamper(header)
+    write_container(path, header, weights)
+    with pytest.raises(CheckpointError, match="bad header") as err:
+        bb.load_frozen_checkpoint(path)
+    assert needle in str(err.value)
 
 
 def test_random_vs_checkpoint_weights_differ(tmp_path):

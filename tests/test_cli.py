@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from papnf import cli
+from papnf.checkpoint import read_container, write_container
 from papnf.cli import main
 from papnf.synthetic import ar1_seasonal, write_csv
 from papnf.train import load_checkpoint, save_checkpoint
@@ -151,6 +152,53 @@ class TestConfigHandling:
         assert len(rows) == 1 + 2
 
 
+    @pytest.mark.parametrize(
+        "command, sets, needle",
+        [
+            ("train", ["model.d_n=1.5"], "model.d_n: expected int, got 1.5"),
+            ("train", ["model.t_flow=1.5"], "model.t_flow: expected int"),
+            ("train", ["train.epochs=1.5"], "train.epochs: expected int"),
+            ("train", ['split.train_len="x"'], "split.train_len: expected int"),
+            ("train", ["model.backbone.n_heads=0"], "model.backbone: n_heads"),
+            ("train", ["model.backbone.d=abc"], "model.backbone.d: expected int, got 'abc'"),
+            ("train", ["model.backbone.d=7"], "model.backbone: d=7 not divisible"),
+            ("train", ["model.patch_len=0"], "model: lookback and patch_len must be positive"),
+            ("train", ["model.backbone_kind=bogus"], "model: unknown backbone kind 'bogus'"),
+            ("train", ['model.no_pap="yes"'], "model.no_pap: expected bool, got 'yes'"),
+            (
+                "train",
+                ['model.backbone_kind="frozen_checkpoint"', 'pretrain.steps="x"'],
+                "pretrain.steps: expected int",
+            ),
+            (
+                "train",
+                ['model.backbone_kind="frozen_checkpoint"', "pretrain.steps=0"],
+                "pretrain: steps and batch must be positive",
+            ),
+            ("eval", ['eval.n_samples="x"'], "eval.n_samples: expected int"),
+            ("eval", ["eval.n_samples=0"], "eval.n_samples must be >= 1"),
+            ("eval", ['eval.levels="x"'], "eval.levels: expected a list"),
+            ("eval", ["eval.levels=[0.5,1.0]"], "eval.levels[1] must lie in (0, 1)"),
+            ("baseline", ['dataset.period="x"'], "dataset.period: expected int"),
+            ("baseline", ["dataset.period=0"], "dataset.period must be >= 1"),
+            ("baseline", ["seed=1.5"], "seed: expected int"),
+        ],
+    )
+    def test_ill_typed_values_exit_2_naming_the_key(
+        self, ws, trained, tmp_path, capsys, command, sets, needle
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--config", ws["config"], "--out", str(out)]
+        if command == "eval":
+            argv += ["--checkpoint", trained["checkpoint"]]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+        assert not out.exists() or not any(out.iterdir())  # nothing trained or written
+
+
 class TestTrain:
     def test_artifacts_exist(self, trained):
         out = trained["out"]
@@ -205,6 +253,56 @@ class TestEval:
             "--checkpoint", trained["checkpoint"], "--window", "99",
         )
         assert code == 2
+
+    def test_window_out_of_range_writes_nothing(self, ws, trained, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(
+            "eval", "--config", ws["config"], "--out", str(out),
+            "--checkpoint", trained["checkpoint"], "--window", "0", "--window", "99",
+        )
+        assert code == 2
+        assert "--window 99 out of range" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "tamper, needle",
+        [
+            (lambda h: h.pop("model"), "missing config keys: model"),
+            (lambda h: h.pop("train"), "missing config keys: train"),
+            (lambda h: h.update(extra=1), "unknown config keys: extra"),
+            (lambda h: h["model"].update(d_x=1), "unknown config keys: model.d_x"),
+            (lambda h: h["model"].update(d_n="8"), "model.d_n: expected int, got '8'"),
+            (lambda h: h["train"]["model"]["backbone"].update(d=8.0), "train.model.backbone.d"),
+            (lambda h: h.update(model=[]), "model: expected an object"),
+            (lambda h: h.update(val_mse="x"), "val_mse: expected float"),
+            (lambda h: h.update(history=[1]), r"history[0]: expected dict"),
+        ],
+    )
+    def test_tampered_header_exits_1_naming_the_field(
+        self, ws, trained, tmp_path, capsys, tamper, needle
+    ):
+        header, weights = read_container(trained["checkpoint"])
+        tamper(header)
+        bad = tmp_path / "tampered.papnf"
+        write_container(str(bad), header, weights)
+        code = run(
+            "eval", "--config", ws["config"], "--out", str(tmp_path / "o"),
+            "--checkpoint", str(bad),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad header" in err and needle in err
+
+    def test_non_object_header_exits_1(self, ws, trained, tmp_path, capsys):
+        _, weights = read_container(trained["checkpoint"])
+        bad = tmp_path / "list_header.papnf"
+        write_container(str(bad), [1, 2], weights)
+        code = run(
+            "eval", "--config", ws["config"], "--out", str(tmp_path / "o"),
+            "--checkpoint", str(bad),
+        )
+        assert code == 1
+        assert "header is not a JSON object" in capsys.readouterr().err
 
     def test_missing_checkpoint_flag_exits_2(self, ws, tmp_path):
         assert run("eval", "--config", ws["config"], "--out", str(tmp_path / "o")) == 2

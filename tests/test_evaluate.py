@@ -185,6 +185,20 @@ class TestFanChart:
         assert text.count("<polyline") == 3  # history, median, truth
         assert "</svg>" in text
 
+    def test_one_sort_per_chart(self, small_setup, tmp_path, monkeypatch):
+        model, windows = small_setup
+        _, ensembles = evaluate_split(model, windows, n_samples=10, seed=0)
+        calls = []
+        real_sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        write_fan_chart_svg(str(tmp_path / "f.svg"), windows[0], ensembles[0], channel=1)
+        assert calls == [ensembles[0].samples.shape]
+
     def test_channel_selects_different_series(self, small_setup, tmp_path):
         model, windows = small_setup
         _, ensembles = evaluate_split(model, windows, n_samples=10, seed=0)
