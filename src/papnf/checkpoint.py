@@ -18,6 +18,7 @@ validated on load; a corrupted body fails the CRC check.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
@@ -66,7 +67,7 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, overlong ints, deep nesting
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
@@ -88,10 +89,13 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             pos += 4
             dims = struct.unpack_from(f"<{rank}I", body, pos)
             pos += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(body, dtype="<f8", count=count, offset=pos)
+            count = math.prod(dims)
+            arr = np.frombuffer(body, dtype="<f8", count=count, offset=pos).reshape(dims)
             pos += 8 * count
-        except (struct.error, UnicodeDecodeError) as exc:
+        except (struct.error, ValueError, OverflowError) as exc:
+            # ValueError: a non-UTF-8 name, values past the body, dims numpy cannot hold
             raise CheckpointError(f"{path}: corrupt weight record ({exc})") from None
-        weights[name] = arr.reshape(dims).astype(np.float64).copy()
+        if name in weights:
+            raise CheckpointError(f"{path}: duplicate weight {name!r}")
+        weights[name] = arr.astype(np.float64).copy()
     return header, weights

@@ -19,7 +19,7 @@ import numpy as np
 
 from papnf.checkpoint import CheckpointError, canonical_json
 from papnf.config import ConfigError, check_value, schema
-from papnf.data import SplitSpec, load_csv, make_windows, split_series, windows_digest
+from papnf.data import SplitError, SplitSpec, load_csv, make_windows, split_series, windows_digest
 from papnf.evaluate import (
     BASELINE_NAMES,
     DEFAULT_LEVELS,
@@ -185,6 +185,7 @@ def _pretrain_config(cfg: dict, model_cfg: ModelConfig) -> PretrainConfig:
 
 def _ensure_backbone(cfg: dict, model_cfg: ModelConfig, out_dir: str) -> ModelConfig:
     """Pretrain the backbone when requested but not yet materialized."""
+    _train_config(cfg, model_cfg)  # a bad train section must not cost a pretraining run
     if model_cfg.backbone_kind != "frozen_checkpoint":
         return model_cfg
     path = model_cfg.backbone_checkpoint
@@ -203,7 +204,10 @@ def _prepare(cfg: dict):
         raise ConfigError(f"dataset file not found: {path}")
     series = load_csv(path)
     model_cfg = _model_config(cfg, series.channels)
-    parts = split_series(series, _split_lengths(cfg, series.length))
+    try:
+        parts = split_series(series, _split_lengths(cfg, series.length))
+    except SplitError as err:
+        raise ConfigError(f"split: {err}") from None
     splits = {
         name: make_windows(part, model_cfg.lookback, model_cfg.horizon)
         for name, part in zip(("train", "val", "test"), parts)

@@ -8,6 +8,7 @@ channel. Rows are assumed to be in time order.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -72,44 +73,58 @@ def load_csv(path: str) -> RawSeries:
     """Load an ETT-style CSV.
 
     The header's first cell names the timestamp column; every other column is
-    a numeric channel. Ragged rows, non-numeric or non-finite cells (``nan``,
-    ``inf``) and empty files are reported with the file line number where
-    they occur.
+    a numeric channel. Bytes that are not UTF-8, unparseable CSV, ragged
+    rows, non-numeric or non-finite cells (``nan``, ``inf``) and empty files
+    are reported with the file line number where they occur.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        if len(header) < 2:
-            raise CsvFormatError(f"{path}: line 1: need a date column plus at least one channel")
-        channel_names = tuple(name.strip() for name in header[1:])
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+    reader = _csv_rows(csv.reader(io.StringIO(text, newline="")), path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: file is empty") from None
+    if len(header) < 2:
+        raise CsvFormatError(f"{path}: line 1: need a date column plus at least one channel")
+    channel_names = tuple(name.strip() for name in header[1:])
 
-        timestamps: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+    timestamps: list[str] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
+            )
+        timestamps.append(row[0])
+        try:
+            values = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+        for name, v in zip(channel_names, values):
+            if not math.isfinite(v):
                 raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
+                    f"{path}: line {lineno}: non-finite value {v} in column {name!r}"
                 )
-            timestamps.append(row[0])
-            try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
-            for name, v in zip(channel_names, values):
-                if not math.isfinite(v):
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: non-finite value {v} in column {name!r}"
-                    )
-            rows.append(values)
+        rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows after the header")
     values = np.asarray(rows, dtype=np.float64)
     return RawSeries(tuple(timestamps), values, channel_names)
+
+
+def _csv_rows(reader, path: str):
+    """The reader's rows, with a csv.Error turned into a CsvFormatError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,14 @@
-"""Split-level evaluation: parallel sampling, reports, CSV and SVG artifacts.
+"""Split-level evaluation: sampling, reports, CSV and SVG artifacts.
 
-Window sampling is parallelized with a thread pool capped by PAPNF_THREADS,
-but every window draws from its own seed-derived stream and results are
-reduced in window order, so reports are identical for any worker count.
+Windows are sampled one after another, each from its own seed-derived
+stream, and reduced in window order, so a report depends only on the model,
+the windows and the seed.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,7 +40,11 @@ BASELINE_NAMES = ("persistence", "seasonal_naive", "gaussian_residual")
 
 
 def thread_count() -> int:
-    """Worker cap from PAPNF_THREADS; defaults to a small fixed pool."""
+    """Worker cap from PAPNF_THREADS, else min(4, cpu_count).
+
+    Only the benchmark reads it; evaluation is serial and no longer has a
+    code path that depends on it.
+    """
     raw = os.environ.get("PAPNF_THREADS", "")
     if raw.strip():
         try:
@@ -63,21 +66,14 @@ def evaluate_split(
     """Sample every window and aggregate one MetricsReport for the split.
 
     Each window's ensemble comes from substream(seed, "sample", index), so
-    the result does not depend on the thread pool's scheduling.
+    it does not depend on which other windows the split holds.
     """
     if not windows:
         raise ValueError("evaluate_split over an empty split")
-
-    def job(window) -> ForecastEnsemble:
-        rng = substream(seed, "sample", int(window.index))
-        return sample_forecasts(window, model, n_samples, rng)
-
-    workers = thread_count()
-    if workers == 1:
-        ensembles = [job(w) for w in windows]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ensembles = list(pool.map(job, windows))  # map preserves order
+    ensembles = [
+        sample_forecasts(w, model, n_samples, substream(seed, "sample", int(w.index)))
+        for w in windows
+    ]
     report = build_report(
         [e.samples for e in ensembles],
         [w.y for w in windows],

@@ -7,8 +7,10 @@ reconstruction head that emits the standardized forecast.
 
 Each planar map u' = u + w_hat * tanh(a.u + b) stays invertible because w is
 reparameterized so that w_hat.a = -1 + PLANAR_MARGIN + softplus(w.a) > -1.
-The log-determinant of the flow Jacobian is exposed purely as a diagnostic;
-it never enters a training loss.
+The numpy helpers below (``hyper_np``, ``planar_step_np``, ``flow_forward_np``)
+run the same Tensor ops as training under ``no_grad``; only the inversion and
+the log-determinant, a diagnostic that never enters a training loss, are
+numpy-only, and they share ``tensor.planar_reparameterize`` with the op.
 """
 
 from __future__ import annotations
@@ -80,11 +82,11 @@ class FlowLayer:
         return tz.linear(tz.linear(h, self.U1, self.c1).tanh(), self.U2, self.c2)
 
     def hyper_np(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Numpy mirror of ``hyper_row`` split into (a, w, b), for diagnostics and inversion."""
-        hid = np.tanh(h.reshape(1, -1) @ self.U1.data.T + self.c1.data)
-        out = (hid @ self.U2.data.T + self.c2.data).reshape(-1)
+        """``hyper_row`` at a numpy h, split into (a, w, b), for diagnostics and inversion."""
+        with tz.no_grad():
+            row = self.hyper_row(Tensor(np.reshape(h, (1, -1)))).data.reshape(-1)
         d_u = self.d_u
-        return out[0:d_u], out[d_u : 2 * d_u], float(out[2 * d_u])
+        return row[0:d_u], row[d_u : 2 * d_u], float(row[2 * d_u])
 
     def parameters(self) -> dict[str, Tensor]:
         p = f"flow.{self.index}"
@@ -92,21 +94,24 @@ class FlowLayer:
 
 
 def reparameterize_np(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Numpy mirror of the invertibility reparameterization.
+    """``planar_step``'s reparameterization of vectors a and w.
 
     Returns (w_hat, w_hat.a); the second value always exceeds -1 + 1e-4.
     """
     a = np.asarray(a, dtype=np.float64).reshape(-1)
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    wa = float(w @ a)
-    m = -1.0 + PLANAR_MARGIN + float(np.logaddexp(0.0, wa))
-    w_hat = w + (m - wa) * a / (float(a @ a) + _NORM_EPS)
+    w = np.asarray(w, dtype=np.float64).reshape(1, -1)
+    w_hat = tz.planar_reparameterize(a[None, :], w, PLANAR_MARGIN, _NORM_EPS)[-1].reshape(-1)
     return w_hat, float(w_hat @ a)
 
 
 def planar_step_np(u: np.ndarray, a: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    w_hat, _ = reparameterize_np(a, w)
-    return u + w_hat * math.tanh(float(a @ u) + b)
+    """``tz.planar_step`` on one latent u, with (a, w, b) packed into its parameter row.
+
+    No operand requires grad, so the op records no graph.
+    """
+    theta = np.concatenate([np.ravel(a), np.ravel(w), [b]])[None, :]
+    out = tz.planar_step(Tensor(np.reshape(u, (1, -1))), Tensor(theta), PLANAR_MARGIN, _NORM_EPS)
+    return out.data.reshape(-1)
 
 
 def invert_planar_np(u_prime: np.ndarray, a: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
@@ -161,11 +166,10 @@ def flow_forward(u_rows: Tensor, h: Tensor, layers: list[FlowLayer]) -> Tensor:
 
 
 def flow_forward_np(u: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
-    out = np.asarray(u, dtype=np.float64).reshape(-1)
-    for layer in layers:
-        a, w, b = layer.hyper_np(h)
-        out = planar_step_np(out, a, w, b)
-    return out
+    """``flow_forward`` on one numpy latent u, conditioned on a numpy h."""
+    with tz.no_grad():
+        out = flow_forward(Tensor(np.reshape(u, (1, -1))), Tensor(np.reshape(h, (1, -1))), layers)
+    return out.data.reshape(-1)
 
 
 def flow_invert_np(u_final: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
@@ -256,12 +260,13 @@ def sample_forecasts(window, model, n_samples: int, rng: np.random.Generator) ->
     """Draw an S-trajectory ensemble for one window, on the original scale.
 
     The conditioning pass (z, c, h) runs once; all S latents ride through the
-    flow and reconstruction together.
+    flow and reconstruction together, under ``no_grad``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     u0 = rng.standard_normal((n_samples, model.cfg.d_u))
-    rows = model.forward_samples(window.x_std, u0)  # (S, H*C) standardized
+    with tz.no_grad():
+        rows = model.forward_samples(window.x_std, u0)  # (S, H*C) standardized
     h_steps, c = model.cfg.horizon, model.cfg.channels
     std = rows.data.reshape(n_samples, h_steps, c)
     return ForecastEnsemble(window_index=window.index, samples=window.scaler.destandardize(std))

@@ -197,10 +197,6 @@ class PapNfModel:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, t in self.parameters().items():
-            t.data = snap[name].copy()
-
 
 def ablation_variant(cfg: ModelConfig, arm: str) -> ModelConfig:
     """Derive the config for one ablation arm from the full config."""

@@ -26,6 +26,7 @@ references and require agreement within 1e-12.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -36,6 +37,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "Tape",
+    "no_grad",
     "add_rowvec",
     "mul_rowvec",
     "repeat_rows",
@@ -48,6 +50,7 @@ __all__ = [
     "linear",
     "layernorm_affine",
     "causal_attention",
+    "planar_reparameterize",
     "planar_step",
     "pairwise_spread",
     "energy_score",
@@ -63,6 +66,25 @@ class ShapeError(ValueError):
 # Monotone creation counter; ordering backward replay by it reproduces the
 # exact reverse of forward execution order.
 _CREATION_COUNTER = itertools.count()
+
+# Whether ops record graph nodes; ``no_grad`` clears it for a block.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only block: ops compute the same values but record no graph.
+
+    Nests, and restores the previous state even when the block raises. The
+    switch is module state, so do not enter it from concurrent threads.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -239,7 +261,8 @@ def _as_tensor(value) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None]) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    """A node that records parents and backward closure only when it requires grad."""
+    out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -260,9 +283,6 @@ def _binary_elementwise(a, b, op: str) -> Tensor:
         data = a.data - b.data
     else:
         data = a.data * b.data
-    out = _make(data, (a, b), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         g = out.grad
@@ -275,7 +295,7 @@ def _binary_elementwise(a, b, op: str) -> Tensor:
         a.accumulate_grad(_reduce_to(ga, a.shape))
         b.accumulate_grad(_reduce_to(gb, b.shape))
 
-    out._backward = _bw
+    out = _make(data, (a, b), _bw)
     return out
 
 
@@ -290,17 +310,13 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def neg(x: Tensor) -> Tensor:
-    out = _make(-x.data, (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(-out.grad)
+    out = _make(-x.data, (x,), lambda: x.accumulate_grad(-out.grad))
     return out
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = _make(y, (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(out.grad * (1.0 - y * y))
+    out = _make(y, (x,), lambda: x.accumulate_grad(out.grad * (1.0 - y * y)))
     return out
 
 
@@ -311,26 +327,18 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def softplus(x: Tensor) -> Tensor:
     y = _softplus(x.data)
-    out = _make(y, (x,), lambda: None)
-    if out.requires_grad:
-        sig = 1.0 / (1.0 + np.exp(-x.data))
-        out._backward = lambda: x.accumulate_grad(out.grad * sig)
+    out = _make(y, (x,), lambda: x.accumulate_grad(out.grad * (1.0 / (1.0 + np.exp(-x.data)))))
     return out
 
 
 def absolute(x: Tensor) -> Tensor:
-    out = _make(np.abs(x.data), (x,), lambda: None)
-    if out.requires_grad:
-        sign = np.sign(x.data)
-        out._backward = lambda: x.accumulate_grad(out.grad * sign)
+    out = _make(np.abs(x.data), (x,), lambda: x.accumulate_grad(out.grad * np.sign(x.data)))
     return out
 
 
 def reciprocal(x: Tensor) -> Tensor:
     y = 1.0 / x.data
-    out = _make(y, (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(out.grad * (-y * y))
+    out = _make(y, (x,), lambda: x.accumulate_grad(out.grad * (-y * y)))
     return out
 
 
@@ -349,9 +357,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} @ {b.shape}")
-    out = _make(a.data @ b.data, (a, b), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         g = out.grad
@@ -360,15 +365,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(a.data.T @ g)
 
-    out._backward = _bw
+    out = _make(a.data @ b.data, (a, b), _bw)
     return out
 
 
 def transpose(x: Tensor) -> Tensor:
     _require_2d(x, "transpose")
-    out = _make(x.data.T, (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(out.grad.T)
+    out = _make(x.data.T, (x,), lambda: x.accumulate_grad(out.grad.T))
     return out
 
 
@@ -378,9 +381,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = _make(x.data.reshape(shape), (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(out.grad.reshape(x.shape))
+    out = _make(x.data.reshape(shape), (x,), lambda: x.accumulate_grad(out.grad.reshape(x.shape)))
     return out
 
 
@@ -402,16 +403,13 @@ def _slice(x: Tensor, key) -> Tensor:
         raise ShapeError("slice key must address rows and columns")
     r0, r1 = _normalize_slice(key[0], x.shape[0], "rows")
     c0, c1 = _normalize_slice(key[1], x.shape[1], "cols")
-    out = _make(x.data[r0:r1, c0:c1].copy(), (x,), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         x.grad[r0:r1, c0:c1] += out.grad
 
-    out._backward = _bw
+    out = _make(x.data[r0:r1, c0:c1].copy(), (x,), _bw)
     return out
 
 
@@ -424,9 +422,6 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     widths = {p.shape[1] for p in parts}
     if len(widths) != 1:
         raise ShapeError(f"concat_rows: column counts differ: {sorted(widths)}")
-    out = _make(np.concatenate([p.data for p in parts], axis=0), parts, lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         off = 0
@@ -435,7 +430,7 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
             p.accumulate_grad(out.grad[off : off + r])
             off += r
 
-    out._backward = _bw
+    out = _make(np.concatenate([p.data for p in parts], axis=0), parts, _bw)
     return out
 
 
@@ -448,9 +443,6 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     heights = {p.shape[0] for p in parts}
     if len(heights) != 1:
         raise ShapeError(f"concat_cols: row counts differ: {sorted(heights)}")
-    out = _make(np.concatenate([p.data for p in parts], axis=1), parts, lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         off = 0
@@ -459,7 +451,7 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
             p.accumulate_grad(out.grad[:, off : off + c])
             off += c
 
-    out._backward = _bw
+    out = _make(np.concatenate([p.data for p in parts], axis=1), parts, _bw)
     return out
 
 
@@ -469,16 +461,14 @@ def mean_rows(x: Tensor) -> Tensor:
     m = x.shape[0]
     if m == 0:
         raise ShapeError("mean_rows over zero rows")
-    out = _make(x.data.mean(axis=0, keepdims=True), (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(np.broadcast_to(out.grad / m, x.shape))
+    y = x.data.mean(axis=0, keepdims=True)
+    out = _make(y, (x,), lambda: x.accumulate_grad(np.broadcast_to(out.grad / m, x.shape)))
     return out
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    out = _make(np.asarray(x.data.sum()), (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(np.broadcast_to(out.grad, x.shape))
+    y = np.asarray(x.data.sum())
+    out = _make(y, (x,), lambda: x.accumulate_grad(np.broadcast_to(out.grad, x.shape)))
     return out
 
 
@@ -488,15 +478,12 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     v = _as_tensor(v)
     if v.data.ndim != 1 or v.shape[0] != m.shape[1]:
         raise ShapeError(f"add_rowvec: vector {v.shape} does not match row width of {m.shape}")
-    out = _make(m.data + v.data[None, :], (m, v), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         m.accumulate_grad(out.grad)
         v.accumulate_grad(out.grad.sum(axis=0))
 
-    out._backward = _bw
+    out = _make(m.data + v.data[None, :], (m, v), _bw)
     return out
 
 
@@ -506,15 +493,12 @@ def mul_rowvec(m: Tensor, v: Tensor) -> Tensor:
     v = _as_tensor(v)
     if v.data.ndim != 1 or v.shape[0] != m.shape[1]:
         raise ShapeError(f"mul_rowvec: vector {v.shape} does not match row width of {m.shape}")
-    out = _make(m.data * v.data[None, :], (m, v), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         m.accumulate_grad(out.grad * v.data[None, :])
         v.accumulate_grad((out.grad * m.data).sum(axis=0))
 
-    out._backward = _bw
+    out = _make(m.data * v.data[None, :], (m, v), _bw)
     return out
 
 
@@ -525,9 +509,8 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
         raise ShapeError(f"repeat_rows expects a single row, got {v.shape}")
     if n < 1:
         raise ShapeError("repeat_rows needs n >= 1")
-    out = _make(np.repeat(v.data, n, axis=0), (v,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: v.accumulate_grad(out.grad.sum(axis=0, keepdims=True))
+    y = np.repeat(v.data, n, axis=0)
+    out = _make(y, (v,), lambda: v.accumulate_grad(out.grad.sum(axis=0, keepdims=True)))
     return out
 
 
@@ -546,9 +529,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor; each output row sums to one."""
     _require_2d(x, "softmax_rows")
     s = _softmax_last(x.data)
-    out = _make(s, (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(_softmax_last_grad(out.grad, s))
+    out = _make(s, (x,), lambda: x.accumulate_grad(_softmax_last_grad(out.grad, s)))
     return out
 
 
@@ -571,9 +552,7 @@ def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean / unit variance (no affine part)."""
     _require_2d(x, "layernorm_rows")
     xhat, inv = _normalize_rows(x.data, eps)
-    out = _make(xhat, (x,), lambda: None)
-    if out.requires_grad:
-        out._backward = lambda: x.accumulate_grad(_normalize_rows_grad(out.grad, xhat, inv))
+    out = _make(xhat, (x,), lambda: x.accumulate_grad(_normalize_rows_grad(out.grad, xhat, inv)))
     return out
 
 
@@ -593,9 +572,6 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     if x.shape[1] != W.shape[1]:
         raise ShapeError(f"linear: rows of width {x.shape[1]} for a weight of shape {W.shape}")
     _require_rowvec(b, W.shape[0], "linear bias")
-    out = _make(x.data @ W.data.T + b.data[None, :], (x, W, b), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         g = out.grad
@@ -605,7 +581,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
             W.accumulate_grad(g.T @ x.data)
         b.accumulate_grad(g.sum(axis=0))
 
-    out._backward = _bw
+    out = _make(x.data @ W.data.T + b.data[None, :], (x, W, b), _bw)
     return out
 
 
@@ -615,9 +591,6 @@ def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tens
     _require_rowvec(g, x.shape[1], "layernorm_affine gain")
     _require_rowvec(b, x.shape[1], "layernorm_affine bias")
     xhat, inv = _normalize_rows(x.data, eps)
-    out = _make(xhat * g.data[None, :] + b.data[None, :], (x, g, b), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         gy = out.grad
@@ -627,7 +600,7 @@ def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tens
             g.accumulate_grad((gy * xhat).sum(axis=0))
         b.accumulate_grad(gy.sum(axis=0))
 
-    out._backward = _bw
+    out = _make(xhat * g.data[None, :] + b.data[None, :], (x, g, b), _bw)
     return out
 
 
@@ -664,9 +637,6 @@ def causal_attention(
     mask = np.triu(np.full((n, n), -1e9), k=1)
     p = _softmax_last((q @ k.transpose(0, 2, 1)) * scale + mask)
     heads = merge(p @ v)
-    out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         g = out.grad
@@ -685,17 +655,29 @@ def causal_attention(
             if W.requires_grad:
                 W.accumulate_grad(x.data.T @ gm)
 
-    out._backward = _bw
+    out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), _bw)
     return out
+
+
+def planar_reparameterize(a: np.ndarray, w: np.ndarray, margin: float, norm_eps: float):
+    """Invertibility reparameterization of (1, d) rows a, w: (wa, m, r, coef, w_hat).
+
+    wa = w.a, m = softplus(wa) + margin - 1, r = 1 / (|a|^2 + norm_eps),
+    coef = (m - wa) r and w_hat = w + coef a, so that w_hat.a > -1.
+    """
+    wa = w @ a.T  # (1, 1)
+    m = _softplus(wa) + (margin - 1.0)
+    r = 1.0 / ((a * a).sum() + norm_eps)
+    coef = (m - wa) * r
+    return wa, m, r, coef, w + coef * a
 
 
 def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Tensor:
     """One invertible planar map on each latent row of u (S, d), as one graph node.
 
     ``theta`` is the packed (1, 2d + 1) row [a | w | b]. The map is
-    u' = u + tanh(u . a + b) w_hat, where
-    w_hat = w + (m(w.a) - w.a) a / (|a|^2 + norm_eps) and
-    m(s) = softplus(s) + margin - 1, so w_hat.a > -1 and the map is invertible.
+    u' = u + tanh(u . a + b) w_hat, with w_hat from ``planar_reparameterize``,
+    so w_hat.a > -1 and the map is invertible.
     """
     _require_2d(u, "planar_step")
     d = u.shape[1]
@@ -706,15 +688,8 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
     a = theta.data[:, 0:d].copy()
     w = theta.data[:, d : 2 * d].copy()
     b = theta.data[:, 2 * d :].copy()
-    wa = w @ a.T  # (1, 1)
-    m = _softplus(wa) + (margin - 1.0)
-    r = 1.0 / ((a * a).sum() + norm_eps)
-    coef = (m - wa) * r
-    w_hat = w + coef * a
+    wa, m, r, coef, w_hat = planar_reparameterize(a, w, margin, norm_eps)
     gate = np.tanh(u.data @ a.T + b)  # (S, 1)
-    out = _make(u.data + gate @ w_hat, (u, theta), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         g = out.grad
@@ -732,7 +707,7 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
         g_w = g_w_hat + g_wa * a
         theta.accumulate_grad(np.concatenate([g_a, g_w, g_pre.sum(keepdims=True)], axis=1))
 
-    out._backward = _bw
+    out = _make(u.data + gate @ w_hat, (u, theta), _bw)
     return out
 
 
@@ -775,9 +750,6 @@ def energy_score(samples: Tensor, target: Tensor) -> Tensor:
     order = np.argsort(samples.data, axis=0, kind="stable")
     spread = pairwise_spread(np.take_along_axis(samples.data, order, axis=0)).sum()
     value = np.abs(diff).sum() * (1.0 / (s * n)) - spread * (1.0 / (s * (s - 1) * n))
-    out = _make(np.asarray(value), (samples, target), lambda: None)
-    if not out.requires_grad:
-        return out
 
     def _bw():
         g = out.grad
@@ -787,7 +759,7 @@ def energy_score(samples: Tensor, target: Tensor) -> Tensor:
         samples.accumulate_grad(sign - coeff * (g / (s * (s - 1) * n)))
         target.accumulate_grad(-sign.sum(axis=0, keepdims=True))
 
-    out._backward = _bw
+    out = _make(np.asarray(value), (samples, target), _bw)
     return out
 
 

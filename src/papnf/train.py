@@ -143,6 +143,24 @@ class Adam:
         return None
 
 
+def _guarded_step(opt: Adam, loss: Tensor, epoch: int, batch: int, history: list) -> float:
+    """Backpropagate ``loss`` and step ``opt``; return the loss value.
+
+    Raises TrainingDiverged on a non-finite loss or gradient, before the
+    step, so no parameter is ever written to a non-finite value.
+    """
+    loss_value = loss.item()
+    if not math.isfinite(loss_value):
+        raise TrainingDiverged(epoch, batch, loss_value, history)
+    opt.zero_grad()
+    loss.backward()
+    bad = opt.nonfinite_grad()
+    if bad is not None:
+        raise TrainingDiverged(epoch, batch, loss_value, history, param=bad)
+    opt.step()
+    return loss_value
+
+
 # -- objectives -------------------------------------------------------------------
 
 
@@ -313,16 +331,7 @@ def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Chec
                 term = _window_loss(model, train_windows[int(k)], cfg, epoch)
                 total = term if total is None else total + term
             loss = total * (1.0 / len(batch))
-            loss_value = loss.item()
-            if not math.isfinite(loss_value):
-                raise TrainingDiverged(epoch, n_batches, loss_value, history)
-            opt.zero_grad()
-            loss.backward()
-            bad = opt.nonfinite_grad()
-            if bad is not None:
-                raise TrainingDiverged(epoch, n_batches, loss_value, history, param=bad)
-            opt.step()
-            epoch_loss += loss_value
+            epoch_loss += _guarded_step(opt, loss, epoch, n_batches, history)
             n_batches += 1
         val = validation_mse(model, val_windows, cfg.val_samples, val_seed)
         history.append(
@@ -400,16 +409,7 @@ def pretrain_backbone(cfg: PretrainConfig, path: str) -> PretrainResult:
             term = (diff * diff).sum() * (1.0 / (n - 1))
             total = term if total is None else total + term
         loss = total * (1.0 / cfg.batch)
-        loss_value = loss.item()
-        if not math.isfinite(loss_value):
-            raise TrainingDiverged(0, step, loss_value, history)
-        opt.zero_grad()
-        loss.backward()
-        bad = opt.nonfinite_grad()
-        if bad is not None:
-            raise TrainingDiverged(0, step, loss_value, history, param=bad)
-        opt.step()
-        history.append(loss_value)
+        history.append(_guarded_step(opt, loss, 0, step, history))
     head = max(1, min(20, cfg.steps // 10))
     tail = max(1, min(100, cfg.steps // 4))
     first = float(np.mean(history[:head]))

@@ -130,6 +130,40 @@ class TestConfigHandling:
         )
         assert code == 2
 
+    def test_split_longer_than_series_exits_2(self, ws, tmp_path, capsys):
+        data = tmp_path / "rows120.csv"
+        write_csv(ar1_seasonal(120, period=8, seed=5), str(data))
+        out = tmp_path / "o"
+        code = run(
+            "train", "--config", ws["config"], "--out", str(out),
+            "--set", f"dataset.path={data}", "--set", "split.test_len=400",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: split: split needs 460 rows but the series has 120")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep-prefix"])
+    def test_bad_train_section_exits_2_before_pretraining(self, ws, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = run(
+            command, "--config", ws["config"], "--out", str(out),
+            "--set", 'model.backbone_kind="frozen_checkpoint"', "--set", "pretrain.steps=2",
+            "--set", "train.epochs=1.5",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error: train.epochs: expected int, got 1.5" in captured.err
+        assert "pretrained backbone" not in captured.out
+        assert not (out / "backbone.papnf").exists()
+
+    def test_bad_train_section_exits_2_from_ablate(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run("ablate", "--config", ws["config"], "--out", str(out), "--set", "train.epochs=0")
+        assert code == 2
+        assert "config error: train: epochs must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_seed_flag_lands_in_resolved_config(self, ws, trained, tmp_path):
         out = tmp_path / "seeded"
         code = run(

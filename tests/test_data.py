@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from papnf import data as D
@@ -55,6 +55,43 @@ def test_load_csv_header_only(tmp_path):
     path.write_text("date,a\n")
     with pytest.raises(D.CsvFormatError, match="no data rows"):
         D.load_csv(str(path))
+
+
+def test_load_csv_non_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"date,a\n2020,1\n\xff2021,2\n")
+    with pytest.raises(D.CsvFormatError, match="line 3: not UTF-8") as err:
+        D.load_csv(str(path))
+    assert str(path) in str(err.value)
+
+
+def test_load_csv_oversized_field_is_a_format_error(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("date,a\n2020," + "1" * 200_000 + "\n")
+    with pytest.raises(D.CsvFormatError, match="line 2: field larger than field limit"):
+        D.load_csv(str(path))
+
+
+# arbitrary bytes rarely get past the header; mixing in CSV-shaped fragments
+# reaches the row checks too
+_csv_piece = st.sampled_from(
+    [b"date,a,b\n", b"2020,1,2\n", b",", b"\n", b"\r", b'"', b"nan", b"1e400", b"\xff", b"\x00"]
+) | st.binary(max_size=12)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(blob=st.binary(max_size=200) | st.lists(_csv_piece, max_size=16).map(b"".join))
+def test_fuzz_load_csv_raises_only_its_own_error(tmp_path, blob):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(blob)
+    try:
+        series = D.load_csv(str(path))
+    except D.CsvFormatError as err:
+        assert str(path) in str(err)
+        return
+    assert series.values.ndim == 2 and np.isfinite(series.values).all()
 
 
 def test_split_is_chronological_and_contiguous():

@@ -1,6 +1,7 @@
 """Evaluation orchestration: thread determinism, baselines, CSV/SVG artifacts."""
 
 import csv
+import gc
 import io
 
 import numpy as np
@@ -93,6 +94,20 @@ class TestEvaluateSplit:
             lo80, hi80 = ens.interval(0.8)
             lo95, hi95 = ens.interval(0.95)
             assert np.all(lo95 <= lo80) and np.all(hi80 <= hi95)
+
+    def test_sampling_records_no_graph(self, small_setup):
+        # sampling runs under no_grad: nothing is left for the cyclic collector
+        model, windows = small_setup
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate_split(model, windows, n_samples=8, seed=5)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert all(p.grad is None for p in model.parameters().values())
 
     def test_empty_split_rejected(self, small_setup):
         model, _ = small_setup

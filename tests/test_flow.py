@@ -123,6 +123,42 @@ def test_randomized_flow_moves_latents_and_matches_numpy_mirror():
         np.testing.assert_allclose(out[s], F.flow_forward_np(u0[s], h_np, layers), atol=1e-12)
 
 
+def test_numpy_helpers_run_the_training_op(monkeypatch):
+    # hyper_np, planar_step_np and flow_forward_np adapt the Tensor path: the
+    # w_hat that reparameterize_np (and so the inversion) sees is the op's own
+    layers = make_layers(seed=22)
+    h = np.random.default_rng(23).normal(size=(1, 6))
+    u = np.random.default_rng(24).normal(size=4)
+    steps, kernels = [], []
+    op, kernel = tz.planar_step, tz.planar_reparameterize
+
+    def spy_step(*args):
+        steps.append(args)
+        return op(*args)
+
+    def spy_kernel(*args):
+        result = kernel(*args)
+        kernels.append(result[-1])  # w_hat
+        return result
+
+    monkeypatch.setattr(tz, "planar_step", spy_step)
+    monkeypatch.setattr(tz, "planar_reparameterize", spy_kernel)
+    with_np = F.flow_forward_np(u, h, layers)
+    assert len(steps) == len(layers)
+    with_op = F.flow_forward(Tensor(u[None, :]), Tensor(h), layers).data[0]
+    assert with_np.tobytes() == with_op.tobytes()
+
+    a, w, b = layers[0].hyper_np(h)
+    np.testing.assert_array_equal(
+        np.concatenate([a, w, [b]]), layers[0].hyper_row(Tensor(h)).data[0]
+    )
+    del steps[:], kernels[:]
+    F.planar_step_np(u, a, w, b)
+    w_hat, _ = F.reparameterize_np(a, w)
+    assert len(steps) == 1 and len(kernels) == 2
+    assert kernels[0].reshape(-1).tobytes() == w_hat.tobytes()
+
+
 # -- inversion ---------------------------------------------------------------------
 
 

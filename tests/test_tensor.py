@@ -390,3 +390,62 @@ def test_no_graph_recorded_without_requires_grad():
     out = (a @ b).tanh()
     assert out._backward is None and out._parents == ()
     assert not out.requires_grad
+
+
+# -- no_grad -------------------------------------------------------------------------
+
+
+def _layer_chain(x: Tensor, W: Tensor, b: Tensor, theta: Tensor) -> Tensor:
+    h = tz.linear(x, W, b).tanh()
+    return tz.planar_step(h, theta, 1e-3, 1e-12).sum()
+
+
+def _chain_operands():
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    W = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    theta = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
+    return x, W, b, theta
+
+
+def test_no_grad_records_no_graph_and_keeps_values():
+    operands = _chain_operands()
+    recorded = _layer_chain(*operands)
+    with tz.no_grad():
+        out = _layer_chain(*operands)
+    assert not out.requires_grad
+    assert out._backward is None and out._parents == ()
+    assert len(tz.Tape.from_root(out)) == 0
+    assert out.data.tobytes() == recorded.data.tobytes()
+    assert len(tz.Tape.from_root(recorded)) == 4  # recording resumes after the block
+    recorded.backward()
+    assert all(p.grad is not None for p in operands)
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    x = Tensor(np.ones((1, 2)), requires_grad=True)
+    with tz.no_grad():
+        with tz.no_grad():
+            assert not (x * 2.0).requires_grad
+        assert not (x * 2.0).requires_grad  # the inner exit keeps the outer block off
+    assert (x * 2.0).requires_grad
+    with pytest.raises(RuntimeError, match="boom"):
+        with tz.no_grad():
+            raise RuntimeError("boom")
+    assert (x * 2.0).requires_grad
+
+
+def test_no_grad_forward_leaves_nothing_for_the_cyclic_collector():
+    operands = _chain_operands()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with tz.no_grad():
+            for _ in range(5):
+                _layer_chain(*operands)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -524,6 +524,17 @@ class TestPretraining:
         out_rnd = rnd.forward(x).data
         assert np.abs(out_pre - out_rnd).max() > 1e-6
 
+    def test_divergence_aborts_before_the_step_and_the_save(self, tmp_path, monkeypatch):
+        arch = BackboneArch(n_layers=1, n_heads=2, d=8, ffn_width=16, max_len=8)
+        monkeypatch.setattr(
+            train_mod, "pretrain_sequences", lambda rng, batch, n: np.full((batch, n), np.nan)
+        )
+        cfg = PretrainConfig(arch=arch, steps=3, batch=2, seq_len=8, seed=2)
+        with pytest.raises(TrainingDiverged, match="non-finite loss nan at epoch 0, batch 0") as err:
+            pretrain_backbone(cfg, str(tmp_path / "bb.papnf"))
+        assert (err.value.epoch, err.value.batch, err.value.history) == (0, 0, [])
+        assert not (tmp_path / "bb.papnf").exists()
+
     def test_seq_len_over_max_len_rejected(self):
         arch = BackboneArch(n_layers=1, n_heads=2, d=8, ffn_width=16, max_len=8)
         with pytest.raises(ValueError):
