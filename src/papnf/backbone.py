@@ -67,24 +67,28 @@ class TransformerBackbone:
         if weights is not None:
             for name, arr in weights.items():
                 self.params[name] = Tensor(arr.copy(), requires_grad=trainable)
-            self._check_param_names()
+            self._check_weights()
         else:
             self._init_params(substream(seed, "backbone"), trainable)
 
-    def _expected_names(self) -> list[str]:
-        names = ["pos"]
-        for i in range(self.arch.n_layers):
-            names += [f"layers.{i}.{name}" for name in _LAYER_PARAMS]
-        names += ["ln_f_g", "ln_f_b"]
-        return names
+    def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
+        a = self.arch
+        square, vector = (a.d, a.d), (a.d,)
+        layer = (square,) * 4 + (vector,) * 4 + ((a.d, a.ffn_width), (a.ffn_width, a.d))
+        shapes = {"pos": (a.max_len, a.d), "ln_f_g": vector, "ln_f_b": vector}
+        for i in range(a.n_layers):
+            shapes.update({f"layers.{i}.{n}": s for n, s in zip(_LAYER_PARAMS, layer)})
+        return shapes
 
-    def _check_param_names(self):
-        missing = set(self._expected_names()) - set(self.params)
-        extra = set(self.params) - set(self._expected_names())
-        if missing or extra:
+    def _check_weights(self):
+        expected = self._expected_shapes()
+        missing = set(expected) - set(self.params)
+        extra = set(self.params) - set(expected)
+        shapes = sorted(n for n in expected.keys() - missing if self.params[n].shape != expected[n])
+        if missing or extra or shapes:
             raise CheckpointError(
-                f"backbone weights do not match architecture "
-                f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
+                f"backbone weights do not match architecture (missing {sorted(missing)}, "
+                f"unexpected {sorted(extra)}, wrong shape {shapes})"
             )
 
     def _init_params(self, rng: np.random.Generator, trainable: bool):

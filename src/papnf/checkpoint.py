@@ -39,7 +39,7 @@ def write_container(path: str, header: dict, weights: dict[str, np.ndarray]) -> 
     header_bytes = canonical_json(header).encode("utf-8")
     body = bytearray()
     for name in sorted(weights):
-        arr = np.ascontiguousarray(weights[name], dtype="<f8")
+        arr = np.asarray(weights[name], dtype="<f8")  # keeps rank 0; tobytes() is C order
         name_bytes = name.encode("utf-8")
         body += struct.pack("<I", len(name_bytes))
         body += name_bytes

@@ -229,8 +229,7 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
-def _train_model(cfg: dict, splits, out_dir: str, model_cfg: ModelConfig):
-    model_cfg = _ensure_backbone(cfg, model_cfg, out_dir)
+def _train_model(cfg: dict, splits, model_cfg: ModelConfig):
     train_cfg = _train_config(cfg, model_cfg)
     model = PapNfModel(model_cfg, seed=derive_seed(cfg["seed"], "init"))
     ckpt = fit(model, splits["train"], splits["val"], train_cfg)
@@ -252,7 +251,8 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     out_dir = _out_dir(cfg)
     splits, model_cfg = _prepare(cfg)
-    model, ckpt = _train_model(cfg, splits, out_dir, model_cfg)
+    model_cfg = _ensure_backbone(cfg, model_cfg, out_dir)
+    model, ckpt = _train_model(cfg, splits, model_cfg)
     ckpt_path = os.path.join(out_dir, "checkpoint.papnf")
     save_checkpoint(ckpt, ckpt_path)
     _write_training_log(os.path.join(out_dir, "training_log.csv"), ckpt.history)
@@ -342,7 +342,7 @@ def cmd_ablate(args) -> int:
     for arm in ABLATION_ARMS:
         try:
             arm_cfg = ablation_variant(base_cfg, arm)
-            model, ckpt = _train_model(cfg, splits, out_dir, arm_cfg)
+            model, ckpt = _train_model(cfg, splits, arm_cfg)
             report, _ = evaluate_split(
                 model,
                 splits["test"],
@@ -388,11 +388,16 @@ def cmd_sweep_prefix(args) -> int:
     out_dir = _out_dir(cfg)
     k_list = (cfg.get("sweep") or {}).get("k_list", list(DEFAULT_K_LIST))
     splits, base_cfg = _prepare(cfg)
+    _train_config(cfg, base_cfg)  # a bad train section is reported first, as in train and ablate
+    for i, k in enumerate(k_list):  # an over-budget K must not cost a pretraining run
+        try:
+            replace(base_cfg, k_prefix=k)
+        except ValueError as err:
+            raise ConfigError(f"sweep.k_list[{i}]: {err}") from None
     base_cfg = _ensure_backbone(cfg, base_cfg, out_dir)
     rows = []
     for k in sorted(set(k_list)):
-        model_cfg = replace(base_cfg, k_prefix=k, no_pap=(k == 0))
-        model, _ = _train_model(cfg, splits, out_dir, model_cfg)
+        model, _ = _train_model(cfg, splits, replace(base_cfg, k_prefix=k))
         report, _ = evaluate_split(
             model, splits["test"], n_samples=cfg["eval"]["n_samples"], seed=cfg["seed"]
         )

@@ -86,7 +86,7 @@ def load_csv(path: str) -> RawSeries:
         raise CsvFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
     reader = _csv_rows(csv.reader(io.StringIO(text, newline="")), path)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise CsvFormatError(f"{path}: file is empty") from None
     if len(header) < 2:
@@ -95,7 +95,7 @@ def load_csv(path: str) -> RawSeries:
 
     timestamps: list[str] = []
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row:
             continue
         if len(row) != len(header):
@@ -120,9 +120,10 @@ def load_csv(path: str) -> RawSeries:
 
 
 def _csv_rows(reader, path: str):
-    """The reader's rows, with a csv.Error turned into a CsvFormatError."""
+    """(line the row ends on, row) pairs; a csv.Error becomes a CsvFormatError."""
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 

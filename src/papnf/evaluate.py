@@ -61,7 +61,6 @@ def evaluate_split(
     n_samples: int = 100,
     seed: int = 0,
     levels: tuple[float, ...] = DEFAULT_LEVELS,
-    fair: bool = False,
 ) -> tuple[MetricsReport, list[ForecastEnsemble]]:
     """Sample every window and aggregate one MetricsReport for the split.
 
@@ -79,7 +78,6 @@ def evaluate_split(
         [w.y for w in windows],
         [persistence(w) for w in windows],
         levels=levels,
-        fair=fair,
     )
     return report, ensembles
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from papnf import tensor as tz
 from papnf.backbone import (
     BACKBONE_KINDS,
     BackboneArch,
@@ -41,7 +40,6 @@ class ModelConfig(DictConfig):
     backbone_kind: str = "frozen_random"
     backbone_checkpoint: str | None = None
     no_global_context: bool = False
-    no_pap: bool = False
 
     def __post_init__(self):
         if isinstance(self.backbone, dict):
@@ -59,18 +57,18 @@ class ModelConfig(DictConfig):
             raise ValueError(
                 f"unknown backbone kind {self.backbone_kind!r}; choose one of {BACKBONE_KINDS}"
             )
+        if self.n_tokens > self.backbone.max_len:
+            raise ValueError(
+                f"K+M = {self.n_tokens} tokens exceed backbone max_len {self.backbone.max_len}"
+            )
 
     @property
     def n_patches(self) -> int:
         return -(-self.lookback // self.patch_len)
 
     @property
-    def effective_k(self) -> int:
-        return 0 if self.no_pap else self.k_prefix
-
-    @property
     def n_tokens(self) -> int:
-        return self.effective_k + self.n_patches
+        return self.k_prefix + self.n_patches
 
 
 class PapNfModel:
@@ -91,7 +89,7 @@ class PapNfModel:
             cfg.lookback, cfg.channels, cfg.patch_len, cfg.d_n, substream(seed, "init", "encoder")
         )
         self.reprogrammer = Reprogrammer(cfg.d_n, d, substream(seed, "init", "reprogram"))
-        self.prefix = PrefixBank(cfg.effective_k, d, substream(seed, "init", "prefix"))
+        self.prefix = PrefixBank(cfg.k_prefix, d, substream(seed, "init", "prefix"))
         if backbone is not None:
             self.backbone = backbone
         else:
@@ -100,10 +98,6 @@ class PapNfModel:
                 cfg.backbone_kind,
                 seed=derive_seed(seed, "backbone"),
                 checkpoint_path=cfg.backbone_checkpoint,
-            )
-        if not cfg.no_pap and cfg.n_tokens > cfg.backbone.max_len:
-            raise ValueError(
-                f"K+M = {cfg.n_tokens} tokens exceed backbone max_len {cfg.backbone.max_len}"
             )
         self.ctx_proj = ContextProjector(d, cfg.d_c, substream(seed, "init", "context"))
         self.fusion = FusionLayer(cfg.d_n, cfg.d_c, cfg.d_h, substream(seed, "init", "fusion"))
@@ -125,12 +119,8 @@ class PapNfModel:
         """Run the conditioning pass once: returns (z, c, h)."""
         z = self.encoder.encode_global(x_std)
         e_rep = self.reprogrammer.reprogram(self.encoder.encode_patches(x_std))
-        if self.cfg.no_pap:
-            # prefix removed AND backbone bypassed: pool the tokens directly
-            c = extract_context(e_rep, self.ctx_proj)
-        else:
-            hidden = self.backbone.forward(build_llm_input(self.prefix, e_rep))
-            c = extract_context(hidden, self.ctx_proj)
+        hidden = self.backbone.forward(build_llm_input(self.prefix, e_rep))
+        c = extract_context(hidden, self.ctx_proj)
         if self.cfg.no_global_context:
             c = Tensor(np.zeros((1, self.cfg.d_c)))
         h = self.fusion.fuse(z, c)
@@ -202,8 +192,9 @@ def ablation_variant(cfg: ModelConfig, arm: str) -> ModelConfig:
     """Derive the config for one ablation arm from the full config."""
     if arm == "full":
         return cfg
-    if arm == "no_pap":
-        return replace(cfg, no_pap=True, k_prefix=0)
+    if arm == "no_pap":  # no prefix rows, and the identity stack in place of the backbone
+        bare = ablation_variant(cfg, "random_backbone")
+        return replace(bare, k_prefix=0, backbone=replace(cfg.backbone, n_layers=0))
     if arm == "random_backbone":
         return replace(cfg, backbone_kind="frozen_random", backbone_checkpoint=None)
     if arm == "no_global_context":

@@ -256,6 +256,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"expected a model checkpoint, found kind {header.get('kind')!r}")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+    # headers written while ModelConfig had a no_pap switch carry "no_pap": false
+    train = header.get("train")
+    for section in (header.get("model"), train.get("model") if isinstance(train, dict) else None):
+        if isinstance(section, dict) and section.get("no_pap") is False:
+            del section["no_pap"]
     try:
         h = _Header.from_dict(header)
     except ConfigError as err:
@@ -277,17 +282,11 @@ def model_from_checkpoint(ckpt: Checkpoint | str) -> PapNfModel:
         ckpt = load_checkpoint(ckpt)
     cfg = ckpt.model_config
     seed = int(ckpt.rng_state.get("root_seed", 0))
-    if cfg.backbone_kind == "frozen_checkpoint":
-        # backbone weights are inlined; the original pretraining file is not needed
-        bb_weights = {
-            name[len("backbone."):]: arr
-            for name, arr in ckpt.weights.items()
-            if name.startswith("backbone.")
-        }
-        backbone = TransformerBackbone(cfg.backbone, kind="frozen_checkpoint", weights=bb_weights)
-        model = PapNfModel(cfg, seed=seed, backbone=backbone)
-    else:
-        model = PapNfModel(cfg, seed=seed)
+    # backbone weights are inlined; the original pretraining file is not needed
+    prefix = "backbone."
+    weights = {n[len(prefix):]: a for n, a in ckpt.weights.items() if n.startswith(prefix)}
+    backbone = TransformerBackbone(cfg.backbone, kind=cfg.backbone_kind, weights=weights)
+    model = PapNfModel(cfg, seed=seed, backbone=backbone)
     model.load_weights(ckpt.weights)
     return model
 

@@ -192,6 +192,13 @@ def test_checkpoint_bad_arch_header_names_the_field(tmp_path, tamper, needle):
     assert needle in str(err.value)
 
 
+def test_weights_of_the_wrong_shape_are_a_checkpoint_error():
+    weights = bb.TransformerBackbone(tiny_arch(), seed=43).weights()
+    weights["layers.0.W1"] = weights["layers.0.W1"].T
+    with pytest.raises(CheckpointError, match=r"wrong shape \[.layers.0.W1.\]"):
+        bb.TransformerBackbone(tiny_arch(), weights=weights)
+
+
 def test_random_vs_checkpoint_weights_differ(tmp_path):
     pre = bb.TransformerBackbone(tiny_arch(), seed=40)
     path = str(tmp_path / "bb.ckpt")

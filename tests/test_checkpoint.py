@@ -39,6 +39,14 @@ def test_round_trip_through_the_record_layout(tmp_path):
         assert np.array_equal(loaded[name], arr)
 
 
+def test_zero_d_weight_keeps_its_shape(tmp_path):
+    path = str(tmp_path / "s.papnf")
+    write_container(path, {}, {"s": np.array(2.5), "t": np.arange(6.0).reshape(2, 3).T})
+    _, loaded = read_container(path)
+    assert loaded["s"].shape == () and loaded["s"] == 2.5
+    assert np.array_equal(loaded["t"], np.arange(6.0).reshape(2, 3).T)
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from papnf import cli
+from papnf.backbone import TransformerBackbone
 from papnf.checkpoint import read_container, write_container
 from papnf.cli import main
 from papnf.synthetic import ar1_seasonal, write_csv
@@ -164,6 +165,18 @@ class TestConfigHandling:
         assert "config error: train: epochs must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_token_budget_exits_2_before_pretraining(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(
+            "train", "--config", ws["config"], "--out", str(out), "--set", "model.k_prefix=7",
+            "--set", 'model.backbone_kind="frozen_checkpoint"', "--set", "pretrain.steps=3",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error: model: K+M = 9 tokens exceed backbone max_len 8" in captured.err
+        assert "pretrained backbone" not in captured.out
+        assert list(out.iterdir()) == []
+
     def test_seed_flag_lands_in_resolved_config(self, ws, trained, tmp_path):
         out = tmp_path / "seeded"
         code = run(
@@ -198,7 +211,11 @@ class TestConfigHandling:
             ("train", ["model.backbone.d=7"], "model.backbone: d=7 not divisible"),
             ("train", ["model.patch_len=0"], "model: lookback and patch_len must be positive"),
             ("train", ["model.backbone_kind=bogus"], "model: unknown backbone kind 'bogus'"),
-            ("train", ['model.no_pap="yes"'], "model.no_pap: expected bool, got 'yes'"),
+            (
+                "train",
+                ['model.no_global_context="yes"'],
+                "model.no_global_context: expected bool, got 'yes'",
+            ),
             (
                 "train",
                 ['model.backbone_kind="frozen_checkpoint"', 'pretrain.steps="x"'],
@@ -338,6 +355,31 @@ class TestEval:
         assert code == 1
         assert "header is not a JSON object" in capsys.readouterr().err
 
+    def test_legacy_no_pap_header(self, ws, trained, tmp_path, capsys):
+        # headers written while ModelConfig had a no_pap switch: false loads, true fails
+        header, weights = read_container(trained["checkpoint"])
+        outputs = []
+        for value in (False, True):
+            header["model"]["no_pap"] = header["train"]["model"]["no_pap"] = value
+            legacy = tmp_path / f"legacy_{value}.papnf"
+            write_container(str(legacy), header, weights)
+            out = tmp_path / f"o_{value}"
+            outputs.append(out)
+            code = run(
+                "eval", "--config", ws["config"], "--out", str(out), "--checkpoint", str(legacy),
+            )
+            assert code == (1 if value else 0)
+        assert load_checkpoint(str(tmp_path / "legacy_False.papnf")).model_config == (
+            load_checkpoint(trained["checkpoint"]).model_config
+        )
+        assert "unknown config keys: model.no_pap" in capsys.readouterr().err
+        assert run(
+            "eval", "--config", ws["config"], "--out", str(tmp_path / "o_now"),
+            "--checkpoint", trained["checkpoint"],
+        ) == 0
+        metrics = (tmp_path / "o_now" / "metrics.json").read_bytes()
+        assert (outputs[0] / "metrics.json").read_bytes() == metrics
+
     def test_missing_checkpoint_flag_exits_2(self, ws, tmp_path):
         assert run("eval", "--config", ws["config"], "--out", str(tmp_path / "o")) == 2
 
@@ -436,6 +478,37 @@ class TestSweepPrefix:
         assert rows[0] == ["k_prefix", "mse", "mae"]
         ks = [int(r[0]) for r in rows[1:]]
         assert ks == [0, 2]
+
+    def test_k0_runs_the_frozen_backbone_without_prefix_rows(self, ws, tmp_path, monkeypatch):
+        lengths = []
+        real_forward = TransformerBackbone.forward
+
+        def counting_forward(self, x):
+            lengths.append(x.shape[0])
+            return real_forward(self, x)
+
+        monkeypatch.setattr(TransformerBackbone, "forward", counting_forward)
+        code = run(
+            "sweep-prefix", "--config", ws["config"], "--out", str(tmp_path / "o"),
+            "--set", "sweep.k_list=[0]",
+        )
+        assert code == 0
+        assert lengths and set(lengths) == {LOOKBACK // 8}  # the M patch rows alone
+
+    def test_over_budget_k_exits_2_before_pretraining(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(
+            "sweep-prefix", "--config", ws["config"], "--out", str(out),
+            "--set", "sweep.k_list=[2,7]", "--set", 'model.backbone_kind="frozen_checkpoint"',
+            "--set", "pretrain.steps=3",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error: sweep.k_list[1]: K+M = 9 tokens exceed backbone max_len 8" in (
+            captured.err
+        )
+        assert "pretrained backbone" not in captured.out
+        assert not (out / "backbone.papnf").exists()
 
     def test_negative_k_exits_2(self, ws, tmp_path):
         code = run(

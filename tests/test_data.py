@@ -35,6 +35,13 @@ def test_load_csv_non_numeric_reports_line(tmp_path):
         D.load_csv(str(path))
 
 
+def test_load_csv_line_numbers_count_quoted_newlines(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b'date,a\nx,"1\n"\ny,zz\n')
+    with pytest.raises(D.CsvFormatError, match="line 4: non-numeric"):
+        D.load_csv(str(path))
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_load_csv_non_finite_reports_line_and_column(tmp_path, cell):
     path = tmp_path / "bad.csv"

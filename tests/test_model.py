@@ -76,7 +76,7 @@ def test_trainable_census_excludes_backbone():
 def test_no_pap_arm_drops_prefix_and_bypasses_backbone():
     cfg = toy_config()
     variant = ablation_variant(cfg, "no_pap")
-    assert variant.no_pap and variant.k_prefix == 0
+    assert variant.k_prefix == 0 and variant.backbone.n_layers == 0
     full = PapNfModel(cfg, seed=6)
     ablated = PapNfModel(variant, seed=6)
     diff = set(full.census()) ^ set(ablated.census())

@@ -10,7 +10,7 @@ from papnf import train as train_mod
 from papnf.backbone import BackboneArch, load_frozen_checkpoint
 from papnf.data import make_windows
 from papnf.metrics import crps_empirical
-from papnf.model import ModelConfig, PapNfModel
+from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.synthetic import ar1_seasonal
 from papnf.tensor import Tape, Tensor, energy_score, grad_check
 from papnf.train import (
@@ -416,7 +416,7 @@ class TestFit:
 
     def test_ablation_switches_compose(self):
         # no_pap and no_global_context together still train and evaluate
-        cfg = tiny_config(no_pap=True, k_prefix=0, no_global_context=True)
+        cfg = ablation_variant(ablation_variant(tiny_config(), "no_pap"), "no_global_context")
         windows = tiny_windows()
         model = PapNfModel(cfg, seed=8)
         tc = TrainConfig(model=cfg, batch_size=4, epochs=1, seed=8,
