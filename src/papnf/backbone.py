@@ -141,11 +141,14 @@ class TransformerBackbone:
     # -- forward ------------------------------------------------------------
 
     def forward(self, x: Tensor) -> Tensor:
-        """(N, d) tokens in, (N, d) hidden states out; causal within N."""
+        """(N, d) tokens in, (N, d) hidden states out; causal within N.
+
+        A stack of windows (B, N, d) runs as one pass when it records no graph.
+        """
         a = self.arch
-        if x.data.ndim != 2 or x.shape[1] != a.d:
+        if x.data.ndim not in (2, 3) or x.shape[-1] != a.d:
             raise ShapeError(f"backbone expects (N, {a.d}) input, got {x.shape}")
-        n = x.shape[0]
+        n = x.shape[-2]
         if n > a.max_len:
             raise ShapeError(f"sequence length {n} exceeds max_len {a.max_len}")
         if a.n_layers == 0:
@@ -208,7 +211,7 @@ class ContextProjector:
         self.b_c = Tensor(np.zeros(d_c), requires_grad=True)
 
     def project_rows(self, h_rows: Tensor) -> Tensor:
-        if h_rows.shape[1] != self.W_c.shape[1]:
+        if h_rows.shape[-1] != self.W_c.shape[1]:
             raise ShapeError(
                 f"context projector expects rows of width {self.W_c.shape[1]}, got {h_rows.shape}"
             )
@@ -220,6 +223,6 @@ class ContextProjector:
 
 def extract_context(h_rows: Tensor, projector: ContextProjector) -> Tensor:
     """c = mean over all N positions of the projected hidden rows: (1, d_c)."""
-    if h_rows.shape[0] < 1:
+    if h_rows.shape[-2] < 1:
         raise ShapeError("extract_context needs at least one hidden row")
     return tz.mean_rows(projector.project_rows(h_rows))

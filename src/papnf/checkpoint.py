@@ -51,8 +51,8 @@ def write_container(path: str, header: dict, weights: dict[str, np.ndarray]) -> 
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(bytes(body))
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -97,5 +97,5 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: corrupt weight record ({exc})") from None
         if name in weights:
             raise CheckpointError(f"{path}: duplicate weight {name!r}")
-        weights[name] = arr.astype(np.float64).copy()
+        weights[name] = arr.astype(np.float64)  # a copy, so no weight views the file's bytes
     return header, weights

@@ -339,9 +339,16 @@ def cmd_ablate(args) -> int:
     base_cfg = _ensure_backbone(cfg, base_cfg, out_dir)
     digest = windows_digest(splits["test"])  # every arm shares these windows
     results: dict[str, dict] = {}
+    trained: list[tuple[ModelConfig, dict]] = []
     for arm in ABLATION_ARMS:
         try:
             arm_cfg = ablation_variant(base_cfg, arm)
+            # an arm equal to one already trained (random_backbone on a random
+            # base) would repeat it bit for bit
+            same = [row for other, row in trained if other == arm_cfg]
+            if same:
+                results[arm] = same[0]
+                continue
             model, ckpt = _train_model(cfg, splits, arm_cfg)
             report, _ = evaluate_split(
                 model,
@@ -357,6 +364,7 @@ def cmd_ablate(args) -> int:
             "val_mse": ckpt.val_mse,
             "census": {name: list(shape) for name, shape in model.census().items()},
         }
+        trained.append((arm_cfg, results[arm]))
     full = results["full"]
     with open(os.path.join(out_dir, "ablation.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -41,16 +41,17 @@ def patchify(x_std: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     """Cut a standardized (L, C) window into (M, patch_len*C) rows.
 
     Patch m covers rows [m*p, (m+1)*p), flattened row-major so channels stay
-    interleaved per time step; a short final patch is zero-padded.
+    interleaved per time step; a short final patch is zero-padded. A stack
+    of windows (B, L, C) gives (B, M, patch_len*C).
     """
     x = np.asarray(x_std, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != cfg.lookback:
+    if x.ndim not in (2, 3) or x.shape[-2] != cfg.lookback:
         raise ShapeError(f"expected ({cfg.lookback}, C) window, got {x.shape}")
-    p, c = cfg.patch_len, x.shape[1]
-    m = cfg.n_patches
-    padded = np.zeros((m * p, c))
-    padded[: x.shape[0]] = x
-    return padded.reshape(m, p * c)
+    *windows, length, c = x.shape
+    p, m = cfg.patch_len, cfg.n_patches
+    padded = np.zeros((*windows, m * p, c))
+    padded[..., :length, :] = x
+    return padded.reshape(*windows, m, p * c)
 
 
 def unpatchify(patches: np.ndarray, cfg: PatchConfig, channels: int) -> np.ndarray:
@@ -65,6 +66,8 @@ class NumericalEncoder:
 
     global path:  z = W @ flatten(x) + b              -> (1, d_n)
     patch path:   Z = patches @ W_patch^T + b_patch   -> (M, d_n)
+
+    A stack of windows (B, L, C) gives (B, 1, d_n) and (B, M, d_n).
     """
 
     def __init__(self, lookback: int, channels: int, patch_len: int, d_n: int, rng: np.random.Generator):
@@ -81,10 +84,11 @@ class NumericalEncoder:
         self.b_patch = Tensor(np.zeros(d_n), requires_grad=True)
 
     def encode_global(self, x_std: np.ndarray) -> Tensor:
-        flat = np.asarray(x_std, dtype=np.float64).reshape(1, -1)
-        if flat.shape[1] != self.W.shape[1]:
+        x = np.asarray(x_std, dtype=np.float64)
+        flat = x.reshape(*x.shape[:-2], 1, -1)
+        if flat.shape[-1] != self.W.shape[1]:
             raise ShapeError(
-                f"window flattens to {flat.shape[1]} values, encoder expects {self.W.shape[1]}"
+                f"window flattens to {flat.shape[-1]} values, encoder expects {self.W.shape[1]}"
             )
         return tz.linear(Tensor(flat), self.W, self.b)
 
@@ -109,9 +113,9 @@ class Reprogrammer:
         self.b_p = Tensor(np.zeros(d), requires_grad=True)
 
     def reprogram(self, z_rows: Tensor) -> Tensor:
-        if z_rows.shape[1] != self.W_p.shape[1]:
+        if z_rows.shape[-1] != self.W_p.shape[1]:
             raise ShapeError(
-                f"reprogram: rows have width {z_rows.shape[1]}, expected {self.W_p.shape[1]}"
+                f"reprogram: rows have width {z_rows.shape[-1]}, expected {self.W_p.shape[1]}"
             )
         return tz.linear(z_rows, self.W_p, self.b_p)
 
@@ -134,10 +138,10 @@ class PrefixBank:
 
 
 def build_llm_input(prefix: PrefixBank, e_rep: Tensor) -> Tensor:
-    """Stack [P; E_rep] into the (K+M, d) backbone input."""
-    if e_rep.shape[1] != prefix.d:
+    """Stack [P; E_rep] into the (K+M, d) backbone input; P broadcasts over windows."""
+    if e_rep.shape[-1] != prefix.d:
         raise ShapeError(
-            f"token width {e_rep.shape[1]} does not match prefix width {prefix.d}"
+            f"token width {e_rep.shape[-1]} does not match prefix width {prefix.d}"
         )
     if prefix.P is None:
         return e_rep

@@ -1,8 +1,9 @@
 """Split-level evaluation: sampling, reports, CSV and SVG artifacts.
 
-Windows are sampled one after another, each from its own seed-derived
-stream, and reduced in window order, so a report depends only on the model,
-the windows and the seed.
+Windows are sampled in chunks of ``flow.SAMPLE_CHUNK``, one forward pass per
+chunk, each window from its own seed-derived stream, and reduced in window
+order, so a report depends only on the model, the windows and the seed; each
+ensemble is bitwise the one ``sample_forecasts`` draws for its window alone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 
 import numpy as np
 
-from papnf.flow import ForecastEnsemble, sample_forecasts
+from papnf.flow import ForecastEnsemble, sample_windows
 from papnf.metrics import (
     MetricsReport,
     build_report,
@@ -69,10 +70,7 @@ def evaluate_split(
     """
     if not windows:
         raise ValueError("evaluate_split over an empty split")
-    ensembles = [
-        sample_forecasts(w, model, n_samples, substream(seed, "sample", int(w.index)))
-        for w in windows
-    ]
+    ensembles = sample_windows(windows, model, n_samples, seed, "sample")
     report = build_report(
         [e.samples for e in ensembles],
         [w.y for w in windows],

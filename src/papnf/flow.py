@@ -22,12 +22,16 @@ import numpy as np
 
 from papnf import tensor as tz
 from papnf.metrics import sorted_quantile
+from papnf.seeding import substream
 from papnf.tensor import ShapeError, Tensor
 
 # Keeps w_hat.a strictly above -1 with comfortable headroom over the 1e-4
 # invertibility floor even after the epsilon-guarded division below.
 PLANAR_MARGIN = 1e-3
 _NORM_EPS = 1e-12
+# Windows per forward pass when sampling a split: enough to spread the
+# per-op Python cost, small enough that a chunk's arrays stay a few MB.
+SAMPLE_CHUNK = 8
 
 
 class FusionLayer:
@@ -38,12 +42,12 @@ class FusionLayer:
         self.b_h = Tensor(np.zeros(d_h), requires_grad=True)
 
     def fuse(self, z: Tensor, c: Tensor) -> Tensor:
-        if z.shape[0] != 1 or c.shape[0] != 1:
+        if z.shape[-2] != 1 or c.shape[-2] != 1:
             raise ShapeError(f"fuse expects row vectors, got {z.shape} and {c.shape}")
         joined = tz.concat_cols([z, c])
-        if joined.shape[1] != self.W_h.shape[1]:
+        if joined.shape[-1] != self.W_h.shape[1]:
             raise ShapeError(
-                f"fuse: [z; c] has width {joined.shape[1]}, expected {self.W_h.shape[1]}"
+                f"fuse: [z; c] has width {joined.shape[-1]}, expected {self.W_h.shape[1]}"
             )
         return tz.linear(joined, self.W_h, self.b_h)
 
@@ -206,7 +210,7 @@ class ReconstructionHead:
 
     def reconstruct(self, u_rows: Tensor, h: Tensor) -> Tensor:
         """(S, d_u) latents + (1, d_h) summary -> (S, H*C) standardized rows."""
-        s = u_rows.shape[0]
+        s = u_rows.shape[-2]
         x = tz.concat_cols([u_rows, tz.repeat_rows(h, s)])
         return tz.linear(tz.linear(x, self.G1, self.g1).tanh(), self.G2, self.g2)
 
@@ -256,17 +260,48 @@ class ForecastEnsemble:
         return lo, hi
 
 
-def sample_forecasts(window, model, n_samples: int, rng: np.random.Generator) -> ForecastEnsemble:
-    """Draw an S-trajectory ensemble for one window, on the original scale.
+def sample_chunk(windows, model, n_samples: int, rngs) -> list[ForecastEnsemble]:
+    """Draw an S-trajectory ensemble for each window, on the original scale.
 
-    The conditioning pass (z, c, h) runs once; all S latents ride through the
-    flow and reconstruction together, under ``no_grad``.
+    Window i's latents come from ``rngs[i]``. All windows run through one
+    forward pass under ``no_grad``, the window a leading axis (a lone window
+    runs without it): the conditioning (z, c, h) once per window, and all S
+    latents of each window through the flow and the reconstruction together.
+    Each ensemble is bitwise the one the window gets alone.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    u0 = rng.standard_normal((n_samples, model.cfg.d_u))
+    if len(rngs) != len(windows):
+        raise ValueError(f"{len(rngs)} generators for {len(windows)} windows")
+    u0 = np.array([rng.standard_normal((n_samples, model.cfg.d_u)) for rng in rngs])
+    x_std = np.array([w.x_std for w in windows])
+    if len(windows) == 1:  # a lone window skips the per-op cost of a window axis
+        u0, x_std = u0[0], x_std[0]
     with tz.no_grad():
-        rows = model.forward_samples(window.x_std, u0)  # (S, H*C) standardized
-    h_steps, c = model.cfg.horizon, model.cfg.channels
-    std = rows.data.reshape(n_samples, h_steps, c)
-    return ForecastEnsemble(window_index=window.index, samples=window.scaler.destandardize(std))
+        rows = model.forward_samples(x_std, u0)  # (B, S, H*C) standardized
+    std = rows.data.reshape(len(windows), n_samples, model.cfg.horizon, model.cfg.channels)
+    return [
+        ForecastEnsemble(window_index=w.index, samples=w.scaler.destandardize(block))
+        for w, block in zip(windows, std)
+    ]
+
+
+def sample_forecasts(window, model, n_samples: int, rng: np.random.Generator) -> ForecastEnsemble:
+    """Draw an S-trajectory ensemble for one window: a chunk of one."""
+    return sample_chunk([window], model, n_samples, [rng])[0]
+
+
+def sample_windows(
+    windows, model, n_samples: int, seed: int, stream: str
+) -> list[ForecastEnsemble]:
+    """Every window's ensemble, SAMPLE_CHUNK windows per forward pass.
+
+    Window w draws from substream(seed, stream, w.index), so its ensemble
+    does not depend on which other windows the list holds.
+    """
+    out: list[ForecastEnsemble] = []
+    for start in range(0, len(windows), SAMPLE_CHUNK):
+        chunk = windows[start : start + SAMPLE_CHUNK]
+        rngs = [substream(seed, stream, int(w.index)) for w in chunk]
+        out += sample_chunk(chunk, model, n_samples, rngs)
+    return out

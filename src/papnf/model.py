@@ -79,6 +79,10 @@ class PapNfModel:
     with K prefix rows, run through the frozen backbone and mean-pooled into
     a context c; h = fuse(z, c) conditions the planar flow and the
     reconstruction head that maps sampled latents to horizon trajectories.
+
+    Under ``no_grad`` the forward pass also takes a stack of windows: look-backs
+    (B, L, C) and latents (B, S, d_u) give (B, S, H*C) rows, each window's
+    bitwise those of its own pass.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, backbone=None):
@@ -122,14 +126,14 @@ class PapNfModel:
         hidden = self.backbone.forward(build_llm_input(self.prefix, e_rep))
         c = extract_context(hidden, self.ctx_proj)
         if self.cfg.no_global_context:
-            c = Tensor(np.zeros((1, self.cfg.d_c)))
+            c = Tensor(np.zeros((*z.shape[:-1], self.cfg.d_c)))
         h = self.fusion.fuse(z, c)
         return z, c, h
 
     def decode(self, h: Tensor, u0: np.ndarray) -> Tensor:
         """Transport latents (S, d_u) and reconstruct (S, H*C) rows."""
         u0 = np.asarray(u0, dtype=np.float64)
-        if u0.ndim != 2 or u0.shape[1] != self.cfg.d_u:
+        if u0.ndim not in (2, 3) or u0.shape[-1] != self.cfg.d_u:
             raise ShapeError(f"latents must be (S, {self.cfg.d_u}), got {u0.shape}")
         u_final = flow_forward(Tensor(u0), h, self.flow_layers)
         return self.recon.reconstruct(u_final, h)

@@ -22,6 +22,15 @@ backward that skips the gradient of any operand with requires_grad=False
 Each fused op does the arithmetic of the unfused composition of elementary
 ops it replaces, in the same order; the tests keep those compositions as
 references and require agreement within 1e-12.
+
+Forward-only sampling runs several windows per pass. An op that records no
+graph accepts a leading window axis, (B, rows, width) arrays, on the ops the
+model's forward pass uses; a 2-D operand such as a weight or the prefix
+broadcasts over it. Every product stays one BLAS call per window (a batched
+``(B, r, k) @ (k, n)``, never the windows stacked into the rows of one 2-D
+GEMM), so each window's values are bitwise those of its own 2-D pass. A
+recording op still requires 2-D operands, so training and backward never see
+the window axis.
 """
 
 from __future__ import annotations
@@ -260,9 +269,14 @@ def _as_tensor(value) -> Tensor:
     return Tensor(arr)
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on these operands records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None]) -> Tensor:
     """A node that records parents and backward closure only when it requires grad."""
-    out = Tensor(data, requires_grad=_grad_enabled and any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_records(parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -275,7 +289,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], No
 def _binary_elementwise(a, b, op: str) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    if a.shape != b.shape and a.size != 1 and b.size != 1 and not _over_windows(a, b):
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ and neither is a scalar")
     if op == "add":
         data = a.data + b.data
@@ -297,6 +311,12 @@ def _binary_elementwise(a, b, op: str) -> Tensor:
 
     out = _make(data, (a, b), _bw)
     return out
+
+
+def _over_windows(a: Tensor, b: Tensor) -> bool:
+    """A (B, r, n) operand against an (r, n) one, in an op that records no graph."""
+    big, small = (a, b) if a.data.ndim == 3 else (b, a)
+    return big.data.ndim == 3 and big.shape[1:] == small.shape and not _records((a, b))
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -345,17 +365,19 @@ def reciprocal(x: Tensor) -> Tensor:
 # -- matmul and structural ops ------------------------------------------------
 
 
-def _require_2d(x: Tensor, op: str) -> None:
-    if x.data.ndim != 2:
-        raise ShapeError(f"{op} expects 2-D tensors, got shape {x.shape}")
+def _require_2d(x: Tensor, op: str, parents: Sequence[Tensor] = ()) -> None:
+    """x is 2-D, or (B, rows, width) when ``parents``, the op's operands, record no graph."""
+    if x.data.ndim == 2 or (x.data.ndim == 3 and parents and not _records(parents)):
+        return
+    raise ShapeError(f"{op} expects 2-D tensors, got shape {x.shape}")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
-    _require_2d(a, "matmul")
+    _require_2d(a, "matmul", (a, b))
     _require_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} @ {b.shape}")
 
     def _bw():
@@ -413,13 +435,24 @@ def _slice(x: Tensor, key) -> Tensor:
     return out
 
 
+def _common_windows(parts: list[Tensor]) -> list[np.ndarray]:
+    """The parts' arrays, 2-D ones repeated over the others' window axis."""
+    windows = {p.shape[0] for p in parts if p.data.ndim == 3}
+    if len(windows) > 1:
+        raise ShapeError(f"concat: window axes differ: {sorted(windows)}")
+    if not windows:
+        return [p.data for p in parts]
+    (b,) = windows
+    return [p.data if p.data.ndim == 3 else p.data[None].repeat(b, axis=0) for p in parts]
+
+
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat_rows needs at least one tensor")
     for p in parts:
-        _require_2d(p, "concat_rows")
-    widths = {p.shape[1] for p in parts}
+        _require_2d(p, "concat_rows", parts)
+    widths = {p.shape[-1] for p in parts}
     if len(widths) != 1:
         raise ShapeError(f"concat_rows: column counts differ: {sorted(widths)}")
 
@@ -430,7 +463,7 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
             p.accumulate_grad(out.grad[off : off + r])
             off += r
 
-    out = _make(np.concatenate([p.data for p in parts], axis=0), parts, _bw)
+    out = _make(np.concatenate(_common_windows(parts), axis=-2), parts, _bw)
     return out
 
 
@@ -439,8 +472,8 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_cols needs at least one tensor")
     for p in parts:
-        _require_2d(p, "concat_cols")
-    heights = {p.shape[0] for p in parts}
+        _require_2d(p, "concat_cols", parts)
+    heights = {p.shape[-2] for p in parts}
     if len(heights) != 1:
         raise ShapeError(f"concat_cols: row counts differ: {sorted(heights)}")
 
@@ -451,17 +484,17 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
             p.accumulate_grad(out.grad[:, off : off + c])
             off += c
 
-    out = _make(np.concatenate([p.data for p in parts], axis=1), parts, _bw)
+    out = _make(np.concatenate(_common_windows(parts), axis=-1), parts, _bw)
     return out
 
 
 def mean_rows(x: Tensor) -> Tensor:
     """Average over rows: (m, n) -> (1, n)."""
-    _require_2d(x, "mean_rows")
-    m = x.shape[0]
+    _require_2d(x, "mean_rows", (x,))
+    m = x.shape[-2]
     if m == 0:
         raise ShapeError("mean_rows over zero rows")
-    y = x.data.mean(axis=0, keepdims=True)
+    y = x.data.mean(axis=-2, keepdims=True)
     out = _make(y, (x,), lambda: x.accumulate_grad(np.broadcast_to(out.grad / m, x.shape)))
     return out
 
@@ -504,12 +537,12 @@ def mul_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
     """Tile a (1, c) row vector into an (n, c) matrix."""
-    _require_2d(v, "repeat_rows")
-    if v.shape[0] != 1:
+    _require_2d(v, "repeat_rows", (v,))
+    if v.shape[-2] != 1:
         raise ShapeError(f"repeat_rows expects a single row, got {v.shape}")
     if n < 1:
         raise ShapeError("repeat_rows needs n >= 1")
-    y = np.repeat(v.data, n, axis=0)
+    y = np.repeat(v.data, n, axis=-2)
     out = _make(y, (v,), lambda: v.accumulate_grad(out.grad.sum(axis=0, keepdims=True)))
     return out
 
@@ -535,8 +568,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def _normalize_rows(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """(xhat, 1/std): each row shifted to zero mean and scaled to unit variance."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     return (x - mu) * inv, inv
 
@@ -567,10 +600,10 @@ def _require_rowvec(v: Tensor, n: int, op: str) -> None:
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ W.T + b`` of (r, k) rows by an (m, k) weight and a length-m bias."""
     x = _as_tensor(x)
-    _require_2d(x, "linear")
+    _require_2d(x, "linear", (x, W, b))
     _require_2d(W, "linear")
-    if x.shape[1] != W.shape[1]:
-        raise ShapeError(f"linear: rows of width {x.shape[1]} for a weight of shape {W.shape}")
+    if x.shape[-1] != W.shape[1]:
+        raise ShapeError(f"linear: rows of width {x.shape[-1]} for a weight of shape {W.shape}")
     _require_rowvec(b, W.shape[0], "linear bias")
 
     def _bw():
@@ -581,15 +614,17 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
             W.accumulate_grad(g.T @ x.data)
         b.accumulate_grad(g.sum(axis=0))
 
-    out = _make(x.data @ W.data.T + b.data[None, :], (x, W, b), _bw)
+    y = x.data @ W.data.T
+    y += b.data
+    out = _make(y, (x, W, b), _bw)
     return out
 
 
 def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
     """``layernorm_rows(x)`` scaled by the length-n vector g and shifted by b."""
-    _require_2d(x, "layernorm_affine")
-    _require_rowvec(g, x.shape[1], "layernorm_affine gain")
-    _require_rowvec(b, x.shape[1], "layernorm_affine bias")
+    _require_2d(x, "layernorm_affine", (x, g, b))
+    _require_rowvec(g, x.shape[-1], "layernorm_affine gain")
+    _require_rowvec(b, x.shape[-1], "layernorm_affine bias")
     xhat, inv = _normalize_rows(x.data, eps)
 
     def _bw():
@@ -600,7 +635,9 @@ def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tens
             g.accumulate_grad((gy * xhat).sum(axis=0))
         b.accumulate_grad(gy.sum(axis=0))
 
-    out = _make(xhat * g.data[None, :] + b.data[None, :], (x, g, b), _bw)
+    y = xhat * g.data
+    y += b.data
+    out = _make(y, (x, g, b), _bw)
     return out
 
 
@@ -615,8 +652,8 @@ def causal_attention(
     -1e9 additive mask. The heads' outputs, concatenated along columns, are
     mapped by Wo. All heads run together on (heads, n, d_head) arrays.
     """
-    _require_2d(x, "causal_attention")
-    n, d = x.shape
+    _require_2d(x, "causal_attention", (x, Wq, Wk, Wv, Wo))
+    *windows, n, d = x.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ShapeError(f"causal_attention: width {d} does not split into {n_heads} heads")
     for W in (Wq, Wk, Wv, Wo):
@@ -625,17 +662,17 @@ def causal_attention(
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
 
-    def split(m):  # (n, d) -> contiguous (heads, n, d_head)
-        return np.ascontiguousarray(m.reshape(n, n_heads, d_head).transpose(1, 0, 2))
+    def split(m):  # (..., n, d) -> contiguous (..., heads, n, d_head)
+        return np.ascontiguousarray(m.reshape(*windows, n, n_heads, d_head).swapaxes(-3, -2))
 
-    def merge(m):  # (heads, n, d_head) -> (n, d)
-        return m.transpose(1, 0, 2).reshape(n, d)
+    def merge(m):  # (..., heads, n, d_head) -> (..., n, d)
+        return m.swapaxes(-3, -2).reshape(*windows, n, d)
 
     q = split(x.data @ Wq.data)
     k = split(x.data @ Wk.data)
     v = split(x.data @ Wv.data)
     mask = np.triu(np.full((n, n), -1e9), k=1)
-    p = _softmax_last((q @ k.transpose(0, 2, 1)) * scale + mask)
+    p = _softmax_last((q @ k.swapaxes(-1, -2)) * scale + mask)
     heads = merge(p @ v)
 
     def _bw():
@@ -663,11 +700,12 @@ def planar_reparameterize(a: np.ndarray, w: np.ndarray, margin: float, norm_eps:
     """Invertibility reparameterization of (1, d) rows a, w: (wa, m, r, coef, w_hat).
 
     wa = w.a, m = softplus(wa) + margin - 1, r = 1 / (|a|^2 + norm_eps),
-    coef = (m - wa) r and w_hat = w + coef a, so that w_hat.a > -1.
+    coef = (m - wa) r and w_hat = w + coef a, so that w_hat.a > -1. The
+    scalars come back as (1, 1) arrays; (B, 1, d) rows give one per window.
     """
-    wa = w @ a.T  # (1, 1)
+    wa = w @ a.swapaxes(-1, -2)  # (..., 1, 1)
     m = _softplus(wa) + (margin - 1.0)
-    r = 1.0 / ((a * a).sum() + norm_eps)
+    r = 1.0 / ((a * a).sum(axis=-1, keepdims=True) + norm_eps)
     coef = (m - wa) * r
     return wa, m, r, coef, w + coef * a
 
@@ -675,21 +713,22 @@ def planar_reparameterize(a: np.ndarray, w: np.ndarray, margin: float, norm_eps:
 def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Tensor:
     """One invertible planar map on each latent row of u (S, d), as one graph node.
 
-    ``theta`` is the packed (1, 2d + 1) row [a | w | b]. The map is
+    ``theta`` is the packed (1, 2d + 1) row [a | w | b]; latents (B, S, d)
+    take (B, 1, 2d + 1) rows, one per window. The map is
     u' = u + tanh(u . a + b) w_hat, with w_hat from ``planar_reparameterize``,
     so w_hat.a > -1 and the map is invertible.
     """
-    _require_2d(u, "planar_step")
-    d = u.shape[1]
-    if theta.shape != (1, 2 * d + 1):
-        raise ShapeError(f"planar_step: parameter row {theta.shape} for latents of width {d}")
+    _require_2d(u, "planar_step", (u, theta))
+    d = u.shape[-1]
+    if theta.shape != (*u.shape[:-2], 1, 2 * d + 1):
+        raise ShapeError(f"planar_step: parameter row {theta.shape} for latents {u.shape}")
     # contiguous copies, as the unfused slices were, so every product sees
     # the same operands as the reference chain
-    a = theta.data[:, 0:d].copy()
-    w = theta.data[:, d : 2 * d].copy()
-    b = theta.data[:, 2 * d :].copy()
+    a = theta.data[..., 0:d].copy()
+    w = theta.data[..., d : 2 * d].copy()
+    b = theta.data[..., 2 * d :].copy()
     wa, m, r, coef, w_hat = planar_reparameterize(a, w, margin, norm_eps)
-    gate = np.tanh(u.data @ a.T + b)  # (S, 1)
+    gate = np.tanh(u.data @ a.swapaxes(-1, -2) + b)  # (..., S, 1)
 
     def _bw():
         g = out.grad

@@ -18,7 +18,7 @@ import numpy as np
 from papnf.backbone import BackboneArch, TransformerBackbone
 from papnf.checkpoint import CheckpointError, read_container, write_container
 from papnf.config import ConfigError, DictConfig
-from papnf.flow import sample_forecasts
+from papnf.flow import sample_windows
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
 from papnf.synthetic import pretrain_sequences
@@ -199,8 +199,7 @@ def validation_mse(model: PapNfModel, windows, n_samples: int, seed: int) -> flo
     if not windows:
         raise ValueError("validation over an empty split")
     total = 0.0
-    for w in windows:
-        ens = sample_forecasts(w, model, n_samples, substream(seed, "val-sample", int(w.index)))
+    for w, ens in zip(windows, sample_windows(windows, model, n_samples, seed, "val-sample")):
         diff = ens.mean() - w.y
         total += float(np.mean(diff * diff))
     return total / len(windows)

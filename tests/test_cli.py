@@ -465,6 +465,31 @@ class TestAblate:
         assert run("ablate", "--config", ws["config"], "--out", str(tmp_path / "a")) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "settings, trainings",
+        [([], 3), (['model.backbone_kind="frozen_checkpoint"', "pretrain.steps=2"], 4)],
+    )
+    def test_an_arm_equal_to_a_trained_one_is_not_trained_again(
+        self, ws, tmp_path, monkeypatch, settings, trainings
+    ):
+        configs = []
+        real_train = cli._train_model
+
+        def counting_train(cfg, splits, model_cfg):
+            configs.append(model_cfg)
+            return real_train(cfg, splits, model_cfg)
+
+        monkeypatch.setattr(cli, "_train_model", counting_train)
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        out = tmp_path / "a"
+        assert run("ablate", "--config", ws["config"], "--out", str(out), *sets) == 0
+        assert len(configs) == trainings
+        assert len(set(configs)) == trainings
+        rows = {r[0]: r[1:] for r in read_rows(out / "ablation.csv")[1:]}
+        assert len(rows) == 4
+        if trainings == 3:  # on a random base, random_backbone is the full model
+            assert rows["random_backbone"] == rows["full"]
+
 
 class TestSweepPrefix:
     def test_rows_sorted_ascending(self, ws, tmp_path):
@@ -484,7 +509,7 @@ class TestSweepPrefix:
         real_forward = TransformerBackbone.forward
 
         def counting_forward(self, x):
-            lengths.append(x.shape[0])
+            lengths.append(x.shape[-2])  # rows per window; sampling stacks windows
             return real_forward(self, x)
 
         monkeypatch.setattr(TransformerBackbone, "forward", counting_forward)

@@ -1,12 +1,15 @@
-"""Evaluation orchestration: thread determinism, baselines, CSV/SVG artifacts."""
+"""Evaluation orchestration: determinism, chunked sampling, baselines, CSV/SVG artifacts."""
 
 import csv
 import gc
 import io
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from papnf import tensor as tz
 from papnf.backbone import BackboneArch
 from papnf.data import make_windows
 from papnf.evaluate import (
@@ -19,10 +22,20 @@ from papnf.evaluate import (
     write_fan_chart_svg,
     write_quantiles_csv,
 )
-from papnf.flow import ForecastEnsemble, sample_forecasts
+from papnf.flow import (
+    _NORM_EPS,
+    PLANAR_MARGIN,
+    SAMPLE_CHUNK,
+    ForecastEnsemble,
+    sample_chunk,
+    sample_forecasts,
+)
 from papnf.metrics import crps_empirical
-from papnf.model import ModelConfig, PapNfModel
+from papnf.model import ModelConfig, PapNfModel, ablation_variant
+from papnf.seeding import substream
 from papnf.synthetic import ar1_seasonal
+from papnf.tensor import ShapeError, Tensor, no_grad
+from papnf.train import validation_mse
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +350,172 @@ class TestSampleForecasts:
         want = np.stack([w.scaler.destandardize(row) for row in std])
         assert ens.samples.shape == want.shape
         assert ens.samples.tobytes() == want.tobytes()
+
+
+# -- chunked sampling against the one-window 2-D pass ----------------------------------
+
+
+def chunk_config(channels, **changes):
+    cfg = ModelConfig(
+        lookback=24,
+        horizon=4,
+        channels=channels,
+        patch_len=8,
+        d_n=12,
+        d_c=6,
+        d_h=10,
+        d_u=4,
+        t_flow=2,
+        k_prefix=2,
+        recon_hidden=16,
+        hyper_hidden=8,
+        backbone=BackboneArch(n_layers=2, n_heads=2, d=8, ffn_width=16, max_len=8),
+    )
+    return replace(cfg, **changes)
+
+
+def chunk_windows(channels, n):
+    series = ar1_seasonal(60, channels=channels, period=8, seed=channels)
+    return make_windows(series, lookback=24, horizon=4)[:n]
+
+
+def reference_ensemble(window, model, n_samples, rng):
+    """One window alone through the 2-D forward pass that training records."""
+    u0 = rng.standard_normal((n_samples, model.cfg.d_u))
+    with no_grad():
+        rows = model.forward_samples(window.x_std, u0).data
+    assert rows.ndim == 2
+    return window.scaler.destandardize(rows.reshape(n_samples, *window.y.shape))
+
+
+def assert_split_matches_reference(model, windows, n_samples=10, seed=21):
+    _, ensembles = evaluate_split(model, windows, n_samples=n_samples, seed=seed)
+    assert [e.window_index for e in ensembles] == [w.index for w in windows]
+    for w, ens in zip(windows, ensembles):
+        want = reference_ensemble(w, model, n_samples, substream(seed, "sample", int(w.index)))
+        assert ens.samples.tobytes() == want.tobytes()
+        alone = sample_forecasts(w, model, n_samples, substream(seed, "sample", int(w.index)))
+        assert ens.samples.tobytes() == alone.samples.tobytes()
+
+
+class TestChunkedSampling:
+    @pytest.mark.parametrize("channels", [1, 7])
+    @pytest.mark.parametrize("n_windows", [1, 7, 8, 9, 17])
+    def test_split_is_bitwise_the_one_window_pass(self, channels, n_windows):
+        model = PapNfModel(chunk_config(channels), seed=2)
+        assert_split_matches_reference(model, chunk_windows(channels, n_windows))
+
+    @pytest.mark.parametrize("channels", [1, 7])
+    @pytest.mark.parametrize("variant", ["no_pap", "no_global_context", "t_flow_0"])
+    def test_variants_are_bitwise_the_one_window_pass(self, channels, variant):
+        cfg = chunk_config(channels)
+        cfg = replace(cfg, t_flow=0) if variant == "t_flow_0" else ablation_variant(cfg, variant)
+        model = PapNfModel(cfg, seed=4)
+        assert_split_matches_reference(model, chunk_windows(channels, 17))
+
+    def test_one_forward_pass_per_chunk(self, monkeypatch):
+        model = PapNfModel(chunk_config(1), seed=2)
+        passes = []
+        real = PapNfModel.forward_samples
+
+        def counting(self, x_std, u0):
+            passes.append(x_std.shape[0] if x_std.ndim == 3 else "alone")
+            return real(self, x_std, u0)
+
+        monkeypatch.setattr(PapNfModel, "forward_samples", counting)
+        evaluate_split(model, chunk_windows(1, 17), n_samples=5, seed=1)
+        assert SAMPLE_CHUNK == 8 and passes == [8, 8, "alone"]
+
+    @pytest.mark.parametrize("channels", [1, 7])
+    def test_validation_mse_is_bitwise_the_per_window_reference(self, channels):
+        model = PapNfModel(chunk_config(channels), seed=6)
+        windows = chunk_windows(channels, 11)
+        total = 0.0
+        for w in windows:
+            samples = reference_ensemble(w, model, 7, substream(9, "val-sample", int(w.index)))
+            diff = samples.mean(axis=0) - w.y
+            total += float(np.mean(diff * diff))
+        assert validation_mse(model, windows, 7, 9) == total / len(windows)
+
+    def test_chunked_split_records_no_graph(self):
+        model = PapNfModel(chunk_config(7), seed=2)
+        windows = chunk_windows(7, 17)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate_split(model, windows, n_samples=8, seed=5)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert all(p.grad is None for p in model.parameters().values())
+
+    def test_one_generator_per_window(self):
+        model = PapNfModel(chunk_config(1), seed=2)
+        windows = chunk_windows(1, 3)
+        with pytest.raises(ValueError, match="2 generators for 3 windows"):
+            sample_chunk(windows, model, 4, [substream(0, "a"), substream(0, "b")])
+
+
+# -- the window axis, op by op ----------------------------------------------------------
+
+B = 3
+
+
+def _arr(rng, *shape):
+    return rng.normal(size=shape)
+
+
+def _window_axis_cases(rng):
+    """name -> (op, window-stacked operands, shared 2-D operands)."""
+    d, n = 4, 5
+    theta = _arr(rng, B, 1, 2 * d + 1)
+    return {
+        "linear": (tz.linear, [_arr(rng, B, n, 6)], [_arr(rng, d, 6), _arr(rng, d)]),
+        "layernorm_affine": (
+            tz.layernorm_affine, [_arr(rng, B, n, d)], [_arr(rng, d), _arr(rng, d)]
+        ),
+        "causal_attention": (
+            lambda x, *W: tz.causal_attention(x, *W, n_heads=2),
+            [_arr(rng, B, n, d)],
+            [_arr(rng, d, d) for _ in range(4)],
+        ),
+        "planar_step": (
+            lambda u, th: tz.planar_step(u, th, PLANAR_MARGIN, _NORM_EPS),
+            [_arr(rng, B, 7, d), theta],
+            [],
+        ),
+        "matmul": (tz.matmul, [_arr(rng, B, n, d)], [_arr(rng, d, 6)]),
+        "concat_rows": (
+            lambda x, p: tz.concat_rows([p, x]), [_arr(rng, B, n, d)], [_arr(rng, 2, d)]
+        ),
+        "concat_cols": (
+            lambda x, y: tz.concat_cols([x, y]), [_arr(rng, B, 1, d), _arr(rng, B, 1, 2)], []
+        ),
+        "mean_rows": (tz.mean_rows, [_arr(rng, B, n, d)], []),
+        "repeat_rows": (lambda v: tz.repeat_rows(v, 6), [_arr(rng, B, 1, d)], []),
+        "positional_add": (lambda x, pos: x + pos, [_arr(rng, B, n, d)], [_arr(rng, n, d)]),
+    }
+
+
+CASES = sorted(_window_axis_cases(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_window_axis_is_bitwise_the_per_window_op(name):
+    op, stacked, shared = _window_axis_cases(np.random.default_rng(1))[name]
+    shared = [Tensor(s, requires_grad=True) for s in shared]
+    with no_grad():
+        got = op(*[Tensor(s) for s in stacked], *shared).data
+        for i in range(B):
+            want = op(*[Tensor(s[i]) for s in stacked], *shared).data
+            assert got[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_recording_op_rejects_a_window_axis(name):
+    op, stacked, shared = _window_axis_cases(np.random.default_rng(1))[name]
+    operands = [Tensor(a, requires_grad=True) for a in stacked + shared]
+    with pytest.raises(ShapeError):
+        op(*operands)
