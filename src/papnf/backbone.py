@@ -143,7 +143,7 @@ class TransformerBackbone:
     def forward(self, x: Tensor) -> Tensor:
         """(N, d) tokens in, (N, d) hidden states out; causal within N.
 
-        A stack of windows (B, N, d) runs as one pass when it records no graph.
+        A stack of windows (B, N, d) runs as one pass.
         """
         a = self.arch
         if x.data.ndim not in (2, 3) or x.shape[-1] != a.d:

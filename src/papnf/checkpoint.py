@@ -36,23 +36,27 @@ def canonical_json(obj) -> str:
 
 
 def write_container(path: str, header: dict, weights: dict[str, np.ndarray]) -> None:
+    """Write the container record by record, with the body's CRC computed as it goes."""
     header_bytes = canonical_json(header).encode("utf-8")
-    body = bytearray()
-    for name in sorted(weights):
-        arr = np.asarray(weights[name], dtype="<f8")  # keeps rank 0; tobytes() is C order
-        name_bytes = name.encode("utf-8")
-        body += struct.pack("<I", len(name_bytes))
-        body += name_bytes
-        body += struct.pack("<I", arr.ndim)
-        for dim in arr.shape:
-            body += struct.pack("<I", dim)
-        body += arr.tobytes()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+        crc = 0
+        for name in sorted(weights):
+            arr = np.asarray(weights[name], dtype="<f8")  # keeps rank 0
+            if not arr.flags.c_contiguous:
+                arr = arr.copy(order="C")
+            name_bytes = name.encode("utf-8")
+            record = struct.pack(
+                f"<I{len(name_bytes)}sI{arr.ndim}I", len(name_bytes), name_bytes, arr.ndim,
+                *arr.shape,
+            )
+            values = arr.reshape(-1).view(np.uint8)  # the raw bytes, without a copy
+            for chunk in (record, values):
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -72,7 +76,7 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     off += header_len
-    body = blob[off:-4]
+    body = memoryview(blob)[off:-4]  # parsed in place, not copied
     (crc_stored,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(body) != crc_stored:
         raise CheckpointError(f"{path}: body CRC mismatch, file is corrupted")
@@ -83,7 +87,7 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         try:
             (name_len,) = struct.unpack_from("<I", body, pos)
             pos += 4
-            name = body[pos : pos + name_len].decode("utf-8")
+            name = str(body[pos : pos + name_len], "utf-8")
             pos += name_len
             (rank,) = struct.unpack_from("<I", body, pos)
             pos += 4

@@ -80,9 +80,9 @@ class PapNfModel:
     a context c; h = fuse(z, c) conditions the planar flow and the
     reconstruction head that maps sampled latents to horizon trajectories.
 
-    Under ``no_grad`` the forward pass also takes a stack of windows: look-backs
-    (B, L, C) and latents (B, S, d_u) give (B, S, H*C) rows, each window's
-    bitwise those of its own pass.
+    The forward pass also takes a stack of windows, recording a graph or not:
+    look-backs (B, L, C) and latents (B, S, d_u) give (B, S, H*C) rows, each
+    window's bitwise those of its own pass, and so are its gradients.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, backbone=None):

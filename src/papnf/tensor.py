@@ -23,14 +23,18 @@ Each fused op does the arithmetic of the unfused composition of elementary
 ops it replaces, in the same order; the tests keep those compositions as
 references and require agreement within 1e-12.
 
-Forward-only sampling runs several windows per pass. An op that records no
-graph accepts a leading window axis, (B, rows, width) arrays, on the ops the
-model's forward pass uses; a 2-D operand such as a weight or the prefix
-broadcasts over it. Every product stays one BLAS call per window (a batched
-``(B, r, k) @ (k, n)``, never the windows stacked into the rows of one 2-D
-GEMM), so each window's values are bitwise those of its own 2-D pass. A
-recording op still requires 2-D operands, so training and backward never see
-the window axis.
+Sampling and training run several windows per pass. The ops the model's
+forward pass and its losses use accept a leading window axis, (B, rows,
+width) arrays, recording a graph or not; a 2-D operand such as a weight or
+the prefix broadcasts over it. Every product stays one BLAS call per window
+(a batched ``(B, r, k) @ (k, n)``, never the windows stacked into the rows of
+one 2-D GEMM), so each window's values are bitwise those of its own 2-D pass.
+In backward, each window's gradient is the 2-D product or sum of its own
+pass, and a 2-D operand shared across windows takes them one window at a
+time, window B-1 first: the order in which one backward over per-window
+graphs, built for windows 0..B-1, reaches an operand that each window's
+graph uses once. Every model weight is such an operand, so a batch's
+gradients are bitwise those of its per-window graphs.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "mul_rowvec",
     "repeat_rows",
     "mean_rows",
+    "sum_in_order",
     "concat_rows",
     "concat_cols",
     "matmul",
@@ -306,24 +311,47 @@ def _binary_elementwise(a, b, op: str) -> Tensor:
             ga, gb = g, -g
         else:
             ga, gb = g * b.data, g * a.data
-        a.accumulate_grad(_reduce_to(ga, a.shape))
-        b.accumulate_grad(_reduce_to(gb, b.shape))
+        _accumulate_broadcast(a, ga)
+        _accumulate_broadcast(b, gb)
 
     out = _make(data, (a, b), _bw)
     return out
 
 
 def _over_windows(a: Tensor, b: Tensor) -> bool:
-    """A (B, r, n) operand against an (r, n) one, in an op that records no graph."""
+    """A (B, r, n) operand against an (r, n) one."""
     big, small = (a, b) if a.data.ndim == 3 else (b, a)
-    return big.data.ndim == 3 and big.shape[1:] == small.shape and not _records((a, b))
+    return big.data.ndim == 3 and big.shape[1:] == small.shape
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a broadcast gradient back onto a scalar operand's shape."""
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum(), dtype=np.float64).reshape(shape)
+def _accumulate_windows(t: Tensor, fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> None:
+    """Add ``fn(*arrays)`` into the grad of t, an operand the windows share.
+
+    With a window axis, (B, rows, width) arrays, fn gets window i's 2-D
+    slices, and window B-1's gradient goes in first, window 0's last (the
+    module docstring says why). Summing them with ``np.sum(axis=0)`` would
+    add in another order; stacking B weight-sized gradients would cost
+    memory.
+    """
+    if not t.requires_grad:
+        return
+    if arrays[0].ndim < 3:
+        t.accumulate_grad(fn(*arrays))
+        return
+    for i in range(len(arrays[0]) - 1, -1, -1):
+        t.accumulate_grad(fn(*(a[i] for a in arrays)))
+
+
+def _accumulate_broadcast(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t's grad, undoing a broadcast over a window axis or of a scalar."""
+    if not t.requires_grad:
+        return
+    if g.shape == t.shape:
+        t.accumulate_grad(g)
+    elif g.ndim == 3 and g.shape[1:] == t.shape:
+        _accumulate_windows(t, lambda gw: gw, g)
+    else:
+        t.accumulate_grad(np.asarray(g.sum(), dtype=np.float64).reshape(t.shape))
 
 
 # -- unary elementwise ops ----------------------------------------------------
@@ -365,9 +393,9 @@ def reciprocal(x: Tensor) -> Tensor:
 # -- matmul and structural ops ------------------------------------------------
 
 
-def _require_2d(x: Tensor, op: str, parents: Sequence[Tensor] = ()) -> None:
-    """x is 2-D, or (B, rows, width) when ``parents``, the op's operands, record no graph."""
-    if x.data.ndim == 2 or (x.data.ndim == 3 and parents and not _records(parents)):
+def _require_2d(x: Tensor, op: str, windows: bool = False) -> None:
+    """x is 2-D, or (B, rows, width) in an op that takes a window axis."""
+    if x.data.ndim == 2 or (windows and x.data.ndim == 3):
         return
     raise ShapeError(f"{op} expects 2-D tensors, got shape {x.shape}")
 
@@ -375,7 +403,7 @@ def _require_2d(x: Tensor, op: str, parents: Sequence[Tensor] = ()) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
-    _require_2d(a, "matmul", (a, b))
+    _require_2d(a, "matmul", windows=True)
     _require_2d(b, "matmul")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} @ {b.shape}")
@@ -384,8 +412,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if a.requires_grad:
             a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
+        _accumulate_windows(b, lambda aw, gw: aw.T @ gw, a.data, g)
 
     out = _make(a.data @ b.data, (a, b), _bw)
     return out
@@ -451,7 +478,7 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_rows needs at least one tensor")
     for p in parts:
-        _require_2d(p, "concat_rows", parts)
+        _require_2d(p, "concat_rows", windows=True)
     widths = {p.shape[-1] for p in parts}
     if len(widths) != 1:
         raise ShapeError(f"concat_rows: column counts differ: {sorted(widths)}")
@@ -459,8 +486,8 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
     def _bw():
         off = 0
         for p in parts:
-            r = p.shape[0]
-            p.accumulate_grad(out.grad[off : off + r])
+            r = p.shape[-2]
+            _accumulate_broadcast(p, out.grad[..., off : off + r, :])
             off += r
 
     out = _make(np.concatenate(_common_windows(parts), axis=-2), parts, _bw)
@@ -472,7 +499,7 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_cols needs at least one tensor")
     for p in parts:
-        _require_2d(p, "concat_cols", parts)
+        _require_2d(p, "concat_cols", windows=True)
     heights = {p.shape[-2] for p in parts}
     if len(heights) != 1:
         raise ShapeError(f"concat_cols: row counts differ: {sorted(heights)}")
@@ -480,8 +507,8 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
     def _bw():
         off = 0
         for p in parts:
-            c = p.shape[1]
-            p.accumulate_grad(out.grad[:, off : off + c])
+            c = p.shape[-1]
+            _accumulate_broadcast(p, out.grad[..., off : off + c])
             off += c
 
     out = _make(np.concatenate(_common_windows(parts), axis=-1), parts, _bw)
@@ -490,7 +517,7 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
 
 def mean_rows(x: Tensor) -> Tensor:
     """Average over rows: (m, n) -> (1, n)."""
-    _require_2d(x, "mean_rows", (x,))
+    _require_2d(x, "mean_rows", windows=True)
     m = x.shape[-2]
     if m == 0:
         raise ShapeError("mean_rows over zero rows")
@@ -500,7 +527,25 @@ def mean_rows(x: Tensor) -> Tensor:
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    y = np.asarray(x.data.sum())
+    """Sum of every entry; a (B, rows, width) tensor gives one sum per window, (B,)."""
+    per_window = x.data.ndim == 3
+    y = np.asarray(x.data.sum(axis=(-2, -1) if per_window else None))
+
+    def _bw():
+        g = out.grad[:, None, None] if per_window else out.grad
+        x.accumulate_grad(np.broadcast_to(g, x.shape))
+
+    out = _make(y, (x,), _bw)
+    return out
+
+
+def sum_in_order(x: Tensor) -> Tensor:
+    """Sum of a vector's entries added first to last, as a chain of ``+`` adds them.
+
+    ``np.sum`` adds in pairwise blocks, which rounds differently; the running
+    sum of ``np.cumsum`` adds one entry at a time. A 0-d x is its own sum.
+    """
+    y = np.asarray(np.cumsum(x.data.reshape(-1))[-1])
     out = _make(y, (x,), lambda: x.accumulate_grad(np.broadcast_to(out.grad, x.shape)))
     return out
 
@@ -537,13 +582,13 @@ def mul_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
 def repeat_rows(v: Tensor, n: int) -> Tensor:
     """Tile a (1, c) row vector into an (n, c) matrix."""
-    _require_2d(v, "repeat_rows", (v,))
+    _require_2d(v, "repeat_rows", windows=True)
     if v.shape[-2] != 1:
         raise ShapeError(f"repeat_rows expects a single row, got {v.shape}")
     if n < 1:
         raise ShapeError("repeat_rows needs n >= 1")
     y = np.repeat(v.data, n, axis=-2)
-    out = _make(y, (v,), lambda: v.accumulate_grad(out.grad.sum(axis=0, keepdims=True)))
+    out = _make(y, (v,), lambda: v.accumulate_grad(out.grad.sum(axis=-2, keepdims=True)))
     return out
 
 
@@ -576,8 +621,8 @@ def _normalize_rows(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _normalize_rows_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Input gradient of ``_normalize_rows`` given the gradient ``g`` on xhat."""
-    gm = g.mean(axis=1, keepdims=True)
-    gx = (g * xhat).mean(axis=1, keepdims=True)
+    gm = g.mean(axis=-1, keepdims=True)
+    gx = (g * xhat).mean(axis=-1, keepdims=True)
     return inv * (g - gm - xhat * gx)
 
 
@@ -600,7 +645,7 @@ def _require_rowvec(v: Tensor, n: int, op: str) -> None:
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ W.T + b`` of (r, k) rows by an (m, k) weight and a length-m bias."""
     x = _as_tensor(x)
-    _require_2d(x, "linear", (x, W, b))
+    _require_2d(x, "linear", windows=True)
     _require_2d(W, "linear")
     if x.shape[-1] != W.shape[1]:
         raise ShapeError(f"linear: rows of width {x.shape[-1]} for a weight of shape {W.shape}")
@@ -610,9 +655,8 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if x.requires_grad:
             x.accumulate_grad(g @ W.data)
-        if W.requires_grad:
-            W.accumulate_grad(g.T @ x.data)
-        b.accumulate_grad(g.sum(axis=0))
+        _accumulate_windows(W, lambda gw, xw: gw.T @ xw, g, x.data)
+        _accumulate_windows(b, lambda gw: gw.sum(axis=0), g)
 
     y = x.data @ W.data.T
     y += b.data
@@ -622,7 +666,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
     """``layernorm_rows(x)`` scaled by the length-n vector g and shifted by b."""
-    _require_2d(x, "layernorm_affine", (x, g, b))
+    _require_2d(x, "layernorm_affine", windows=True)
     _require_rowvec(g, x.shape[-1], "layernorm_affine gain")
     _require_rowvec(b, x.shape[-1], "layernorm_affine bias")
     xhat, inv = _normalize_rows(x.data, eps)
@@ -631,9 +675,8 @@ def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tens
         gy = out.grad
         if x.requires_grad:
             x.accumulate_grad(_normalize_rows_grad(gy * g.data[None, :], xhat, inv))
-        if g.requires_grad:
-            g.accumulate_grad((gy * xhat).sum(axis=0))
-        b.accumulate_grad(gy.sum(axis=0))
+        _accumulate_windows(g, lambda gw, xw: (gw * xw).sum(axis=0), gy, xhat)
+        _accumulate_windows(b, lambda gw: gw.sum(axis=0), gy)
 
     y = xhat * g.data
     y += b.data
@@ -652,7 +695,7 @@ def causal_attention(
     -1e9 additive mask. The heads' outputs, concatenated along columns, are
     mapped by Wo. All heads run together on (heads, n, d_head) arrays.
     """
-    _require_2d(x, "causal_attention", (x, Wq, Wk, Wv, Wo))
+    _require_2d(x, "causal_attention", windows=True)
     *windows, n, d = x.shape
     if n_heads < 1 or d % n_heads != 0:
         raise ShapeError(f"causal_attention: width {d} does not split into {n_heads} heads")
@@ -677,20 +720,18 @@ def causal_attention(
 
     def _bw():
         g = out.grad
-        if Wo.requires_grad:
-            Wo.accumulate_grad(heads.T @ g)
+        _accumulate_windows(Wo, lambda hw, gw: hw.T @ gw, heads, g)
         g_heads = split(g @ Wo.data.T)
-        g_scores = _softmax_last_grad(g_heads @ v.transpose(0, 2, 1), p) * scale
+        g_scores = _softmax_last_grad(g_heads @ v.swapaxes(-1, -2), p) * scale
         grads = (
             (Wq, merge(g_scores @ k)),
-            (Wk, merge(g_scores.transpose(0, 2, 1) @ q)),
-            (Wv, merge(p.transpose(0, 2, 1) @ g_heads)),
+            (Wk, merge(g_scores.swapaxes(-1, -2) @ q)),
+            (Wv, merge(p.swapaxes(-1, -2) @ g_heads)),
         )
         if x.requires_grad:
             x.accumulate_grad(sum(gm @ W.data.T for W, gm in grads))
         for W, gm in grads:
-            if W.requires_grad:
-                W.accumulate_grad(x.data.T @ gm)
+            _accumulate_windows(W, lambda xw, gw: xw.T @ gw, x.data, gm)
 
     out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), _bw)
     return out
@@ -718,7 +759,7 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
     u' = u + tanh(u . a + b) w_hat, with w_hat from ``planar_reparameterize``,
     so w_hat.a > -1 and the map is invertible.
     """
-    _require_2d(u, "planar_step", (u, theta))
+    _require_2d(u, "planar_step", windows=True)
     d = u.shape[-1]
     if theta.shape != (*u.shape[:-2], 1, 2 * d + 1):
         raise ShapeError(f"planar_step: parameter row {theta.shape} for latents {u.shape}")
@@ -732,19 +773,20 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
 
     def _bw():
         g = out.grad
-        g_pre = (g @ w_hat.T) * (1.0 - gate * gate)  # (S, 1)
+        g_pre = (g @ w_hat.swapaxes(-1, -2)) * (1.0 - gate * gate)  # (..., S, 1)
         if u.requires_grad:
             u.accumulate_grad(g + g_pre @ a)
         if not theta.requires_grad:
             return
-        g_w_hat = gate.T @ g  # (1, d)
-        g_coef = (g_w_hat * a).sum()
+        g_w_hat = gate.swapaxes(-1, -2) @ g  # (..., 1, d)
+        g_coef = (g_w_hat * a).sum(axis=(-2, -1), keepdims=True)
         g_num = g_coef * r  # gradient on m - w.a
         g_wa = g_num / (1.0 + np.exp(-wa)) - g_num  # through softplus(w.a) and -w.a
         g_norm2 = -g_coef * (m - wa) * r * r
-        g_a = g_pre.T @ u.data + coef * g_w_hat + (2.0 * g_norm2) * a + g_wa * w
+        g_a = g_pre.swapaxes(-1, -2) @ u.data + coef * g_w_hat + (2.0 * g_norm2) * a + g_wa * w
         g_w = g_w_hat + g_wa * a
-        theta.accumulate_grad(np.concatenate([g_a, g_w, g_pre.sum(keepdims=True)], axis=1))
+        g_b = g_pre.sum(axis=(-2, -1), keepdims=True)
+        theta.accumulate_grad(np.concatenate([g_a, g_w, g_b], axis=-1))
 
     out = _make(u.data + gate @ w_hat, (u, theta), _bw)
     return out
@@ -758,13 +800,20 @@ def _rank_coefficients(s: int) -> np.ndarray:
     return 2.0 * np.arange(s) - s + 1.0
 
 
-def pairwise_spread(sorted_samples: np.ndarray) -> np.ndarray:
-    """sum_{i<j} |x_i - x_j| along axis 0 of an ascending-sorted array.
+def pairwise_spread(sorted_samples: np.ndarray, axis: int = 0) -> np.ndarray:
+    """sum_{i<j} |x_i - x_j| along an axis of an array sorted ascending along it.
 
     Uses sum_k (2k - S + 1) x_(k), which costs one sort instead of S(S-1)/2
     differences (the scoringRules estimator, Jordan, Kruger & Lerch 2019).
+    ``axis`` is 0, the samples of an (S,) or (S, H, C) ensemble, or -2, the
+    rows of an (S, n) ensemble or a (B, S, n) stack of them. Along -2 the
+    product is one BLAS call per (S, n) block, so each window of a stack gets
+    the bits of its own call; a tensordot over the whole stack would not.
     """
-    return np.tensordot(_rank_coefficients(sorted_samples.shape[0]), sorted_samples, axes=(0, 0))
+    coeffs = _rank_coefficients(sorted_samples.shape[axis])
+    if axis == -2:
+        return coeffs @ sorted_samples
+    return np.tensordot(coeffs, sorted_samples, axes=(0, 0))
 
 
 def energy_score(samples: Tensor, target: Tensor) -> Tensor:
@@ -773,30 +822,34 @@ def energy_score(samples: Tensor, target: Tensor) -> Tensor:
     mean_s|x_s - y| - (1/(S(S-1))) sum_{i<j} |x_i - x_j|, averaged over the
     n columns, as one graph node. Each column is sorted once; the spread is
     ``pairwise_spread`` of the sorted rows, and its gradient scatters the rank
-    coefficients 2k - S + 1 back to the unsorted rows.
+    coefficients 2k - S + 1 back to the unsorted rows. A stack of ensembles
+    (B, S, n) against (B, 1, n) targets gives the B windows' scores, (B,).
 
     Ties: a stable sort gives tied samples distinct ranks in row order, so
     their spread subgradients differ, where the pairwise form gives each the
     same value with sign(0) = 0. The sum over a tie group is the same in both
     conventions, and ties have measure zero for continuous samples.
     """
-    s, n = samples.shape
+    _require_2d(samples, "energy_score", windows=True)
+    *windows, s, n = samples.shape
     if s < 2:
         raise ShapeError("energy_score needs at least two samples")
-    if target.shape != (1, n):
-        raise ShapeError(f"target shape {target.shape} does not match (1, {n})")
+    if target.shape != (*windows, 1, n):
+        raise ShapeError(f"target shape {target.shape} does not match {(*windows, 1, n)}")
     diff = samples.data - target.data
-    order = np.argsort(samples.data, axis=0, kind="stable")
-    spread = pairwise_spread(np.take_along_axis(samples.data, order, axis=0)).sum()
-    value = np.abs(diff).sum() * (1.0 / (s * n)) - spread * (1.0 / (s * (s - 1) * n))
+    order = np.argsort(samples.data, axis=-2, kind="stable")
+    spread = pairwise_spread(np.take_along_axis(samples.data, order, axis=-2), axis=-2)
+    value = np.abs(diff).sum(axis=(-2, -1)) * (1.0 / (s * n)) - spread.sum(axis=-1) * (
+        1.0 / (s * (s - 1) * n)
+    )
 
     def _bw():
-        g = out.grad
+        g = out.grad[..., None, None]
         sign = np.sign(diff) * (g / (s * n))
         coeff = np.empty_like(samples.data)
-        np.put_along_axis(coeff, order, _rank_coefficients(s)[:, None], axis=0)
+        np.put_along_axis(coeff, order, _rank_coefficients(s)[:, None], axis=-2)
         samples.accumulate_grad(sign - coeff * (g / (s * (s - 1) * n)))
-        target.accumulate_grad(-sign.sum(axis=0, keepdims=True))
+        target.accumulate_grad(-sign.sum(axis=-2, keepdims=True))
 
     out = _make(np.asarray(value), (samples, target), _bw)
     return out

@@ -22,7 +22,7 @@ from papnf.flow import sample_windows
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
 from papnf.synthetic import pretrain_sequences
-from papnf.tensor import Tensor, energy_score, matmul, repeat_rows
+from papnf.tensor import Tensor, energy_score, matmul, repeat_rows, sum_in_order
 
 __all__ = [
     "OBJECTIVES",
@@ -120,6 +120,13 @@ class Adam:
         self.v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
 
     def step(self) -> None:
+        """One update, m and v in place.
+
+        The products and sums are those of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2)(g g) and p - lr (m / bc1) / (sqrt(v / bc2) + eps),
+        in that order, so the result is bitwise the out-of-place update's. The
+        parameter gets a new array; whoever holds the old one keeps its values.
+        """
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
@@ -127,9 +134,21 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m, v = self.m[name], self.v[name]
+            buf = (1.0 - self.beta1) * g
+            m *= self.beta1
+            m += buf
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - self.beta2
+            v *= self.beta2
+            v += buf
+            den = v / bc2
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, bc1, out=buf)
+            buf *= self.lr
+            buf /= den
+            p.data = p.data - buf
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -165,10 +184,13 @@ def _guarded_step(opt: Adam, loss: Tensor, epoch: int, batch: int, history: list
 
 
 def loss_reconstruction(pred_rows: Tensor, target_row: Tensor) -> Tensor:
-    """Mean squared error over all entries of (S, H*C) predictions vs truth."""
-    s, n = pred_rows.shape
-    if target_row.shape != (1, n):
-        raise ValueError(f"target shape {target_row.shape} does not match (1, {n})")
+    """Mean squared error over all entries of (S, H*C) predictions vs truth.
+
+    Stacks (B, S, H*C) and (B, 1, H*C) give each window's error, (B,).
+    """
+    *windows, s, n = pred_rows.shape
+    if target_row.shape != (*windows, 1, n):
+        raise ValueError(f"target shape {target_row.shape} does not match {(*windows, 1, n)}")
     diff = pred_rows - repeat_rows(target_row, s)
     return (diff * diff).sum() * (1.0 / (s * n))
 
@@ -178,20 +200,33 @@ def loss_energy(pred_rows: Tensor, target_row: Tensor) -> Tensor:
 
     mean_s|pred_s - y| - (1/(S(S-1))) sum_{i<j} |pred_i - pred_j|, averaged
     over the H*C points. Proper: minimized only by the true predictive law.
-    Built as one sort-based graph node (``tensor.energy_score``).
+    Built as one sort-based graph node (``tensor.energy_score``); stacks
+    (B, S, H*C) and (B, 1, H*C) give each window's score, (B,).
     """
     return energy_score(pred_rows, target_row)
 
 
-def _window_loss(model: PapNfModel, window, cfg: TrainConfig, epoch: int) -> Tensor:
+def _batch_loss(model: PapNfModel, windows, cfg: TrainConfig, epoch: int) -> Tensor:
+    """Mean loss over a batch of windows, built in one forward pass.
+
+    The windows are a leading axis (a lone window runs without it, as in
+    sampling). Window w's latents come from substream(seed, "noise", epoch,
+    w.index), and the per-window losses are added first to last and scaled
+    by 1/len(windows): the loss, and through the op's backward the gradients,
+    are bitwise those of a sum of per-window graphs.
+    """
     s = cfg.train_samples if cfg.objective == "energy" else 1
-    rng = substream(cfg.seed, "noise", epoch, int(window.index))
-    u0 = rng.standard_normal((s, cfg.model.d_u))
-    pred = model.forward_samples(window.x_std, u0)
-    target = Tensor(window.y_std.reshape(1, -1))
-    if cfg.objective == "energy":
-        return loss_energy(pred, target)
-    return loss_reconstruction(pred, target)
+    u0 = np.array([
+        substream(cfg.seed, "noise", epoch, int(w.index)).standard_normal((s, cfg.model.d_u))
+        for w in windows
+    ])
+    x_std = np.array([w.x_std for w in windows])
+    target = np.array([w.y_std.reshape(1, -1) for w in windows])
+    if len(windows) == 1:
+        u0, x_std, target = u0[0], x_std[0], target[0]
+    pred = model.forward_samples(x_std, u0)
+    loss = loss_energy if cfg.objective == "energy" else loss_reconstruction
+    return sum_in_order(loss(pred, Tensor(target))) * (1.0 / len(windows))
 
 
 def validation_mse(model: PapNfModel, windows, n_samples: int, seed: int) -> float:
@@ -323,12 +358,8 @@ def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Chec
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            total = None
-            for k in batch:
-                term = _window_loss(model, train_windows[int(k)], cfg, epoch)
-                total = term if total is None else total + term
-            loss = total * (1.0 / len(batch))
+            batch = [train_windows[int(k)] for k in order[start : start + cfg.batch_size]]
+            loss = _batch_loss(model, batch, cfg, epoch)
             epoch_loss += _guarded_step(opt, loss, epoch, n_batches, history)
             n_batches += 1
         val = validation_mse(model, val_windows, cfg.val_samples, val_seed)

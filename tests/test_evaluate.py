@@ -34,8 +34,8 @@ from papnf.metrics import crps_empirical
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import substream
 from papnf.synthetic import ar1_seasonal
-from papnf.tensor import ShapeError, Tensor, no_grad
-from papnf.train import validation_mse
+from papnf.tensor import Tape, Tensor, no_grad
+from papnf.train import loss_reconstruction, validation_mse
 
 
 @pytest.fixture(scope="module")
@@ -496,6 +496,11 @@ def _window_axis_cases(rng):
         "mean_rows": (tz.mean_rows, [_arr(rng, B, n, d)], []),
         "repeat_rows": (lambda v: tz.repeat_rows(v, 6), [_arr(rng, B, 1, d)], []),
         "positional_add": (lambda x, pos: x + pos, [_arr(rng, B, n, d)], [_arr(rng, n, d)]),
+        "energy_score": (tz.energy_score, [_arr(rng, B, 7, d), _arr(rng, B, 1, d)], []),
+        "loss_reconstruction": (
+            loss_reconstruction, [_arr(rng, B, 7, d), _arr(rng, B, 1, d)], []
+        ),
+        "sum": (lambda x: x.sum(), [_arr(rng, B, n, d)], []),
     }
 
 
@@ -513,9 +518,31 @@ def test_window_axis_is_bitwise_the_per_window_op(name):
             assert got[i].tobytes() == want.tobytes()
 
 
+def _backward_from(out, grad):
+    out.accumulate_grad(np.asarray(grad))
+    Tape.from_root(out).replay_backward()
+
+
 @pytest.mark.parametrize("name", CASES)
-def test_recording_op_rejects_a_window_axis(name):
-    op, stacked, shared = _window_axis_cases(np.random.default_rng(1))[name]
-    operands = [Tensor(a, requires_grad=True) for a in stacked + shared]
-    with pytest.raises(ShapeError):
-        op(*operands)
+def test_window_axis_gradients_are_bitwise_the_per_window_graphs(name):
+    # reference: one graph per window, built for windows 0..B-1 and replayed
+    # window B-1 first, so each shared operand sums its gradients in that order
+    op, stacked, shared = _window_axis_cases(np.random.default_rng(2))[name]
+    operands = [Tensor(s, requires_grad=True) for s in stacked]
+    shared_t = [Tensor(s, requires_grad=True) for s in shared]
+    out = op(*operands, *shared_t)
+    upstream = np.random.default_rng(3).normal(size=out.shape)
+    _backward_from(out, upstream)
+
+    per_window = [[Tensor(s[i], requires_grad=True) for s in stacked] for i in range(B)]
+    shared_ref = [Tensor(s, requires_grad=True) for s in shared]
+    outs = [op(*per_window[i], *shared_ref) for i in range(B)]
+    for i in reversed(range(B)):
+        _backward_from(outs[i], upstream[i])
+
+    for i in range(B):
+        assert out.data[i].tobytes() == outs[i].data.tobytes()
+        for t, ref in zip(operands, per_window[i]):
+            assert t.grad[i].tobytes() == ref.grad.tobytes()
+    for t, ref in zip(shared_t, shared_ref):
+        assert t.grad.tobytes() == ref.grad.tobytes()

@@ -255,6 +255,7 @@ _OP_BUILDERS = {
     "add_rowvec": lambda a, b: tz.add_rowvec(a, b[0:1, :].reshape(a.shape[1])).tanh().sum(),
     "mul_rowvec": lambda a, b: tz.mul_rowvec(a, b[0:1, :].reshape(a.shape[1])).sum(),
     "repeat_rows": lambda a, b: (tz.repeat_rows(a[0:1, :], b.shape[0]) * b).sum(),
+    "sum_in_order": lambda a, b: tz.sum_in_order((a * b).tanh().reshape(a.size)),
 }
 
 
@@ -292,6 +293,23 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError, match="scalar"):
         (x + x).backward()
+
+
+def test_sum_in_order_adds_first_to_last_like_a_chain_of_adds():
+    # eight values where np.sum's pairwise blocks round differently
+    values = np.array([1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, 7.0, -2.5])
+    assert np.sum(values) != ((((((values[0] + values[1]) + values[2]) + values[3]) + values[4])
+                               + values[5]) + values[6]) + values[7]
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    chain = leaves[0]
+    for t in leaves[1:]:
+        chain = chain + t
+    x = Tensor(values, requires_grad=True)
+    total = tz.sum_in_order(x)
+    assert total.shape == () and total.data.tobytes() == chain.data.tobytes()
+    (total * 0.25).backward()
+    assert np.array_equal(x.grad, np.full(8, 0.25))
+    assert tz.sum_in_order(Tensor(np.float64(2.5))).item() == 2.5
 
 
 def test_gradients_accumulate_across_reuse():

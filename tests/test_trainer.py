@@ -1,6 +1,7 @@
 """Trainer: objectives against oracles, Adam reference, fit behavior, checkpoints."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from papnf.backbone import BackboneArch, load_frozen_checkpoint
 from papnf.data import make_windows
 from papnf.metrics import crps_empirical
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
+from papnf.seeding import derive_seed, substream
 from papnf.synthetic import ar1_seasonal
 from papnf.tensor import Tape, Tensor, energy_score, grad_check
 from papnf.train import (
+    OBJECTIVES,
     Adam,
     Checkpoint,
     PretrainConfig,
@@ -267,6 +270,25 @@ class TestAdam:
             opt.step()
             np.testing.assert_allclose(p.data, want[t], atol=1e-15)
 
+    def test_step_is_bitwise_the_out_of_place_update(self):
+        rng = np.random.default_rng(7)
+        p = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        opt = Adam({"p": p}, lr=1e-3)
+        want, m, v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in range(1, 6):
+            g = rng.normal(size=(3, 4))
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            want = want - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            before = p.data
+            kept = before.copy()
+            p.zero_grad()
+            p.accumulate_grad(g)
+            opt.step()
+            assert p.data.tobytes() == want.tobytes()
+            assert opt.m["p"].tobytes() == m.tobytes() and opt.v["p"].tobytes() == v.tobytes()
+            assert before.tobytes() == kept.tobytes()  # the old array is not written
+
     def test_buffers_only_for_trainables(self):
         frozen = Tensor(np.zeros(3))
         live = Tensor(np.zeros(3), requires_grad=True)
@@ -430,6 +452,97 @@ class TestFit:
         tc = TrainConfig(model=cfg, val_samples=2)
         with pytest.raises(ValueError):
             fit(model, [], tiny_windows()[:1], tc)
+
+
+def per_window_batch_loss(model, windows, cfg, epoch):
+    """The batch loss as one graph per window, added with ``+``: fit's reference."""
+    s = cfg.train_samples if cfg.objective == "energy" else 1
+    loss = loss_energy if cfg.objective == "energy" else loss_reconstruction
+    total = None
+    for w in windows:
+        u0 = substream(cfg.seed, "noise", epoch, int(w.index)).standard_normal((s, cfg.model.d_u))
+        term = loss(model.forward_samples(w.x_std, u0), Tensor(w.y_std.reshape(1, -1)))
+        total = term if total is None else total + term
+    return total * (1.0 / len(windows))
+
+
+def reference_fit(model, train, val, cfg):
+    """fit's epochs over per-window graphs: the history and each epoch's weights."""
+    opt = Adam(model.parameters(), cfg.learning_rate)
+    history, weights = [], []
+    for epoch in range(cfg.epochs):
+        order = substream(cfg.seed, "shuffle", epoch).permutation(len(train))
+        total, n_batches = 0.0, 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train[int(k)] for k in order[start : start + cfg.batch_size]]
+            loss = per_window_batch_loss(model, batch, cfg, epoch)
+            total += loss.item()
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            n_batches += 1
+        mse = validation_mse(model, val, cfg.val_samples, derive_seed(cfg.seed, "val"))
+        history.append({"epoch": epoch, "train_loss": total / n_batches, "val_mse": mse})
+        weights.append(model.all_weights())
+    return history, weights
+
+
+def batch_config(channels, variant):
+    cfg = tiny_config(channels=channels)
+    return replace(cfg, t_flow=0) if variant == "t_flow_0" else ablation_variant(cfg, variant)
+
+
+def batch_windows(channels, n):
+    series = ar1_seasonal(40 + n, channels=channels, period=8, seed=channels)
+    return make_windows(series, lookback=16, horizon=4)[:n]
+
+
+class TestBatchedFit:
+    @pytest.mark.parametrize("variant", ["full", "no_pap", "no_global_context", "t_flow_0"])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8])
+    @pytest.mark.parametrize("channels", [1, 7])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_fit_is_bitwise_the_per_window_graphs(self, objective, channels, batch_size, variant):
+        cfg = batch_config(channels, variant)
+        windows = batch_windows(channels, 15)  # 11 train windows: batch 3 and 8 leave a partial one
+        train, val = windows[:11], windows[11:]
+        tc = TrainConfig(model=cfg, batch_size=batch_size, epochs=2, seed=5,
+                         objective=objective, train_samples=3, val_samples=3)
+        ckpt = fit(PapNfModel(cfg, seed=6), train, val, tc)
+        history, weights = reference_fit(PapNfModel(cfg, seed=6), train, val, tc)
+        assert ckpt.history == history
+        want = weights[ckpt.best_epoch]
+        assert ckpt.weights.keys() == want.keys()
+        for name, arr in ckpt.weights.items():
+            assert arr.tobytes() == want[name].tobytes(), name
+
+    def test_one_forward_pass_per_batch(self, monkeypatch):
+        cfg = tiny_config()
+        passes = []
+        real = PapNfModel.forward_samples
+
+        def counting(self, x_std, u0):
+            passes.append(x_std.shape[0] if x_std.ndim == 3 else "alone")
+            return real(self, x_std, u0)
+
+        monkeypatch.setattr(PapNfModel, "forward_samples", counting)
+        windows = batch_windows(1, 13)
+        tc = TrainConfig(model=cfg, batch_size=4, epochs=1, seed=5,
+                         train_samples=2, val_samples=2)
+        fit(PapNfModel(cfg, seed=6), windows[:9], windows[9:], tc)
+        assert passes[:3] == [4, 4, "alone"]  # then validation's chunk
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_tape_nodes_per_batch_loss_do_not_depend_on_the_batch_size(self, objective):
+        cfg = tiny_config()
+        model = PapNfModel(cfg, seed=6)
+        windows = batch_windows(1, 8)
+        tc = TrainConfig(model=cfg, objective=objective, seed=5, train_samples=2)
+        counts = {
+            b: len(Tape.from_root(train_mod._batch_loss(model, windows[:b], tc, 0)))
+            for b in (1, 2, 3, 8)
+        }
+        assert len(set(counts.values())) == 1, counts
 
 
 class TestCheckpointRoundTrip:
