@@ -8,7 +8,6 @@ ensemble is bitwise the one ``sample_forecasts`` draws for its window alone.
 
 from __future__ import annotations
 
-import csv
 import os
 
 import numpy as np
@@ -129,41 +128,64 @@ def baseline_report(
 # -- CSV artifacts ----------------------------------------------------------------
 
 
+def _paired(windows, ensembles):
+    """zip(windows, ensembles), once each ensemble is checked to be its window's."""
+    if len(ensembles) != len(windows):
+        raise ValueError(f"{len(ensembles)} ensembles for {len(windows)} windows")
+    for pos, (w, ens) in enumerate(zip(windows, ensembles)):
+        _check_pair(w, ens, f"position {pos}: ")
+    return zip(windows, ensembles)
+
+
+def _check_pair(window, ensemble, where: str = "") -> None:
+    if ensemble.window_index != int(window.index):
+        raise ValueError(
+            f"{where}ensemble of window {ensemble.window_index} "
+            f"paired with window {int(window.index)}"
+        )
+
+
 def write_quantiles_csv(path: str, windows, ensembles) -> None:
     """Per-point quantile table: window_id, step, channel, q05..q95, truth.
 
-    Each ensemble is sorted once for all quantile columns. Values are Python
-    floats, which the csv module writes with ``repr``, so they round-trip.
+    Each ensemble is sorted once for all quantile columns. Rows are joined
+    per window and written as each window's block is done; the bytes are
+    those of ``csv.writer``: values are written with ``repr``, so they
+    round-trip, and rows end in CRLF.
     """
+    pairs = _paired(windows, ensembles)
+    header = ["window_id", "step", "channel"]
+    header += [f"q{int(q * 100):02d}" for q in QUANTILE_COLUMNS] + ["truth"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["window_id", "step", "channel"]
-            + [f"q{int(q * 100):02d}" for q in QUANTILE_COLUMNS]
-            + ["truth"]
-        )
-        for w, ens in zip(windows, ensembles):
+        fh.write(",".join(header) + "\r\n")
+        for w, ens in pairs:
             index = int(w.index)
             c = w.y.shape[1]
             columns = np.concatenate([ens.quantiles(QUANTILE_COLUMNS), w.y[None]])
             points = columns.reshape(len(columns), -1).T.tolist()
-            writer.writerows(
-                [index, k // c, k % c, *values] for k, values in enumerate(points)
-            )
+            fh.write("".join(
+                f"{index},{k // c},{k % c}," + ",".join(map(repr, values)) + "\r\n"
+                for k, values in enumerate(points)
+            ))
 
 
 def write_ensemble_csv(path: str, windows, ensembles) -> None:
-    """Raw sampled trajectories: window_id, sample_id, step, channel, value."""
+    """Raw sampled trajectories: window_id, sample_id, step, channel, value.
+
+    Written per window like ``write_quantiles_csv``, in ``csv.writer``'s bytes.
+    """
+    pairs = _paired(windows, ensembles)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_id", "sample_id", "step", "channel", "value"])
-        for w, ens in zip(windows, ensembles):
+        fh.write("window_id,sample_id,step,channel,value\r\n")
+        for w, ens in pairs:
             index = int(w.index)
             s, h, c = ens.samples.shape
-            for sample_id, values in enumerate(ens.samples.reshape(s, h * c).tolist()):
-                writer.writerows(
-                    [index, sample_id, k // c, k % c, v] for k, v in enumerate(values)
-                )
+            points = [f"{k // c},{k % c}," for k in range(h * c)]
+            fh.write("".join(
+                f"{index},{sample_id},{point}{v!r}\r\n"
+                for sample_id, values in enumerate(ens.samples.reshape(s, h * c).tolist())
+                for point, v in zip(points, values)
+            ))
 
 
 # -- SVG fan chart ----------------------------------------------------------------
@@ -196,6 +218,7 @@ def write_fan_chart_svg(path: str, window, ensemble, channel: int = 0) -> None:
     Deterministic output: fixed canvas, coordinates rounded to 2 decimals,
     no timestamps. Bands show the central 80/90/95% intervals.
     """
+    _check_pair(window, ensemble)
     h = window.y.shape[0]
     tail = min(window.x.shape[0], 2 * h)
     hist = window.x[-tail:, channel]

@@ -199,7 +199,14 @@ def flow_log_det_np(u0: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> f
 
 
 class ReconstructionHead:
-    """Affine-tanh-affine map from [u_T; h] to the standardized horizon."""
+    """Affine-tanh-affine map from [u_T; h] to the standardized horizon.
+
+    Every latent row of a window shares its h, so G1's first affine map runs
+    as ``tz.linear_split``: h's columns of G1, plus g1, make one bias row per
+    window, added to each latent row's product with the u columns. G1 stays
+    one (hidden, d_u + d_h) weight. Latents (B, S, d_u) with summaries
+    (B, 1, d_h) take a leading window axis.
+    """
 
     def __init__(self, d_u: int, d_h: int, hidden: int, out_dim: int, rng: np.random.Generator):
         in_dim = d_u + d_h
@@ -210,9 +217,8 @@ class ReconstructionHead:
 
     def reconstruct(self, u_rows: Tensor, h: Tensor) -> Tensor:
         """(S, d_u) latents + (1, d_h) summary -> (S, H*C) standardized rows."""
-        s = u_rows.shape[-2]
-        x = tz.concat_cols([u_rows, tz.repeat_rows(h, s)])
-        return tz.linear(tz.linear(x, self.G1, self.g1).tanh(), self.G2, self.g2)
+        hidden = tz.linear_split(u_rows, h, self.G1, self.g1).tanh()
+        return tz.linear(hidden, self.G2, self.g2)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"recon.G1": self.G1, "recon.g1": self.g1, "recon.G2": self.G2, "recon.g2": self.g2}

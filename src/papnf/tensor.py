@@ -12,6 +12,8 @@ backward that skips the gradient of any operand with requires_grad=False
 (``matmul`` skips them too):
 
 * ``linear``: ``x @ W.T + b``;
+* ``linear_split``: ``linear`` of ``[u | h]`` rows that share one h, with
+  h's product computed once as a bias row;
 * ``layernorm_affine``: row layer norm, then scale and shift;
 * ``causal_attention``: multi-head causal self-attention, all heads at once
   on (heads, n, d_head) arrays;
@@ -62,6 +64,7 @@ __all__ = [
     "softmax_rows",
     "layernorm_rows",
     "linear",
+    "linear_split",
     "layernorm_affine",
     "causal_attention",
     "planar_reparameterize",
@@ -661,6 +664,57 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     y = x.data @ W.data.T
     y += b.data
     out = _make(y, (x, W, b), _bw)
+    return out
+
+
+def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """``linear(concat_cols([u, repeat_rows(h, S)]), W, b)``, h's term once.
+
+    u is (S, d_u) rows and h one (1, d_h) row; W (m, d_u + d_h) splits into
+    the columns that multiply u and those that multiply h. The bias row
+    ``h @ W_h.T + b`` is computed once and added to every row of
+    ``u @ W_u.T``, so h's product is not repeated S times. Latents
+    (B, S, d_u) take rows h (B, 1, d_h), one per window. Backward takes
+    h's gradient from the row sum of the output gradient, and W's from the
+    ``[u | h]`` rows, each window's product the one ``linear`` computes.
+    """
+    u = _as_tensor(u)
+    _require_2d(u, "linear_split", windows=True)
+    _require_2d(h, "linear_split", windows=True)
+    _require_2d(W, "linear_split")
+    if h.shape[-2] != 1:
+        raise ShapeError(f"linear_split: h must be a single row, got {h.shape}")
+    if h.shape[:-2] != u.shape[:-2]:
+        raise ShapeError(f"linear_split: window axes differ for u {u.shape} and h {h.shape}")
+    d_u = u.shape[-1]
+    if d_u + h.shape[-1] != W.shape[1]:
+        raise ShapeError(
+            f"linear_split: widths {d_u} + {h.shape[-1]} for a weight of shape {W.shape}"
+        )
+    _require_rowvec(b, W.shape[0], "linear_split bias")
+    W_u, W_h = W.data[:, :d_u], W.data[:, d_u:]
+
+    def _bw():
+        g = out.grad
+        g_row = g.sum(axis=-2, keepdims=True)  # gradient on the bias row
+        if u.requires_grad:
+            u.accumulate_grad(g @ W_u)
+        if h.requires_grad:
+            h.accumulate_grad(g_row @ W_h)
+        if W.requires_grad:
+            # one (m, S) @ (S, d_u + d_h) product over the [u | h] rows, as in
+            # linear: cheaper at training's S than an outer product for h's
+            # columns plus a concatenation of the two blocks
+            h_rows = np.broadcast_to(h.data, (*u.shape[:-1], h.shape[-1]))
+            x = np.concatenate([u.data, h_rows], axis=-1)
+            _accumulate_windows(W, lambda gw, xw: gw.T @ xw, g, x)
+        _accumulate_windows(b, lambda rw: rw[0], g_row)
+
+    row = h.data @ W_h.T
+    row += b.data
+    y = u.data @ W_u.T
+    y += row
+    out = _make(y, (u, h, W, b), _bw)
     return out
 
 

@@ -211,6 +211,7 @@ def _op_cases(rng):
         ("planar_step", probed((3, 4), lambda u, th: tz.planar_step(u, th, PLANAR_MARGIN, 1e-12)),
          [t(3, 4), t(1, 9)]),
         ("energy_score", tz.energy_score, [t(6, 4), t(1, 4)]),
+        ("linear_split", probed((3, 5), tz.linear_split), [t(3, 2), t(1, 2), t(5, 4), t(5)]),
     ]
     return cases
 

@@ -197,6 +197,21 @@ class TestCsvArtifacts:
         s, h, c = ensembles[0].samples.shape
         assert len(rows) - 1 == len(windows) * s * h * c
 
+    @pytest.mark.parametrize("writer", [write_quantiles_csv, write_ensemble_csv])
+    def test_writers_reject_unpaired_ensembles(self, small_setup, tmp_path, writer):
+        _, windows = small_setup
+        ensembles = _synthetic_ensembles(windows, 4, seed=5)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="3 ensembles for 5 windows"):
+            writer(str(path), windows, ensembles[:3])
+        reversed_msg = "position 0: ensemble of window 4 paired with window 0"
+        with pytest.raises(ValueError, match=reversed_msg):
+            writer(str(path), windows, ensembles[::-1])
+        swapped = [ensembles[0], ensembles[3], ensembles[2], ensembles[1], ensembles[4]]
+        with pytest.raises(ValueError, match="position 1: "):
+            writer(str(path), windows, swapped)
+        assert not path.exists()  # checked before the file is opened
+
 
 class TestFanChart:
     def test_svg_is_deterministic_and_well_formed(self, small_setup, tmp_path):
@@ -235,6 +250,14 @@ class TestFanChart:
         write_fan_chart_svg(str(p1), windows[0], ensembles[0], channel=0)
         write_fan_chart_svg(str(p2), windows[0], ensembles[0], channel=1)
         assert p1.read_text() != p2.read_text()
+
+    def test_rejects_another_windows_ensemble(self, small_setup, tmp_path):
+        _, windows = small_setup
+        ensembles = _synthetic_ensembles(windows, 4, seed=6)
+        path = tmp_path / "f.svg"
+        with pytest.raises(ValueError, match="ensemble of window 2 paired with window 0"):
+            write_fan_chart_svg(str(path), windows[0], ensembles[2])
+        assert not path.exists()
 
 
 # -- sorted-ensemble writers against per-element references ---------------------------
@@ -473,6 +496,11 @@ def _window_axis_cases(rng):
     theta = _arr(rng, B, 1, 2 * d + 1)
     return {
         "linear": (tz.linear, [_arr(rng, B, n, 6)], [_arr(rng, d, 6), _arr(rng, d)]),
+        "linear_split": (
+            tz.linear_split,
+            [_arr(rng, B, 7, d), _arr(rng, B, 1, 3)],
+            [_arr(rng, 5, d + 3), _arr(rng, 5)],
+        ),
         "layernorm_affine": (
             tz.layernorm_affine, [_arr(rng, B, n, d)], [_arr(rng, d), _arr(rng, d)]
         ),

@@ -26,6 +26,10 @@ def linear_ref(x, W, b):
     return tz.add_rowvec(x @ W.T, b)
 
 
+def linear_split_ref(u, h, W, b):
+    return tz.linear(tz.concat_cols([u, tz.repeat_rows(h, u.shape[0])]), W, b)
+
+
 def layernorm_affine_ref(x, g, b):
     return tz.add_rowvec(tz.mul_rowvec(tz.layernorm_rows(x), g), b)
 
@@ -117,6 +121,29 @@ def test_linear_of_constant_rows_gives_no_input_gradient():
     W = _tensor(rng, 2, 6)
     b = _tensor(rng, 2)
     assert_matches_reference(tz.linear, linear_ref, [x, W, b], rng)
+
+
+@pytest.mark.parametrize("frozen", ["none", "weights", "inputs"])
+def test_linear_split_matches_concat_of_repeated_rows(frozen):
+    rng = np.random.default_rng(10)
+    u = _tensor(rng, 9, 3, grad=frozen != "inputs")
+    h = _tensor(rng, 1, 4, grad=frozen != "inputs")
+    W = _tensor(rng, 5, 7, grad=frozen != "weights")
+    b = _tensor(rng, 5, grad=frozen != "weights")
+    assert_matches_reference(tz.linear_split, linear_split_ref, [u, h, W, b], rng)
+
+
+def test_linear_split_rejects_bad_shapes():
+    rng = np.random.default_rng(11)
+    W, b = _tensor(rng, 5, 7), _tensor(rng, 5)
+    with pytest.raises(tz.ShapeError, match="single row"):
+        tz.linear_split(_tensor(rng, 6, 3), _tensor(rng, 2, 4), W, b)
+    with pytest.raises(tz.ShapeError, match="widths"):
+        tz.linear_split(_tensor(rng, 6, 3), _tensor(rng, 1, 3), W, b)
+    with pytest.raises(tz.ShapeError, match="window axes"):
+        tz.linear_split(_tensor(rng, 2, 6, 3), _tensor(rng, 3, 1, 4), W, b)
+    with pytest.raises(tz.ShapeError, match="window axes"):
+        tz.linear_split(_tensor(rng, 2, 6, 3), _tensor(rng, 1, 4), W, b)
 
 
 @pytest.mark.parametrize("frozen", [False, True])

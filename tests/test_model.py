@@ -71,6 +71,10 @@ def test_trainable_census_excludes_backbone():
     assert "prefix.P" in census
     assert census["prefix.P"] == (3, 16)
     assert not any(name.startswith("backbone.") for name in census)
+    cfg = model.cfg
+    # the recon head's fused first layer still stores one [u | h] weight
+    assert census["recon.G1"] == (cfg.recon_hidden, cfg.d_u + cfg.d_h)
+    assert census["recon.g1"] == (cfg.recon_hidden,)
 
 
 def test_no_pap_arm_drops_prefix_and_bypasses_backbone():
@@ -201,7 +205,29 @@ def test_window_loss_graph_uses_one_node_per_fused_layer():
     w = make_windows(values, cfg.lookback, cfg.horizon)[0]
     u0 = substream(28, "u").standard_normal((8, cfg.d_u))
     loss = loss_energy(model.forward_samples(w.x_std, u0), Tensor(w.y_std.reshape(1, -1)))
-    kinds = Counter(node._backward.__qualname__.split(".")[0] for node in Tape.from_root(loss).nodes)
+    nodes = Tape.from_root(loss).nodes
+    kinds = Counter(_kind(node) for node in nodes)
     assert kinds["causal_attention"] == cfg.backbone.n_layers
     assert kinds["planar_step"] == cfg.t_flow
-    assert sum(kinds.values()) < 60
+    # the recon head is linear(tanh(linear_split(u, h))): h's term once, so
+    # no repeat_rows; the one concat_cols left is the fusion's [z; c]
+    head = _consumer(nodes, model.recon.G2)
+    hidden = head._parents[0]
+    first = hidden._parents[0]
+    assert [_kind(n) for n in (head, hidden, first)] == ["linear", "tanh", "linear_split"]
+    assert first is _consumer(nodes, model.recon.G1)
+    assert kinds["linear_split"] == 1
+    assert kinds["repeat_rows"] == 0
+    assert kinds["concat_cols"] == 1
+    assert _kind(_consumer(nodes, model.fusion.W_h)._parents[0]) == "concat_cols"
+    assert len(nodes) == 46
+
+
+def _kind(node):
+    return node._backward.__qualname__.split(".")[0]
+
+
+def _consumer(nodes, param):
+    """The one graph node that takes ``param`` as an operand."""
+    (node,) = [n for n in nodes if any(p is param for p in n._parents)]
+    return node
