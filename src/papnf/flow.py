@@ -7,10 +7,11 @@ reconstruction head that emits the standardized forecast.
 
 Each planar map u' = u + w_hat * tanh(a.u + b) stays invertible because w is
 reparameterized so that w_hat.a = -1 + PLANAR_MARGIN + softplus(w.a) > -1.
-The numpy helpers below (``hyper_np``, ``planar_step_np``, ``flow_forward_np``)
-run the same Tensor ops as training under ``no_grad``; only the inversion and
-the log-determinant, a diagnostic that never enters a training loss, are
-numpy-only, and they share ``tensor.planar_reparameterize`` with the op.
+There is one flow path: ``flow_forward`` chains the ``tz.planar_step`` op,
+and the diagnostics ``flow_invert`` and ``flow_log_det``, which never enter a
+training loss, read each layer's ``hyper_row`` under ``no_grad`` and unpack
+it with the op's own ``tz.planar_unpack``. All three take latent rows
+(S, d_u), or (B, S, d_u) with one h row per window.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class FlowLayer:
 
     def __init__(self, index: int, d_h: int, d_u: int, hidden: int, rng: np.random.Generator):
         self.index = index
-        self.d_u = d_u
         out_dim = 2 * d_u + 1
         self.U1 = Tensor(rng.normal(size=(hidden, d_h)) / math.sqrt(d_h), requires_grad=True)
         self.c1 = Tensor(np.zeros(hidden), requires_grad=True)
@@ -82,83 +82,56 @@ class FlowLayer:
         self.c2 = Tensor(c2, requires_grad=True)
 
     def hyper_row(self, h: Tensor) -> Tensor:
-        """Map h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b]."""
-        return tz.linear(tz.linear(h, self.U1, self.c1).tanh(), self.U2, self.c2)
+        """Map h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b].
 
-    def hyper_np(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """``hyper_row`` at a numpy h, split into (a, w, b), for diagnostics and inversion."""
-        with tz.no_grad():
-            row = self.hyper_row(Tensor(np.reshape(h, (1, -1)))).data.reshape(-1)
-        d_u = self.d_u
-        return row[0:d_u], row[d_u : 2 * d_u], float(row[2 * d_u])
+        Summaries (B, 1, d_h) give one row per window, (B, 1, 2*d_u + 1).
+        """
+        return tz.linear(tz.linear(h, self.U1, self.c1).tanh(), self.U2, self.c2)
 
     def parameters(self) -> dict[str, Tensor]:
         p = f"flow.{self.index}"
         return {f"{p}.U1": self.U1, f"{p}.c1": self.c1, f"{p}.U2": self.U2, f"{p}.c2": self.c2}
 
 
-def reparameterize_np(a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """``planar_step``'s reparameterization of vectors a and w.
+def invert_planar(u_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The latents u that ``tz.planar_step`` maps to u_prime under theta.
 
-    Returns (w_hat, w_hat.a); the second value always exceeds -1 + 1e-4.
+    theta is the packed (1, 2d + 1) row [a | w | b] for rows u_prime (S, d),
+    or (B, 1, 2d + 1) for (B, S, d). With s = a.u, the forward map implies
+    g(s) = s + (w_hat.a) tanh(s + b) = a.u'; g is strictly increasing because
+    w_hat.a > -1, so each row's scalar root is bracketed and found by
+    bisection, with a Newton cut refining the same bracket. The unconditional
+    midpoint cut is what guarantees geometric convergence: a large positive
+    w_hat.a turns g into a near-step cliff between flat shoulders, where
+    guarded Newton alone can ping-pong across the cliff for hundreds of
+    iterations without tightening the bracket. A row is frozen once its
+    bracket is below 1e-15 relative or holds no representable midpoint.
     """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    w = np.asarray(w, dtype=np.float64).reshape(1, -1)
-    w_hat = tz.planar_reparameterize(a[None, :], w, PLANAR_MARGIN, _NORM_EPS)[-1].reshape(-1)
-    return w_hat, float(w_hat @ a)
-
-
-def planar_step_np(u: np.ndarray, a: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    """``tz.planar_step`` on one latent u, with (a, w, b) packed into its parameter row.
-
-    No operand requires grad, so the op records no graph.
-    """
-    theta = np.concatenate([np.ravel(a), np.ravel(w), [b]])[None, :]
-    out = tz.planar_step(Tensor(np.reshape(u, (1, -1))), Tensor(theta), PLANAR_MARGIN, _NORM_EPS)
-    return out.data.reshape(-1)
-
-
-def invert_planar_np(u_prime: np.ndarray, a: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    """Numerically invert one planar map.
-
-    With s = a.u, the forward map implies g(s) = s + (w_hat.a) tanh(s + b)
-    = a.u'; g is strictly increasing because w_hat.a > -1, so the scalar root
-    is bracketed and found by bisection, with a Newton cut refining the same
-    bracket. The unconditional midpoint cut is what guarantees geometric
-    convergence: a large positive w_hat.a turns g into a near-step cliff
-    between flat shoulders, where guarded Newton alone can ping-pong across
-    the cliff for hundreds of iterations without tightening the bracket.
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    u_prime = np.asarray(u_prime, dtype=np.float64).reshape(-1)
-    w_hat, wa_hat = reparameterize_np(a, w)
-    target = float(a @ u_prime)
-    lo = target - abs(wa_hat) - 1.0
-    hi = target + abs(wa_hat) + 1.0
-
-    def g(s: float) -> float:
-        return s + wa_hat * math.tanh(s + b) - target
-
+    p = tz.planar_unpack(np.asarray(theta, dtype=np.float64), PLANAR_MARGIN, _NORM_EPS)
+    u_prime = np.asarray(u_prime, dtype=np.float64)
+    target = u_prime @ p.a.swapaxes(-1, -2)  # (..., S, 1)
+    wa_hat, b = p.wa_hat, p.b
+    lo = target - np.abs(wa_hat) - 1.0
+    hi = target + np.abs(wa_hat) + 1.0
+    active = np.ones(target.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # no representable point between the brackets
+        active &= (lo < mid) & (mid < hi)
+        if not active.any():
             break
-        val = g(mid)
-        if val > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        deriv = 1.0 + wa_hat * (1.0 - math.tanh(mid + b) ** 2)
-        step = mid - val / deriv
-        if lo < step < hi:
-            if g(step) > 0.0:
-                hi = step
-            else:
-                lo = step
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
+        t = np.tanh(mid + b)
+        val = mid + wa_hat * t - target
+        above = val > 0.0
+        hi = np.where(active & above, mid, hi)
+        lo = np.where(active & ~above, mid, lo)
+        step = mid - val / (1.0 + wa_hat * (1.0 - t * t))
+        cut = active & (lo < step) & (step < hi)
+        above = step + wa_hat * np.tanh(step + b) - target > 0.0
+        hi = np.where(cut & above, step, hi)
+        lo = np.where(cut & ~above, step, lo)
+        active &= hi - lo > 1e-15 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     s = 0.5 * (lo + hi)
-    return u_prime - w_hat * math.tanh(s + b)
+    return u_prime - np.tanh(s + b) @ p.w_hat
 
 
 def flow_forward(u_rows: Tensor, h: Tensor, layers: list[FlowLayer]) -> Tensor:
@@ -169,32 +142,34 @@ def flow_forward(u_rows: Tensor, h: Tensor, layers: list[FlowLayer]) -> Tensor:
     return out
 
 
-def flow_forward_np(u: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
-    """``flow_forward`` on one numpy latent u, conditioned on a numpy h."""
+def _hyper_rows(h: np.ndarray, layers: list[FlowLayer]) -> list[np.ndarray]:
+    """Every layer's packed row at a numpy h, recording no graph."""
     with tz.no_grad():
-        out = flow_forward(Tensor(np.reshape(u, (1, -1))), Tensor(np.reshape(h, (1, -1))), layers)
-    return out.data.reshape(-1)
+        h = Tensor(h)
+        return [layer.hyper_row(h).data for layer in layers]
 
 
-def flow_invert_np(u_final: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
-    out = np.asarray(u_final, dtype=np.float64).reshape(-1)
-    for layer in reversed(layers):
-        a, w, b = layer.hyper_np(h)
-        out = invert_planar_np(out, a, w, b)
+def flow_invert(u_final: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
+    """The latents u0 that ``flow_forward`` maps to u_final, row by row."""
+    out = u_final
+    for theta in reversed(_hyper_rows(h, layers)):
+        out = invert_planar(out, theta)
     return out
 
 
-def flow_log_det_np(u0: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> float:
-    """Diagnostic only: log |det dJ| of the full flow at one latent."""
-    u = np.asarray(u0, dtype=np.float64).reshape(-1)
-    total = 0.0
-    for layer in layers:
-        a, w, b = layer.hyper_np(h)
-        w_hat, _ = reparameterize_np(a, w)
-        t = math.tanh(float(a @ u) + b)
-        psi = (1.0 - t * t) * a
-        total += math.log(abs(1.0 + float(w_hat @ psi)))
-        u = u + w_hat * t
+def flow_log_det(u0: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
+    """Diagnostic only: log |det J| of the full flow at each latent row.
+
+    Latents (S, d_u) give shape (S,), and (B, S, d_u) give (B, S). Each
+    planar map contributes log |1 + (1 - tanh^2(a.u + b)) w_hat.a|.
+    """
+    u = np.asarray(u0, dtype=np.float64)
+    total = np.zeros(u.shape[:-1])
+    for theta in _hyper_rows(h, layers):
+        p = tz.planar_unpack(theta, PLANAR_MARGIN, _NORM_EPS)
+        t = np.tanh(u @ p.a.swapaxes(-1, -2) + p.b)  # (..., S, 1): the op's gate
+        total += np.log(np.abs(1.0 + (1.0 - t * t) * p.wa_hat))[..., 0]
+        u = u + t @ p.w_hat
     return total
 
 
@@ -222,11 +197,6 @@ class ReconstructionHead:
 
     def parameters(self) -> dict[str, Tensor]:
         return {"recon.G1": self.G1, "recon.g1": self.g1, "recon.G2": self.G2, "recon.g2": self.g2}
-
-
-def sample_base(rng: np.random.Generator, d_u: int) -> np.ndarray:
-    """One standard-normal base latent."""
-    return rng.standard_normal(d_u)
 
 
 @dataclass

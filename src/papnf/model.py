@@ -122,11 +122,12 @@ class PapNfModel:
     def condition(self, x_std: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
         """Run the conditioning pass once: returns (z, c, h)."""
         z = self.encoder.encode_global(x_std)
-        e_rep = self.reprogrammer.reprogram(self.encoder.encode_patches(x_std))
-        hidden = self.backbone.forward(build_llm_input(self.prefix, e_rep))
-        c = extract_context(hidden, self.ctx_proj)
-        if self.cfg.no_global_context:
+        if self.cfg.no_global_context:  # c is zeros; the backbone path would go unused
             c = Tensor(np.zeros((*z.shape[:-1], self.cfg.d_c)))
+        else:
+            e_rep = self.reprogrammer.reprogram(self.encoder.encode_patches(x_std))
+            hidden = self.backbone.forward(build_llm_input(self.prefix, e_rep))
+            c = extract_context(hidden, self.ctx_proj)
         h = self.fusion.fuse(z, c)
         return z, c, h
 

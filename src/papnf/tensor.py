@@ -44,7 +44,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,7 +67,8 @@ __all__ = [
     "linear_split",
     "layernorm_affine",
     "causal_attention",
-    "planar_reparameterize",
+    "PlanarParams",
+    "planar_unpack",
     "planar_step",
     "pairwise_spread",
     "energy_score",
@@ -791,18 +792,45 @@ def causal_attention(
     return out
 
 
-def planar_reparameterize(a: np.ndarray, w: np.ndarray, margin: float, norm_eps: float):
-    """Invertibility reparameterization of (1, d) rows a, w: (wa, m, r, coef, w_hat).
+class PlanarParams(NamedTuple):
+    """A packed planar row, unpacked: (1, d) rows a, w, w_hat and (1, 1) scalars.
+
+    Rows (B, 1, 2d + 1) give one of each per window.
+    """
+
+    a: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    wa: np.ndarray
+    m: np.ndarray
+    r: np.ndarray
+    coef: np.ndarray
+    w_hat: np.ndarray
+
+    @property
+    def wa_hat(self) -> np.ndarray:
+        """w_hat.a, (..., 1, 1): the invertibility margin, always above -1."""
+        return self.w_hat @ self.a.swapaxes(-1, -2)
+
+
+def planar_unpack(theta: np.ndarray, margin: float, norm_eps: float) -> PlanarParams:
+    """Split the packed row(s) [a | w | b] and reparameterize w for invertibility.
 
     wa = w.a, m = softplus(wa) + margin - 1, r = 1 / (|a|^2 + norm_eps),
-    coef = (m - wa) r and w_hat = w + coef a, so that w_hat.a > -1. The
-    scalars come back as (1, 1) arrays; (B, 1, d) rows give one per window.
+    coef = (m - wa) r and w_hat = w + coef a, so that w_hat.a > -1.
+    ``planar_step`` and the flow's inverse and log-det all unpack here.
     """
+    d = (theta.shape[-1] - 1) // 2
+    # contiguous copies, as the unfused slices were, so every product sees
+    # the same operands as the reference chain
+    a = theta[..., 0:d].copy()
+    w = theta[..., d : 2 * d].copy()
+    b = theta[..., 2 * d :].copy()
     wa = w @ a.swapaxes(-1, -2)  # (..., 1, 1)
     m = _softplus(wa) + (margin - 1.0)
     r = 1.0 / ((a * a).sum(axis=-1, keepdims=True) + norm_eps)
     coef = (m - wa) * r
-    return wa, m, r, coef, w + coef * a
+    return PlanarParams(a, w, b, wa, m, r, coef, w + coef * a)
 
 
 def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Tensor:
@@ -810,19 +838,14 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
 
     ``theta`` is the packed (1, 2d + 1) row [a | w | b]; latents (B, S, d)
     take (B, 1, 2d + 1) rows, one per window. The map is
-    u' = u + tanh(u . a + b) w_hat, with w_hat from ``planar_reparameterize``,
+    u' = u + tanh(u . a + b) w_hat, with w_hat from ``planar_unpack``,
     so w_hat.a > -1 and the map is invertible.
     """
     _require_2d(u, "planar_step", windows=True)
     d = u.shape[-1]
     if theta.shape != (*u.shape[:-2], 1, 2 * d + 1):
         raise ShapeError(f"planar_step: parameter row {theta.shape} for latents {u.shape}")
-    # contiguous copies, as the unfused slices were, so every product sees
-    # the same operands as the reference chain
-    a = theta.data[..., 0:d].copy()
-    w = theta.data[..., d : 2 * d].copy()
-    b = theta.data[..., 2 * d :].copy()
-    wa, m, r, coef, w_hat = planar_reparameterize(a, w, margin, norm_eps)
+    a, w, b, wa, m, r, coef, w_hat = planar_unpack(theta.data, margin, norm_eps)
     gate = np.tanh(u.data @ a.swapaxes(-1, -2) + b)  # (..., S, 1)
 
     def _bw():

@@ -21,16 +21,7 @@ from papnf.cli import main as cli_main
 from papnf.data import SplitSpec, load_csv, make_windows, split_series
 from papnf.encoder import PrefixBank, build_llm_input
 from papnf.evaluate import baseline_report, evaluate_split
-from papnf.flow import (
-    PLANAR_MARGIN,
-    FlowLayer,
-    flow_invert_np,
-    flow_forward_np,
-    invert_planar_np,
-    planar_step_np,
-    reparameterize_np,
-    sample_forecasts,
-)
+from papnf.flow import _NORM_EPS, PLANAR_MARGIN, FlowLayer, invert_planar, sample_forecasts
 from papnf.metrics import crps_empirical
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
@@ -264,15 +255,16 @@ def test_criterion_2_flow_invertibility():
         # stress far from the near-identity init: large hypernet outputs
         layer.U2.data = rng.normal(size=layer.U2.shape)
         layer.c2.data = rng.normal(size=layer.c2.shape)
-        for _ in range(1000):
-            h = rng.normal(size=d_h)
-            u = rng.normal(size=d_u)
-            a, w, b = layer.hyper_np(h)
-            _, wa = reparameterize_np(a, w)
-            worst_wa = min(worst_wa, wa)
-            u_prime = planar_step_np(u, a, w, b)
-            u_back = invert_planar_np(u_prime, a, w, b)
-            worst_rec = max(worst_rec, float(np.max(np.abs(u_back - u))))
+        # the same (h, u) draws, in the same order, stacked as 1000 windows
+        pairs = [(rng.normal(size=d_h), rng.normal(size=d_u)) for _ in range(1000)]
+        h = np.stack([pair[0] for pair in pairs])[:, None, :]
+        u = np.stack([pair[1] for pair in pairs])[:, None, :]
+        with tz.no_grad():
+            theta = layer.hyper_row(Tensor(h))
+            u_prime = tz.planar_step(Tensor(u), theta, PLANAR_MARGIN, _NORM_EPS).data
+        worst_wa = min(worst_wa, tz.planar_unpack(theta.data, PLANAR_MARGIN, _NORM_EPS).wa_hat.min())
+        u_back = invert_planar(u_prime, theta.data)
+        worst_rec = max(worst_rec, float(np.max(np.abs(u_back - u))))
     elapsed = time.time() - t0
     ok = worst_wa >= -1.0 + 1e-4 and worst_rec <= 1e-8 and elapsed < 30.0
     _verdict(

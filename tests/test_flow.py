@@ -21,6 +21,31 @@ def make_layers(t_flow=3, d_h=6, d_u=4, hidden=5, seed=0, randomize=True):
     return layers
 
 
+def packed(a, w, b):
+    """The packed (1, 2d + 1) row [a | w | b] that ``tz.planar_step`` takes."""
+    return np.concatenate([np.ravel(a), np.ravel(w), [b]])[None, :]
+
+
+def unpack(theta):
+    return tz.planar_unpack(theta, F.PLANAR_MARGIN, F._NORM_EPS)
+
+
+def step(u, theta):
+    """``tz.planar_step`` on numpy latent rows (S, d)."""
+    return tz.planar_step(Tensor(u), Tensor(theta), F.PLANAR_MARGIN, F._NORM_EPS).data
+
+
+def forward(u, h, layers):
+    """``flow_forward`` on numpy latents and h, recording no graph."""
+    with tz.no_grad():
+        return F.flow_forward(Tensor(u), Tensor(h), layers).data
+
+
+def hyper(layer, h):
+    with tz.no_grad():
+        return layer.hyper_row(Tensor(h)).data
+
+
 # -- reparameterization ----------------------------------------------------------
 
 
@@ -30,21 +55,37 @@ def test_reparameterized_dot_product_respects_floor(seed, scale):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=5) * scale
     w = rng.normal(size=5) * scale
-    _, wa_hat = F.reparameterize_np(a, w)
-    assert wa_hat >= -1.0 + 1e-4
+    assert unpack(packed(a, w, 0.0)).wa_hat.item() >= -1.0 + 1e-4
 
 
 def test_reparameterization_handles_anti_aligned_vectors():
     a = np.array([3.0, 0.0])
     w = -10.0 * a  # w.a = -90, far past where softplus alone underflows 1e-4
-    _, wa_hat = F.reparameterize_np(a, w)
-    assert wa_hat >= -1.0 + 1e-4
+    assert unpack(packed(a, w, 0.0)).wa_hat.item() >= -1.0 + 1e-4
 
 
 def test_zero_hypernet_output_leaves_latent_unchanged():
-    u = np.array([0.3, -1.2, 0.8])
-    out = F.planar_step_np(u, np.zeros(3), np.zeros(3), 0.0)
+    u = np.array([[0.3, -1.2, 0.8]])
+    out = step(u, np.zeros((1, 7)))
     np.testing.assert_allclose(out, u, atol=1e-12)
+
+
+def test_planar_step_and_both_diagnostics_unpack_through_one_function(monkeypatch):
+    layers = make_layers(t_flow=2, seed=22)
+    h = np.random.default_rng(23).normal(size=(1, 6))
+    u = np.random.default_rng(24).normal(size=(3, 4))
+    calls = []
+    real_unpack = tz.planar_unpack
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return real_unpack(*args)
+
+    monkeypatch.setattr(tz, "planar_unpack", spy)
+    u_final = forward(u, h, layers)
+    F.flow_invert(u_final, h, layers)
+    F.flow_log_det(u, h, layers)
+    assert calls == [(1, 9)] * 6
 
 
 # -- identity at init --------------------------------------------------------------
@@ -63,26 +104,22 @@ def test_flow_is_exact_identity_with_zeroed_hypernet():
 def test_freshly_built_flow_is_near_identity():
     # per-step displacement is bounded by ||w_hat||, which the bias init keeps small
     layers = make_layers(t_flow=1, randomize=False)
-    h = np.random.default_rng(1).normal(size=(1, 6))
-    a, w, b = layers[0].hyper_np(h)
-    w_hat, _ = F.reparameterize_np(a, w)
-    assert b == 0.0
-    assert np.linalg.norm(w_hat) < 1.1
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        u = rng.normal(size=4)
-        out = F.planar_step_np(u, a, w, float(b))
-        assert np.linalg.norm(out - u) <= np.linalg.norm(w_hat) + 1e-12
+    theta = hyper(layers[0], np.random.default_rng(1).normal(size=(1, 6)))
+    p = unpack(theta)
+    assert p.b.item() == 0.0
+    w_hat_norm = np.linalg.norm(p.w_hat)
+    assert w_hat_norm < 1.1
+    u = np.random.default_rng(2).normal(size=(20, 4))
+    moved = np.linalg.norm(step(u, theta) - u, axis=1)
+    assert (moved <= w_hat_norm + 1e-12).all()
 
 
 def test_latents_orthogonal_to_gate_direction_pass_through_at_init():
     layers = make_layers(t_flow=1, randomize=False)
-    h = np.random.default_rng(3).normal(size=(1, 6))
-    a, w, b = layers[0].hyper_np(h)
-    u = np.array([1.0, -1.0, 2.0, -2.0])  # a is constant across entries, so a.u = 0
-    assert abs(float(a @ u)) < 1e-12
-    out = F.planar_step_np(u, a, w, float(b))
-    np.testing.assert_allclose(out, u, atol=1e-12)
+    theta = hyper(layers[0], np.random.default_rng(3).normal(size=(1, 6)))
+    u = np.array([[1.0, -1.0, 2.0, -2.0]])  # a is constant across entries, so a.u = 0
+    assert abs((u @ unpack(theta).a.T).item()) < 1e-12
+    np.testing.assert_allclose(step(u, theta), u, atol=1e-12)
 
 
 def test_gradients_reach_every_flow_parameter_at_default_init():
@@ -113,52 +150,6 @@ def test_gradients_reach_every_flow_parameter_at_default_init():
         assert np.abs(layer.c1.grad).max() > 0.0
 
 
-def test_randomized_flow_moves_latents_and_matches_numpy_mirror():
-    layers = make_layers(seed=3)
-    h_np = np.random.default_rng(4).normal(size=(1, 6))
-    u0 = np.random.default_rng(5).normal(size=(3, 4))
-    out = F.flow_forward(Tensor(u0), Tensor(h_np), layers).data
-    assert np.abs(out - u0).max() > 1e-3
-    for s in range(3):
-        np.testing.assert_allclose(out[s], F.flow_forward_np(u0[s], h_np, layers), atol=1e-12)
-
-
-def test_numpy_helpers_run_the_training_op(monkeypatch):
-    # hyper_np, planar_step_np and flow_forward_np adapt the Tensor path: the
-    # w_hat that reparameterize_np (and so the inversion) sees is the op's own
-    layers = make_layers(seed=22)
-    h = np.random.default_rng(23).normal(size=(1, 6))
-    u = np.random.default_rng(24).normal(size=4)
-    steps, kernels = [], []
-    op, kernel = tz.planar_step, tz.planar_reparameterize
-
-    def spy_step(*args):
-        steps.append(args)
-        return op(*args)
-
-    def spy_kernel(*args):
-        result = kernel(*args)
-        kernels.append(result[-1])  # w_hat
-        return result
-
-    monkeypatch.setattr(tz, "planar_step", spy_step)
-    monkeypatch.setattr(tz, "planar_reparameterize", spy_kernel)
-    with_np = F.flow_forward_np(u, h, layers)
-    assert len(steps) == len(layers)
-    with_op = F.flow_forward(Tensor(u[None, :]), Tensor(h), layers).data[0]
-    assert with_np.tobytes() == with_op.tobytes()
-
-    a, w, b = layers[0].hyper_np(h)
-    np.testing.assert_array_equal(
-        np.concatenate([a, w, [b]]), layers[0].hyper_row(Tensor(h)).data[0]
-    )
-    del steps[:], kernels[:]
-    F.planar_step_np(u, a, w, b)
-    w_hat, _ = F.reparameterize_np(a, w)
-    assert len(steps) == 1 and len(kernels) == 2
-    assert kernels[0].reshape(-1).tobytes() == w_hat.tobytes()
-
-
 # -- inversion ---------------------------------------------------------------------
 
 
@@ -168,10 +159,9 @@ def test_single_planar_map_inverts_to_1e8(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=4) * rng.uniform(0.1, 3.0)
     w = rng.normal(size=4) * rng.uniform(0.1, 3.0)
-    b = float(rng.normal())
-    u = rng.normal(size=4)
-    u_prime = F.planar_step_np(u, a, w, b)
-    back = F.invert_planar_np(u_prime, a, w, b)
+    theta = packed(a, w, float(rng.normal()))
+    u = rng.normal(size=(1, 4))
+    back = F.invert_planar(step(u, theta), theta)
     assert np.abs(back - u).max() < 1e-8
 
 
@@ -182,21 +172,54 @@ def test_inversion_survives_steep_cliff():
     for scale in (10.0, 30.0, 100.0):
         a = rng.normal(size=8) * scale
         w = a / (a @ a) * (scale * np.linalg.norm(a)) + rng.normal(size=8) * 0.1
-        b = float(rng.normal() * 10.0)
-        u = rng.normal(size=8) * 3.0
-        u_prime = F.planar_step_np(u, a, w, b)
-        back = F.invert_planar_np(u_prime, a, w, b)
+        theta = packed(a, w, float(rng.normal() * 10.0))
+        u = rng.normal(size=(1, 8)) * 3.0
+        back = F.invert_planar(step(u, theta), theta)
         assert np.abs(back - u).max() < 1e-8
+
+
+def test_each_row_inverts_bitwise_as_it_would_alone():
+    # a row is frozen once its bracket has converged, so rows that need many
+    # iterations (steep cliffs) do not move the rows that need few
+    rng = np.random.default_rng(43)
+    thetas = []
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-1.0, 2.0)
+        a = rng.normal(size=8) * scale
+        w = a / (a @ a) * (scale * np.linalg.norm(a)) * rng.choice([1.0, -0.5])
+        thetas.append(packed(a, w + rng.normal(size=8) * 0.1, float(rng.normal() * 3.0)))
+    thetas = np.stack(thetas)  # (200, 1, 17): one map and one row per window
+    u = rng.normal(size=(200, 1, 8)) * 3.0
+    back = F.invert_planar(step(u, thetas), thetas)
+    assert np.abs(back - u).max() < 1e-8
+    for i in range(200):
+        alone = F.invert_planar(step(u[i], thetas[i]), thetas[i])
+        assert back[i].tobytes() == alone.tobytes()
 
 
 def test_full_flow_round_trip():
     layers = make_layers(t_flow=4, seed=6)
     h = np.random.default_rng(7).normal(size=(1, 6))
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        u0 = rng.normal(size=4)
-        u_final = F.flow_forward_np(u0, h, layers)
-        np.testing.assert_allclose(F.flow_invert_np(u_final, h, layers), u0, atol=1e-8)
+    u0 = np.random.default_rng(8).normal(size=(20, 4))
+    u_final = forward(u0, h, layers)
+    assert np.abs(u_final - u0).max() > 1e-3  # the randomized flow really moves latents
+    np.testing.assert_allclose(F.flow_invert(u_final, h, layers), u0, atol=1e-8)
+    # with a window axis: (B, S, d_u) latents, one h row per window
+    hs = np.random.default_rng(9).normal(size=(5, 1, 6))
+    u0 = np.random.default_rng(10).normal(size=(5, 7, 4))
+    np.testing.assert_allclose(F.flow_invert(forward(u0, hs, layers), hs, layers), u0, atol=1e-8)
+
+
+def test_window_axis_diagnostics_are_bitwise_the_per_window_calls():
+    layers = make_layers(t_flow=3, seed=25)
+    hs = np.random.default_rng(26).normal(size=(4, 1, 6))
+    u = np.random.default_rng(27).normal(size=(4, 5, 4))
+    inverted = F.flow_invert(u, hs, layers)
+    log_det = F.flow_log_det(u, hs, layers)
+    assert inverted.shape == u.shape and log_det.shape == (4, 5)
+    for i in range(4):
+        assert inverted[i].tobytes() == F.flow_invert(u[i], hs[i], layers).tobytes()
+        assert log_det[i].tobytes() == F.flow_log_det(u[i], hs[i], layers).tobytes()
 
 
 # -- log-det diagnostic --------------------------------------------------------------
@@ -205,17 +228,19 @@ def test_full_flow_round_trip():
 def test_log_det_matches_numerical_jacobian():
     layers = make_layers(t_flow=2, d_u=3, seed=9)
     h = np.random.default_rng(10).normal(size=(1, 6))
-    u0 = np.random.default_rng(11).normal(size=3)
+    u0 = np.random.default_rng(11).normal(size=(6, 3))
     eps = 1e-6
-    jac = np.zeros((3, 3))
+    jac = np.zeros((6, 3, 3))
     for j in range(3):
         up = u0.copy()
-        up[j] += eps
+        up[:, j] += eps
         dn = u0.copy()
-        dn[j] -= eps
-        jac[:, j] = (F.flow_forward_np(up, h, layers) - F.flow_forward_np(dn, h, layers)) / (2 * eps)
-    expected = np.log(abs(np.linalg.det(jac)))
-    assert abs(F.flow_log_det_np(u0, h, layers) - expected) < 1e-6
+        dn[:, j] -= eps
+        jac[:, :, j] = (forward(up, h, layers) - forward(dn, h, layers)) / (2 * eps)
+    expected = np.log(np.abs(np.linalg.det(jac)))
+    log_det = F.flow_log_det(u0, h, layers)
+    assert log_det.shape == (6,)
+    assert np.abs(log_det - expected).max() < 1e-6
 
 
 def test_log_det_is_zero_when_hypernet_outputs_vanish():
@@ -223,7 +248,9 @@ def test_log_det_is_zero_when_hypernet_outputs_vanish():
     for layer in layers:
         layer.c2.data = np.zeros_like(layer.c2.data)
     h = np.zeros((1, 6))
-    assert F.flow_log_det_np(np.ones(4), h, layers) == 0.0
+    u = np.random.default_rng(12).normal(size=(3, 4))
+    u[0] = 1.0
+    assert (F.flow_log_det(u, h, layers) == 0.0).all()
 
 
 # -- hypernet conditioning and gradients ----------------------------------------------
@@ -231,11 +258,11 @@ def test_log_det_is_zero_when_hypernet_outputs_vanish():
 
 def test_different_h_produce_different_transport():
     layers = make_layers(seed=12)
-    u0 = np.random.default_rng(13).normal(size=4)
+    u0 = np.random.default_rng(13).normal(size=(1, 4))
     h1 = np.random.default_rng(14).normal(size=(1, 6))
     h2 = h1 + 1.0
-    out1 = F.flow_forward_np(u0, h1, layers)
-    out2 = F.flow_forward_np(u0, h2, layers)
+    out1 = forward(u0, h1, layers)
+    out2 = forward(u0, h2, layers)
     assert np.abs(out1 - out2).max() > 1e-4
 
 
@@ -275,13 +302,6 @@ def test_reconstruction_head_shapes_and_grads():
 
 
 # -- sampling and ensembles -------------------------------------------------------------
-
-
-def test_sample_base_moments():
-    rng = np.random.default_rng(20)
-    draws = np.stack([F.sample_base(rng, 8) for _ in range(10_000)])
-    assert np.abs(draws.mean(axis=0)).max() < 0.05
-    assert np.abs(draws.std(axis=0) - 1.0).max() < 0.05
 
 
 def test_ensemble_quantiles_are_monotone():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from papnf import flow as F
-from papnf.backbone import BackboneArch
+from papnf.backbone import BackboneArch, TransformerBackbone
 from papnf.data import make_windows
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import substream
@@ -100,6 +100,31 @@ def test_no_global_context_zeroes_c():
     model = PapNfModel(cfg, seed=7)
     _, c, _ = model.condition(toy_window(cfg).x_std)
     np.testing.assert_array_equal(c.data, np.zeros((1, cfg.d_c)))
+
+
+def test_no_global_context_never_runs_the_backbone(monkeypatch):
+    # c is zeros under this arm, so the backbone path would be dead weight,
+    # and under grad a subgraph the loss never reaches
+    calls = []
+    real_forward = TransformerBackbone.forward
+
+    def counting_forward(self, x):
+        calls.append(x.shape)
+        return real_forward(self, x)
+
+    monkeypatch.setattr(TransformerBackbone, "forward", counting_forward)
+    x_std = toy_window(toy_config()).x_std
+    u0 = substream(12, "u").standard_normal((2, 5))
+    PapNfModel(toy_config(), seed=7).forward_samples(x_std, u0)
+    assert len(calls) == 1
+    del calls[:]
+    cfg = ablation_variant(toy_config(), "no_global_context")
+    model = PapNfModel(cfg, seed=7)
+    loss = loss_energy(model.forward_samples(x_std, u0), Tensor(np.zeros((1, 16))))
+    loss.backward()
+    assert model.fusion.W_h.grad is not None
+    model.forward_samples(np.stack([x_std, x_std]), np.stack([u0, u0]))
+    assert calls == []
 
 
 def test_random_backbone_arm_changes_only_backbone():
