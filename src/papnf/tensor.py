@@ -31,12 +31,15 @@ width) arrays, recording a graph or not; a 2-D operand such as a weight or
 the prefix broadcasts over it. Every product stays one BLAS call per window
 (a batched ``(B, r, k) @ (k, n)``, never the windows stacked into the rows of
 one 2-D GEMM), so each window's values are bitwise those of its own 2-D pass.
-In backward, each window's gradient is the 2-D product or sum of its own
-pass, and a 2-D operand shared across windows takes them one window at a
-time, window B-1 first: the order in which one backward over per-window
-graphs, built for windows 0..B-1, reaches an operand that each window's
-graph uses once. Every model weight is such an operand, so a batch's
-gradients are bitwise those of its per-window graphs.
+In backward, a 2-D operand shared across windows gets every window's
+gradient from one rank-generic call: a stacked product
+``a.swapaxes(-1, -2) @ b``, one BLAS call per window, or a sum over each
+window's rows; a window of one row takes the exact outer product instead,
+bitwise that K=1 GEMM. The (B, ...) stack is then added in one in-order
+reduction, window B-1 first: the order in which one backward over
+per-window graphs, built for windows 0..B-1, reaches an operand that each
+window's graph uses once. Every model weight is such an operand, so a
+batch's gradients are bitwise those of its per-window graphs.
 """
 
 from __future__ import annotations
@@ -152,12 +155,23 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` into this tensor's grad buffer (the first ``g`` is copied)."""
+        if self.requires_grad:
+            self._add_grad(g if self.grad is not None else np.array(g, dtype=np.float64))
+
+    def _add_grad(self, g: np.ndarray) -> None:
+        """``accumulate_grad`` of a fresh float64 array that nothing else holds.
+
+        The first such g becomes the grad buffer itself, uncopied (numpy
+        returns 0-d results as scalars, which get an array). The ops'
+        backward closures hand their products here; views of ``out.grad``
+        and broadcasts go through ``accumulate_grad``.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
             if g.shape != self.data.shape:
                 raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if isinstance(g, np.ndarray) else np.array(g)
         else:
             self.grad += g
 
@@ -309,14 +323,12 @@ def _binary_elementwise(a, b, op: str) -> Tensor:
 
     def _bw():
         g = out.grad
-        if op == "add":
-            ga, gb = g, g
-        elif op == "sub":
-            ga, gb = g, -g
+        if op == "mul":
+            _accumulate_broadcast(a, g * b.data, fresh=True)
+            _accumulate_broadcast(b, g * a.data, fresh=True)
         else:
-            ga, gb = g * b.data, g * a.data
-        _accumulate_broadcast(a, ga)
-        _accumulate_broadcast(b, gb)
+            _accumulate_broadcast(a, g)
+            _accumulate_broadcast(b, g if op == "add" else -g, fresh=op == "sub")
 
     out = _make(data, (a, b), _bw)
     return out
@@ -331,44 +343,88 @@ def _over_windows(a: Tensor, b: Tensor) -> bool:
 def _accumulate_windows(t: Tensor, fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> None:
     """Add ``fn(*arrays)`` into the grad of t, an operand the windows share.
 
-    With a window axis, (B, rows, width) arrays, fn gets window i's 2-D
-    slices, and window B-1's gradient goes in first, window 0's last (the
-    module docstring says why). Summing them with ``np.sum(axis=0)`` would
-    add in another order; stacking B weight-sized gradients would cost
-    memory.
+    fn is rank-generic and returns a fresh array: from (B, rows, width)
+    arrays, one call gives every window's gradient as a (B, *t.shape) stack,
+    which ``_add_windows`` adds window B-1 first; from 2-D arrays, one
+    gradient. It runs only when t takes a gradient.
+    """
+    if t.requires_grad:
+        _add_windows(t, fn(*arrays), fresh=True)
+
+
+def _add_windows(t: Tensor, g: np.ndarray, fresh: bool) -> None:
+    """Add g, t's gradient or a (B, *t.shape) stack of them, into t's grad.
+
+    A stack is added in one reduction, window B-1 first, window 0 last (the
+    module docstring says why); t's grad so far goes in before window B-1,
+    as it would in a chain of ``+=``. ``fresh`` says that nothing else holds
+    g, so the stack may be written and the result adopted as the buffer.
+    """
+    if g.ndim > t.data.ndim:
+        if t.grad is not None:
+            g = g if fresh else g.copy()
+            g[-1] += t.grad
+            t.grad = None
+        g, fresh = _sum_windows(g), True
+    if fresh:
+        t._add_grad(g)
+    else:
+        t.accumulate_grad(g)
+
+
+def _sum_windows(stack: np.ndarray) -> np.ndarray:
+    """``stack[B-1] + stack[B-2] + ... + stack[0]``, added in that order.
+
+    Reduced over its leading axis, numpy adds whole windows one after
+    another, each an elementwise pass. A one-element window would leave the
+    window axis as the inner loop, which numpy sums pairwise, so such stacks
+    take the running sum of ``np.cumsum``, as ``sum_in_order`` does.
+    """
+    reverse = stack[::-1]
+    if reverse[0].size == 1:
+        return np.cumsum(reverse, axis=0)[-1]
+    return np.add.reduce(reverse, axis=0)
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.swapaxes(-1, -2) @ b``, per window for (B, r, m) and (B, r, k) arrays.
+
+    With one row (r = 1), the exact outer product ``a.swapaxes(-1, -2) * b``
+    instead, far cheaper than B K=1 GEMMs and bitwise theirs. A GEMM adds
+    each product to +0.0, which turns a -0.0 product into +0.0; einsum's
+    sum over the one row starts from +0.0 too, and runs about twice as fast
+    as numpy's broadcast multiply.
+    """
+    if a.shape[-2] != 1:
+        return a.swapaxes(-1, -2) @ b
+    return np.einsum("...ri,...rj->...ij", a, b)
+
+
+def _accumulate_broadcast(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add g into t's grad, undoing a broadcast over a window axis or of a scalar.
+
+    ``fresh`` says that nothing else holds g; an alias such as ``out.grad``
+    itself, or a slice of it, is copied, not adopted.
     """
     if not t.requires_grad:
         return
-    if arrays[0].ndim < 3:
-        t.accumulate_grad(fn(*arrays))
-        return
-    for i in range(len(arrays[0]) - 1, -1, -1):
-        t.accumulate_grad(fn(*(a[i] for a in arrays)))
-
-
-def _accumulate_broadcast(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t's grad, undoing a broadcast over a window axis or of a scalar."""
-    if not t.requires_grad:
-        return
-    if g.shape == t.shape:
-        t.accumulate_grad(g)
-    elif g.ndim == 3 and g.shape[1:] == t.shape:
-        _accumulate_windows(t, lambda gw: gw, g)
+    if g.shape == t.shape or (g.ndim == 3 and g.shape[1:] == t.shape):
+        _add_windows(t, g, fresh)
     else:
-        t.accumulate_grad(np.asarray(g.sum(), dtype=np.float64).reshape(t.shape))
+        t._add_grad(np.asarray(g.sum(), dtype=np.float64).reshape(t.shape))
 
 
 # -- unary elementwise ops ----------------------------------------------------
 
 
 def neg(x: Tensor) -> Tensor:
-    out = _make(-x.data, (x,), lambda: x.accumulate_grad(-out.grad))
+    out = _make(-x.data, (x,), lambda: x._add_grad(-out.grad))
     return out
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = _make(y, (x,), lambda: x.accumulate_grad(out.grad * (1.0 - y * y)))
+    out = _make(y, (x,), lambda: x._add_grad(out.grad * (1.0 - y * y)))
     return out
 
 
@@ -379,18 +435,18 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def softplus(x: Tensor) -> Tensor:
     y = _softplus(x.data)
-    out = _make(y, (x,), lambda: x.accumulate_grad(out.grad * (1.0 / (1.0 + np.exp(-x.data)))))
+    out = _make(y, (x,), lambda: x._add_grad(out.grad * (1.0 / (1.0 + np.exp(-x.data)))))
     return out
 
 
 def absolute(x: Tensor) -> Tensor:
-    out = _make(np.abs(x.data), (x,), lambda: x.accumulate_grad(out.grad * np.sign(x.data)))
+    out = _make(np.abs(x.data), (x,), lambda: x._add_grad(out.grad * np.sign(x.data)))
     return out
 
 
 def reciprocal(x: Tensor) -> Tensor:
     y = 1.0 / x.data
-    out = _make(y, (x,), lambda: x.accumulate_grad(out.grad * (-y * y)))
+    out = _make(y, (x,), lambda: x._add_grad(out.grad * (-y * y)))
     return out
 
 
@@ -415,8 +471,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def _bw():
         g = out.grad
         if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        _accumulate_windows(b, lambda aw, gw: aw.T @ gw, a.data, g)
+            a._add_grad(g @ b.data.T)
+        _accumulate_windows(b, _rows_product, a.data, g)
 
     out = _make(a.data @ b.data, (a, b), _bw)
     return out
@@ -449,20 +505,21 @@ def _normalize_slice(s, dim: int, axis: str) -> tuple[int, int]:
 
 
 def _slice(x: Tensor, key) -> Tensor:
-    _require_2d(x, "slice")
+    """``x[r0:r1, c0:c1]``; a (B, rows, width) x is sliced window by window."""
+    _require_2d(x, "slice", windows=True)
     if not isinstance(key, tuple):
         key = (key, slice(None))
     if len(key) != 2:
         raise ShapeError("slice key must address rows and columns")
-    r0, r1 = _normalize_slice(key[0], x.shape[0], "rows")
-    c0, c1 = _normalize_slice(key[1], x.shape[1], "cols")
+    r0, r1 = _normalize_slice(key[0], x.shape[-2], "rows")
+    c0, c1 = _normalize_slice(key[1], x.shape[-1], "cols")
 
     def _bw():
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        x.grad[r0:r1, c0:c1] += out.grad
+        x.grad[..., r0:r1, c0:c1] += out.grad
 
-    out = _make(x.data[r0:r1, c0:c1].copy(), (x,), _bw)
+    out = _make(x.data[..., r0:r1, c0:c1].copy(), (x,), _bw)
     return out
 
 
@@ -563,7 +620,7 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
     def _bw():
         m.accumulate_grad(out.grad)
-        v.accumulate_grad(out.grad.sum(axis=0))
+        v._add_grad(out.grad.sum(axis=0))
 
     out = _make(m.data + v.data[None, :], (m, v), _bw)
     return out
@@ -577,8 +634,8 @@ def mul_rowvec(m: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"mul_rowvec: vector {v.shape} does not match row width of {m.shape}")
 
     def _bw():
-        m.accumulate_grad(out.grad * v.data[None, :])
-        v.accumulate_grad((out.grad * m.data).sum(axis=0))
+        m._add_grad(out.grad * v.data[None, :])
+        v._add_grad((out.grad * m.data).sum(axis=0))
 
     out = _make(m.data * v.data[None, :], (m, v), _bw)
     return out
@@ -592,7 +649,7 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
     if n < 1:
         raise ShapeError("repeat_rows needs n >= 1")
     y = np.repeat(v.data, n, axis=-2)
-    out = _make(y, (v,), lambda: v.accumulate_grad(out.grad.sum(axis=-2, keepdims=True)))
+    out = _make(y, (v,), lambda: v._add_grad(out.grad.sum(axis=-2, keepdims=True)))
     return out
 
 
@@ -611,7 +668,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor; each output row sums to one."""
     _require_2d(x, "softmax_rows")
     s = _softmax_last(x.data)
-    out = _make(s, (x,), lambda: x.accumulate_grad(_softmax_last_grad(out.grad, s)))
+    out = _make(s, (x,), lambda: x._add_grad(_softmax_last_grad(out.grad, s)))
     return out
 
 
@@ -634,7 +691,7 @@ def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean / unit variance (no affine part)."""
     _require_2d(x, "layernorm_rows")
     xhat, inv = _normalize_rows(x.data, eps)
-    out = _make(xhat, (x,), lambda: x.accumulate_grad(_normalize_rows_grad(out.grad, xhat, inv)))
+    out = _make(xhat, (x,), lambda: x._add_grad(_normalize_rows_grad(out.grad, xhat, inv)))
     return out
 
 
@@ -658,9 +715,9 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     def _bw():
         g = out.grad
         if x.requires_grad:
-            x.accumulate_grad(g @ W.data)
-        _accumulate_windows(W, lambda gw, xw: gw.T @ xw, g, x.data)
-        _accumulate_windows(b, lambda gw: gw.sum(axis=0), g)
+            x._add_grad(g @ W.data)
+        _accumulate_windows(W, _rows_product, g, x.data)
+        _accumulate_windows(b, lambda gw: gw.sum(axis=-2), g)
 
     y = x.data @ W.data.T
     y += b.data
@@ -699,17 +756,17 @@ def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         g_row = g.sum(axis=-2, keepdims=True)  # gradient on the bias row
         if u.requires_grad:
-            u.accumulate_grad(g @ W_u)
+            u._add_grad(g @ W_u)
         if h.requires_grad:
-            h.accumulate_grad(g_row @ W_h)
+            h._add_grad(g_row @ W_h)
         if W.requires_grad:
             # one (m, S) @ (S, d_u + d_h) product over the [u | h] rows, as in
             # linear: cheaper at training's S than an outer product for h's
             # columns plus a concatenation of the two blocks
             h_rows = np.broadcast_to(h.data, (*u.shape[:-1], h.shape[-1]))
             x = np.concatenate([u.data, h_rows], axis=-1)
-            _accumulate_windows(W, lambda gw, xw: gw.T @ xw, g, x)
-        _accumulate_windows(b, lambda rw: rw[0], g_row)
+            _accumulate_windows(W, _rows_product, g, x)
+        _accumulate_windows(b, lambda rw: rw[..., 0, :], g_row)
 
     row = h.data @ W_h.T
     row += b.data
@@ -729,9 +786,9 @@ def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tens
     def _bw():
         gy = out.grad
         if x.requires_grad:
-            x.accumulate_grad(_normalize_rows_grad(gy * g.data[None, :], xhat, inv))
-        _accumulate_windows(g, lambda gw, xw: (gw * xw).sum(axis=0), gy, xhat)
-        _accumulate_windows(b, lambda gw: gw.sum(axis=0), gy)
+            x._add_grad(_normalize_rows_grad(gy * g.data[None, :], xhat, inv))
+        _accumulate_windows(g, lambda gw, xw: (gw * xw).sum(axis=-2), gy, xhat)
+        _accumulate_windows(b, lambda gw: gw.sum(axis=-2), gy)
 
     y = xhat * g.data
     y += b.data
@@ -775,7 +832,7 @@ def causal_attention(
 
     def _bw():
         g = out.grad
-        _accumulate_windows(Wo, lambda hw, gw: hw.T @ gw, heads, g)
+        _accumulate_windows(Wo, _rows_product, heads, g)
         g_heads = split(g @ Wo.data.T)
         g_scores = _softmax_last_grad(g_heads @ v.swapaxes(-1, -2), p) * scale
         grads = (
@@ -784,9 +841,9 @@ def causal_attention(
             (Wv, merge(p.swapaxes(-1, -2) @ g_heads)),
         )
         if x.requires_grad:
-            x.accumulate_grad(sum(gm @ W.data.T for W, gm in grads))
+            x._add_grad(sum(gm @ W.data.T for W, gm in grads))
         for W, gm in grads:
-            _accumulate_windows(W, lambda xw, gw: xw.T @ gw, x.data, gm)
+            _accumulate_windows(W, _rows_product, x.data, gm)
 
     out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), _bw)
     return out
@@ -852,7 +909,7 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
         g = out.grad
         g_pre = (g @ w_hat.swapaxes(-1, -2)) * (1.0 - gate * gate)  # (..., S, 1)
         if u.requires_grad:
-            u.accumulate_grad(g + g_pre @ a)
+            u._add_grad(g + g_pre @ a)
         if not theta.requires_grad:
             return
         g_w_hat = gate.swapaxes(-1, -2) @ g  # (..., 1, d)
@@ -863,7 +920,7 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
         g_a = g_pre.swapaxes(-1, -2) @ u.data + coef * g_w_hat + (2.0 * g_norm2) * a + g_wa * w
         g_w = g_w_hat + g_wa * a
         g_b = g_pre.sum(axis=(-2, -1), keepdims=True)
-        theta.accumulate_grad(np.concatenate([g_a, g_w, g_b], axis=-1))
+        theta._add_grad(np.concatenate([g_a, g_w, g_b], axis=-1))
 
     out = _make(u.data + gate @ w_hat, (u, theta), _bw)
     return out
@@ -925,8 +982,8 @@ def energy_score(samples: Tensor, target: Tensor) -> Tensor:
         sign = np.sign(diff) * (g / (s * n))
         coeff = np.empty_like(samples.data)
         np.put_along_axis(coeff, order, _rank_coefficients(s)[:, None], axis=-2)
-        samples.accumulate_grad(sign - coeff * (g / (s * (s - 1) * n)))
-        target.accumulate_grad(-sign.sum(axis=-2, keepdims=True))
+        samples._add_grad(sign - coeff * (g / (s * (s - 1) * n)))
+        target._add_grad(-sign.sum(axis=-2, keepdims=True))
 
     out = _make(np.asarray(value), (samples, target), _bw)
     return out

@@ -409,6 +409,9 @@ def pretrain_backbone(cfg: PretrainConfig, path: str) -> PretrainResult:
     The sequence is lifted to token width by a throwaway outer-product
     embedding and read out by a throwaway linear head; only the transformer
     weights are kept. The saved container loads via load_frozen_checkpoint.
+    Each step's sequences run as one batch with a leading window axis; the
+    per-sequence losses are added first to last, as in ``_batch_loss``, so
+    losses and weights are bitwise those of one graph per sequence.
     """
     backbone = TransformerBackbone(
         cfg.arch, seed=derive_seed(cfg.seed, "pretrain-init"), kind="frozen_checkpoint",
@@ -427,17 +430,11 @@ def pretrain_backbone(cfg: PretrainConfig, path: str) -> PretrainResult:
     n = cfg.seq_len
     for step in range(cfg.steps):
         seqs = pretrain_sequences(data_rng, cfg.batch, n)
-        total = None
-        for b in range(cfg.batch):
-            col = Tensor(seqs[b].reshape(n, 1))
-            tokens = matmul(col, lift)
-            hidden = backbone.forward(tokens)
-            pred = matmul(hidden, readout)[0 : n - 1, :]
-            target = Tensor(seqs[b, 1:].reshape(n - 1, 1))
-            diff = pred - target
-            term = (diff * diff).sum() * (1.0 / (n - 1))
-            total = term if total is None else total + term
-        loss = total * (1.0 / cfg.batch)
+        tokens = matmul(Tensor(seqs.reshape(cfg.batch, n, 1)), lift)
+        pred = matmul(backbone.forward(tokens), readout)[0 : n - 1, :]
+        diff = pred - Tensor(seqs[:, 1:].reshape(cfg.batch, n - 1, 1))
+        terms = (diff * diff).sum() * (1.0 / (n - 1))
+        loss = sum_in_order(terms) * (1.0 / cfg.batch)
         history.append(_guarded_step(opt, loss, 0, step, history))
     head = max(1, min(20, cfg.steps // 10))
     tail = max(1, min(100, cfg.steps // 4))

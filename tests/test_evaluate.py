@@ -529,6 +529,7 @@ def _window_axis_cases(rng):
             loss_reconstruction, [_arr(rng, B, 7, d), _arr(rng, B, 1, d)], []
         ),
         "sum": (lambda x: x.sum(), [_arr(rng, B, n, d)], []),
+        "slice": (lambda x: x[1:4, 0:3], [_arr(rng, B, n, d)], []),
     }
 
 
@@ -574,3 +575,36 @@ def test_window_axis_gradients_are_bitwise_the_per_window_graphs(name):
             assert t.grad[i].tobytes() == ref.grad.tobytes()
     for t, ref in zip(shared_t, shared_ref):
         assert t.grad.tobytes() == ref.grad.tobytes()
+
+
+SHARED_CASES = [n for n in CASES if _window_axis_cases(np.random.default_rng(0))[n][2]]
+
+
+@pytest.mark.parametrize("name", SHARED_CASES)
+def test_each_shared_operand_takes_one_stacked_gradient_per_node(name, monkeypatch):
+    # one gradient call over the window stack per operand, not one per window
+    runs, stacks = {}, {}
+    real_accumulate, real_add = tz._accumulate_windows, tz._add_windows
+
+    def accumulate(t, fn, *arrays):
+        def counted(*args):
+            runs[id(t)] = runs.get(id(t), 0) + 1
+            assert all(a.ndim == 3 and len(a) == B for a in args)
+            return fn(*args)
+
+        real_accumulate(t, counted, *arrays)
+
+    def add(t, g, fresh):
+        stacks.setdefault(id(t), []).append(g.shape)
+        real_add(t, g, fresh)
+
+    monkeypatch.setattr(tz, "_accumulate_windows", accumulate)
+    monkeypatch.setattr(tz, "_add_windows", add)
+    op, stacked, shared = _window_axis_cases(np.random.default_rng(2))[name]
+    shared_t = [Tensor(s, requires_grad=True) for s in shared]
+    out = op(*[Tensor(s, requires_grad=True) for s in stacked], *shared_t)
+    _backward_from(out, np.random.default_rng(3).normal(size=out.shape))
+    broadcast = name in ("concat_rows", "positional_add")  # out.grad's stack, handed over
+    for t in shared_t:
+        assert stacks[id(t)] == [(B, *t.shape)]
+        assert runs.get(id(t), 0) == (0 if broadcast else 1)

@@ -467,3 +467,148 @@ def test_no_grad_forward_leaves_nothing_for_the_cyclic_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# -- gradients of operands shared across windows -----------------------------------
+
+# window gradients whose three summation orders round apart: window B-1 first
+# (what per-window graphs give), window 0 first, and pairwise
+ORDER_VALUES = np.array([1e16, 1.0, 5.0, -(2.0**53)])
+
+
+def _three_sums(stack):
+    s = list(stack)
+    last_first = ((s[3] + s[2]) + s[1]) + s[0]
+    first_first = ((s[0] + s[1]) + s[2]) + s[3]
+    pairwise = (s[0] + s[1]) + (s[2] + s[3])
+    return last_first, first_first, pairwise
+
+
+def _order_cases():
+    """name -> (op on (x, *shared), x (B, r, n), upstream (B, r', m), shared arrays)."""
+    v = ORDER_VALUES[:, None, None]
+    b = len(ORDER_VALUES)
+    ones = np.ones((b, 1, 3))
+    ln_x = np.tile([[1.0, -1.0, 0.5]], (b, 1, 1))
+    return {
+        "linear_one_row": (
+            tz.linear, ones, v * np.ones((b, 1, 2)), [np.zeros((2, 3)), np.zeros(2)]
+        ),
+        "linear_two_rows": (
+            tz.linear,
+            np.concatenate([ones, np.zeros((b, 1, 3))], axis=1),
+            np.concatenate([v * np.ones((b, 1, 2)), np.zeros((b, 1, 2))], axis=1),
+            [np.zeros((2, 3)), np.zeros(2)],
+        ),
+        "layernorm_affine": (tz.layernorm_affine, ln_x, v * ln_x, [np.ones(3), np.zeros(3)]),
+        "broadcast_add": (lambda x, p: x + p, np.zeros((b, 2, 3)), v * np.ones((b, 2, 3)),
+                          [np.zeros((2, 3))]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_order_cases()))
+def test_shared_operands_add_window_gradients_window_b_minus_1_first(name):
+    op, x, upstream, shared = _order_cases()[name]
+    per_window = []
+    for i in range(len(x)):
+        leaves = [Tensor(s, requires_grad=True) for s in shared]
+        out = op(Tensor(x[i]), *leaves)
+        out.accumulate_grad(upstream[i])
+        tz.Tape.from_root(out).replay_backward()
+        per_window.append([t.grad for t in leaves])
+
+    leaves = [Tensor(s, requires_grad=True) for s in shared]
+    out = op(Tensor(x), *leaves)
+    out.accumulate_grad(upstream)
+    tz.Tape.from_root(out).replay_backward()
+    for k, t in enumerate(leaves):  # a linear's W and b, a layer norm's g and b, the addend
+        sums = [s.tobytes() for s in _three_sums([g[k] for g in per_window])]
+        assert len(set(sums)) == 3  # the orders are told apart
+        assert t.grad.tobytes() == sums[0]
+
+
+def _signed_zeros_and_underflow(rng, shape):
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-170, 170, size=shape)
+    pick = rng.random(shape)
+    x[pick < 0.15] = 0.0
+    x[(pick >= 0.15) & (pick < 0.3)] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (1, 5), (6, 1), (7, 9)])
+def test_single_row_product_is_bitwise_the_k1_gemm(m, k):
+    rng = np.random.default_rng(m * 10 + k)
+    a = _signed_zeros_and_underflow(rng, (4, 1, m))
+    b = _signed_zeros_and_underflow(rng, (4, 1, k))
+    a[0, 0, 0], b[0, 0, 0] = -0.0, 2.0  # an exact product of -0.0, which the GEMM makes +0.0
+    with np.errstate(over="ignore"):
+        stacked = tz._rows_product(a, b)
+        for i in range(4):
+            want = a[i].T @ b[i]
+            assert tz._rows_product(a[i], b[i]).tobytes() == want.tobytes()
+            assert stacked[i].tobytes() == want.tobytes()
+    assert not np.signbit(stacked[0, 0, 0])
+
+
+def test_window_sum_of_one_element_windows_is_in_order():
+    # numpy sums a (B, 1) stack pairwise along the window axis
+    values = np.array([1e-3, 1.0, -2.5, -1e16, 1.0, 1e-3, 3.0, 0.5, 1.0])
+    want = values[-1]
+    for v in values[-2::-1]:
+        want = want + v
+    assert np.add.reduce(values[::-1]) != want
+    for shape in ((9,), (9, 1), (9, 1, 1)):
+        got = tz._sum_windows(values.reshape(shape))
+        assert got.tobytes() == np.reshape(want, shape[1:]).tobytes()
+
+
+def test_accumulate_grad_copies_the_array_it_is_given():
+    g = np.ones((2, 3))
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    x.accumulate_grad(g)
+    x.accumulate_grad(g)
+    assert not np.shares_memory(x.grad, g)
+    np.testing.assert_array_equal(g, np.ones((2, 3)))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+@pytest.mark.parametrize("windows", [(), (3,)])
+def test_no_gradient_aliases_the_upstream_or_another_tensor(windows):
+    # identity broadcasts hand parents out.grad itself, or slices of it
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(*windows, 2, 3)), requires_grad=True)
+    prefix = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    pos = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    side = Tensor(rng.normal(size=(*windows, 3, 2)), requires_grad=True)
+    lead = Tensor(rng.normal(size=(*windows, 3, 5)), requires_grad=True)
+    scale = Tensor(rng.normal(size=(*windows, 3, 5)), requires_grad=True)
+    joined = tz.concat_cols([tz.concat_rows([prefix, x]) + pos, side])
+    out = (lead + joined) - scale
+    upstream = rng.normal(size=out.shape)
+    out.accumulate_grad(upstream)
+    tape = tz.Tape.from_root(out)
+    tape.replay_backward()
+    tensors = tape.nodes + [x, prefix, pos, side, lead, scale]
+    held = [upstream] + [t.data for t in tensors]
+    for t in tensors:
+        assert t.grad is not None
+        assert not any(np.shares_memory(t.grad, a) for a in held)
+        assert not any(np.shares_memory(t.grad, o.grad) for o in tensors if o is not t)
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_a_window_stack_goes_in_after_the_gradient_so_far(fresh):
+    # as a chain of += would add it: grad, then window B-1, ..., window 0
+    grad = np.array([0.5, -0.5])
+    stack = np.outer(ORDER_VALUES, [1.0, -1.0])
+    given = stack.copy()
+    t = Tensor(np.zeros(2), requires_grad=True)
+    t.accumulate_grad(grad)
+    tz._add_windows(t, stack, fresh)
+    want = grad.copy()
+    for row in given[::-1]:
+        want += row
+    assert t.grad.tobytes() == want.tobytes()
+    assert want.tobytes() != (grad + np.add.reduce(given[::-1], axis=0)).tobytes()
+    if not fresh:
+        assert stack.tobytes() == given.tobytes()

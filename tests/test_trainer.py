@@ -8,12 +8,12 @@ import pytest
 
 from papnf import tensor as tz
 from papnf import train as train_mod
-from papnf.backbone import BackboneArch, load_frozen_checkpoint
+from papnf.backbone import BackboneArch, TransformerBackbone, load_frozen_checkpoint
 from papnf.data import make_windows
 from papnf.metrics import crps_empirical
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import derive_seed, substream
-from papnf.synthetic import ar1_seasonal
+from papnf.synthetic import ar1_seasonal, pretrain_sequences
 from papnf.tensor import Tape, Tensor, energy_score, grad_check
 from papnf.train import (
     OBJECTIVES,
@@ -544,6 +544,22 @@ class TestBatchedFit:
         }
         assert len(set(counts.values())) == 1, counts
 
+    def test_no_gradient_aliases_another_array_after_a_batched_backward(self):
+        cfg = tiny_config()
+        model = PapNfModel(cfg, seed=6)
+        windows = batch_windows(1, 4)
+        tc = TrainConfig(model=cfg, seed=5, train_samples=3)
+        params = model.parameters()
+        for step in range(2):  # the second backward runs after zero_grad, as in fit
+            tz.zero_grads(params.values())
+            train_mod._batch_loss(model, windows, tc, step).backward()
+        held = [t.data for t in params.values()] + [w.x_std for w in windows]
+        for name, t in params.items():
+            assert t.grad is not None, name
+            assert not any(np.shares_memory(t.grad, a) for a in held), name
+            others = [o.grad for o in params.values() if o is not t]
+            assert not any(np.shares_memory(t.grad, g) for g in others), name
+
 
 class TestCheckpointRoundTrip:
     def _trained(self, tmp_path, kind="frozen_random"):
@@ -652,6 +668,50 @@ class TestPretraining:
         arch = BackboneArch(n_layers=1, n_heads=2, d=8, ffn_width=16, max_len=8)
         with pytest.raises(ValueError):
             PretrainConfig(arch=arch, seq_len=16)
+
+    @staticmethod
+    def _per_sequence_pretrain(cfg, path):
+        """pretrain_backbone as one graph per sequence, added with ``+``."""
+        backbone = TransformerBackbone(
+            cfg.arch, seed=derive_seed(cfg.seed, "pretrain-init"), kind="frozen_checkpoint",
+            trainable=True,
+        )
+        rng_lift = substream(cfg.seed, "pretrain-lift")
+        d, n = cfg.arch.d, cfg.seq_len
+        lift = Tensor(rng_lift.standard_normal((1, d)) / math.sqrt(d), requires_grad=True)
+        readout = Tensor(rng_lift.standard_normal((d, 1)) / math.sqrt(d), requires_grad=True)
+        opt = Adam({**backbone.tensors(), "lift": lift, "readout": readout}, cfg.learning_rate)
+        data_rng = substream(cfg.seed, "pretrain-data")
+        history = []
+        for _ in range(cfg.steps):
+            seqs = pretrain_sequences(data_rng, cfg.batch, n)
+            total = None
+            for b in range(cfg.batch):
+                hidden = backbone.forward(tz.matmul(Tensor(seqs[b].reshape(n, 1)), lift))
+                diff = tz.matmul(hidden, readout)[0 : n - 1, :] - Tensor(
+                    seqs[b, 1:].reshape(n - 1, 1)
+                )
+                term = (diff * diff).sum() * (1.0 / (n - 1))
+                total = term if total is None else total + term
+            loss = total * (1.0 / cfg.batch)
+            history.append(loss.item())
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        backbone.freeze()
+        backbone.save(path)
+        return history
+
+    @pytest.mark.parametrize("batch", [1, 3, 9])
+    def test_batched_pretraining_is_bitwise_the_per_sequence_graphs(self, tmp_path, batch):
+        arch = BackboneArch(n_layers=2, n_heads=2, d=8, ffn_width=12, max_len=12)
+        cfg = PretrainConfig(arch=arch, steps=6, batch=batch, seq_len=10, seed=3)
+        result = pretrain_backbone(cfg, str(tmp_path / "batched.papnf"))
+        history = self._per_sequence_pretrain(cfg, str(tmp_path / "reference.papnf"))
+        assert result.history == history
+        assert (tmp_path / "batched.papnf").read_bytes() == (
+            tmp_path / "reference.papnf"
+        ).read_bytes()
 
 
 class TestValidationMse:
