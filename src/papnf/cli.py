@@ -130,7 +130,7 @@ def resolve_config(args) -> dict:
     check_value(cfg["dataset"]["path"], str, "dataset.path")
     _at_least(cfg["dataset"].setdefault("period", 24), 1, "dataset.period")
     section = cfg.setdefault("eval", {})
-    _at_least(section.setdefault("n_samples", 100), 1, "eval.n_samples")
+    _at_least(section.setdefault("n_samples", 100), 2, "eval.n_samples")  # the CRPS needs two
     levels = section.setdefault("levels", list(DEFAULT_LEVELS))
     for i, level in enumerate(check_value(levels, list[float], "eval.levels")):
         if not 0.0 < level < 1.0:

@@ -54,13 +54,6 @@ def patchify(x_std: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     return padded.reshape(*windows, m, p * c)
 
 
-def unpatchify(patches: np.ndarray, cfg: PatchConfig, channels: int) -> np.ndarray:
-    """Inverse of patchify (drops the zero padding)."""
-    m = cfg.n_patches
-    flat = np.asarray(patches).reshape(m * cfg.patch_len, channels)
-    return flat[: cfg.lookback].copy()
-
-
 class NumericalEncoder:
     """Two trainable affine encodings of one window.
 

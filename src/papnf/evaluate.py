@@ -65,10 +65,13 @@ def evaluate_split(
     """Sample every window and aggregate one MetricsReport for the split.
 
     Each window's ensemble comes from substream(seed, "sample", index), so
-    it does not depend on which other windows the split holds.
+    it does not depend on which other windows the split holds. The report's
+    CRPS needs ``n_samples >= 2``, checked before anything is sampled.
     """
     if not windows:
         raise ValueError("evaluate_split over an empty split")
+    if n_samples < 2:
+        raise ValueError(f"evaluate_split needs n_samples >= 2, got {n_samples}")
     ensembles = sample_windows(windows, model, n_samples, seed, "sample")
     report = build_report(
         [e.samples for e in ensembles],

@@ -1,8 +1,10 @@
-"""Forecast metrics: point errors, empirical CRPS, coverage, baselines.
+"""Forecast metrics: empirical CRPS, the split report, baselines.
 
-Everything here is plain numpy on destandardized values. The point forecast
-of an ensemble is its mean; probabilistic scores use the empirical energy
-form of CRPS computed per (step, channel) and aggregated over a split.
+Everything here is plain numpy on destandardized values. ``build_report`` is
+the one split-level scorer: the point forecast of an ensemble is its mean,
+and the probabilistic scores use the empirical energy form of CRPS computed
+per (step, channel) and aggregated over the split, beside interval coverage
+and coverage of the points hardest for a baseline.
 
 Each window's (S, H, C) ensemble is sorted once along the samples. That
 sorted block feeds the CRPS spread term (``pairwise_spread``) and, through
@@ -21,30 +23,14 @@ from papnf.checkpoint import canonical_json
 from papnf.tensor import pairwise_spread
 
 __all__ = [
-    "point_metrics",
     "crps_empirical",
-    "crps_grid",
-    "weighted_crps",
-    "coverage",
-    "coverage_mask",
     "sorted_quantile",
-    "extreme_coverage",
     "persistence",
     "seasonal_naive",
     "gaussian_residual",
     "MetricsReport",
     "build_report",
 ]
-
-
-def point_metrics(pred: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    """(MSE, MAE) over all entries of matching arrays."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff)), float(np.mean(np.abs(diff)))
 
 
 def crps_empirical(samples: np.ndarray, y: float, fair: bool = False) -> float:
@@ -60,33 +46,7 @@ def crps_empirical(samples: np.ndarray, y: float, fair: bool = False) -> float:
         raise ValueError("crps_empirical needs at least two samples")
     term1 = float(np.mean(np.abs(samples - y)))
     denom = s * (s - 1) if fair else s * s
-    return term1 - float(pairwise_spread(np.sort(samples))) / denom
-
-
-def _grid_operands(ensemble, target) -> tuple[np.ndarray, np.ndarray]:
-    ensemble = np.asarray(ensemble, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if ensemble.ndim != 3 or ensemble.shape[1:] != target.shape:
-        raise ValueError(f"ensemble {ensemble.shape} does not match target {target.shape}")
-    if ensemble.shape[0] < 2:
-        raise ValueError("crps_grid needs at least two samples")
-    return ensemble, target
-
-
-def _crps_sorted(
-    ensemble: np.ndarray, ordered: np.ndarray, target: np.ndarray, fair: bool
-) -> np.ndarray:
-    """crps_grid given the ensemble and its samples-axis sort ``ordered``."""
-    s = ensemble.shape[0]
-    term1 = np.abs(ensemble - target[None]).mean(axis=0)
-    denom = s * (s - 1) if fair else s * s
-    return term1 - pairwise_spread(ordered) / denom
-
-
-def crps_grid(ensemble: np.ndarray, target: np.ndarray, fair: bool = False) -> np.ndarray:
-    """Per-(step, channel) CRPS of an (S, H, C) ensemble against (H, C) truth."""
-    ensemble, target = _grid_operands(ensemble, target)
-    return _crps_sorted(ensemble, np.sort(ensemble, axis=0), target, fair)
+    return term1 - float(pairwise_spread(np.sort(samples)[:, None])[0]) / denom
 
 
 def sorted_quantile(sorted_samples: np.ndarray, q: float) -> np.ndarray:
@@ -119,125 +79,6 @@ def sorted_quantile(sorted_samples: np.ndarray, q: float) -> np.ndarray:
     if nan_cols.any():
         out = np.where(nan_cols, last, out)
     return out
-
-
-def _interval_mask(ordered: np.ndarray, target: np.ndarray, level: float) -> np.ndarray:
-    alpha = (1.0 - level) / 2.0
-    lo = sorted_quantile(ordered, alpha)
-    hi = sorted_quantile(ordered, 1.0 - alpha)
-    return (target >= lo) & (target <= hi)
-
-
-def coverage_mask(ensemble: np.ndarray, target: np.ndarray, level: float) -> np.ndarray:
-    """Boolean (H, C) mask: truth inside the central interval (inclusive)."""
-    return _interval_mask(np.sort(ensemble, axis=0), target, level)
-
-
-def _window_scores(
-    position: int, ensemble, target, levels: tuple[float, ...], fair: bool | None
-) -> tuple[np.ndarray | None, dict[float, np.ndarray]]:
-    """One window's CRPS grid and interval masks from a single sort.
-
-    ``fair=None`` skips the CRPS grid. An ensemble holding NaN or inf raises
-    ValueError naming the window's position in the split: a NaN bound would
-    otherwise count as a silent coverage miss.
-    """
-    ensemble = np.asarray(ensemble, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    ordered = np.sort(ensemble, axis=0)
-    # NaN sorts last and -inf/+inf to the ends, so the end rows show them all
-    if not (np.isfinite(ordered[0]).all() and np.isfinite(ordered[-1]).all()):
-        raise ValueError(f"window {position} of the split: ensemble holds NaN or inf")
-    grid = None
-    if fair is not None:
-        ensemble, target = _grid_operands(ensemble, target)
-        grid = _crps_sorted(ensemble, ordered, target, fair)
-    return grid, {lvl: _interval_mask(ordered, target, lvl) for lvl in levels}
-
-
-def _split_masks(ensembles, targets, level: float) -> list[np.ndarray]:
-    return [
-        _window_scores(i, ens, y, (level,), None)[1][level]
-        for i, (ens, y) in enumerate(zip(ensembles, targets))
-    ]
-
-
-def _weighted_ratio(grids: list[np.ndarray], targets) -> tuple[float, bool]:
-    total_crps = 0.0
-    total_abs = 0.0
-    for grid, y in zip(grids, targets):
-        total_crps += float(grid.sum())
-        total_abs += float(np.abs(y).sum())
-    if total_abs == 0.0:
-        return total_crps, False
-    return total_crps / total_abs, True
-
-
-def _hit_fraction(masks: list[np.ndarray]) -> float:
-    hits = 0
-    total = 0
-    for mask in masks:
-        hits += int(mask.sum())
-        total += mask.size
-    if total == 0:
-        raise ValueError("coverage over an empty split")
-    return hits / total
-
-
-def _extreme_fraction(masks: list[np.ndarray], targets, baseline_preds, top_frac: float) -> float:
-    errs = []
-    hits = []
-    for mask, y, base in zip(masks, targets, baseline_preds):
-        y = np.asarray(y, dtype=np.float64)
-        errs.append(np.abs(np.asarray(base) - y).reshape(-1))
-        hits.append(mask.reshape(-1))
-    if not errs:
-        raise ValueError("extreme_coverage over an empty split")
-    err = np.concatenate(errs)
-    hit = np.concatenate(hits)
-    k = max(1, int(np.floor(top_frac * err.size)))
-    order = np.argsort(-err, kind="stable")  # stable: ties keep earliest index
-    selected = order[:k]
-    return float(hit[selected].mean())
-
-
-def weighted_crps(
-    ensembles: list[np.ndarray], targets: list[np.ndarray], fair: bool = False
-) -> tuple[float, bool]:
-    """Split-level CRPS normalized by the total absolute target mass.
-
-    Returns (value, normalized). When sum|y| is zero the raw CRPS sum is
-    returned with normalized=False instead of dividing by zero.
-    """
-    grids = [
-        _window_scores(i, ens, y, (), fair)[0]
-        for i, (ens, y) in enumerate(zip(ensembles, targets))
-    ]
-    return _weighted_ratio(grids, targets)
-
-
-def coverage(ensembles: list[np.ndarray], targets: list[np.ndarray], level: float) -> float:
-    """Fraction of all (window, step, channel) points inside the interval."""
-    return _hit_fraction(_split_masks(ensembles, targets, level))
-
-
-def extreme_coverage(
-    ensembles: list[np.ndarray],
-    targets: list[np.ndarray],
-    baseline_preds: list[np.ndarray],
-    level: float = 0.9,
-    top_frac: float = 0.1,
-) -> float:
-    """Coverage restricted to the hardest points for a baseline forecaster.
-
-    Points from the whole split are pooled and ranked by the baseline's
-    absolute error; the top floor(top_frac * n) points (ties broken toward
-    the earliest index) are kept and their interval coverage is returned.
-    """
-    if not 0.0 < top_frac <= 1.0:
-        raise ValueError(f"top_frac must be in (0, 1], got {top_frac}")
-    masks = _split_masks(ensembles, targets, level)
-    return _extreme_fraction(masks, targets, baseline_preds, top_frac)
 
 
 # -- baselines -----------------------------------------------------------------
@@ -278,6 +119,83 @@ def gaussian_residual(window, n_samples: int, rng: np.random.Generator) -> np.nd
 # -- aggregate report ------------------------------------------------------------
 
 EXTREME_LEVEL = 0.9  # interval level of MetricsReport.extreme_coverage_90
+EXTREME_SHARE = 0.1  # share of the split's points that extreme coverage keeps
+
+
+def _interval_mask(ordered: np.ndarray, target: np.ndarray, level: float) -> np.ndarray:
+    alpha = (1.0 - level) / 2.0
+    lo = sorted_quantile(ordered, alpha)
+    hi = sorted_quantile(ordered, 1.0 - alpha)
+    return (target >= lo) & (target <= hi)
+
+
+def _window_scores(
+    position: int, ensemble, target, levels: tuple[float, ...], fair: bool
+) -> tuple[np.ndarray, dict[float, np.ndarray]]:
+    """One window's CRPS grid and interval masks from a single sort.
+
+    The (S, H, C) ensemble needs S >= 2 samples and an (H, C) target. The
+    spread term is ``pairwise_spread`` of the sorted block seen as (S, H*C).
+    An ensemble holding NaN or inf raises ValueError naming the window's
+    position in the split: a NaN bound would otherwise count as a silent
+    coverage miss.
+    """
+    ensemble = np.asarray(ensemble, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    where = f"window {position} of the split"
+    if ensemble.ndim != 3 or ensemble.shape[1:] != target.shape:
+        raise ValueError(f"{where}: ensemble {ensemble.shape} does not match target {target.shape}")
+    s = ensemble.shape[0]
+    if s < 2:
+        raise ValueError(f"{where}: the CRPS needs at least two samples, got {s}")
+    ordered = np.sort(ensemble, axis=0)
+    # NaN sorts last and -inf/+inf to the ends, so the end rows show them all
+    if not (np.isfinite(ordered[0]).all() and np.isfinite(ordered[-1]).all()):
+        raise ValueError(f"{where}: ensemble holds NaN or inf")
+    term1 = np.abs(ensemble - target[None]).mean(axis=0)
+    spread = pairwise_spread(ordered.reshape(s, -1)).reshape(target.shape)
+    grid = term1 - spread / (s * (s - 1) if fair else s * s)
+    return grid, {lvl: _interval_mask(ordered, target, lvl) for lvl in levels}
+
+
+def _weighted_ratio(grids: list[np.ndarray], targets) -> tuple[float, bool]:
+    total_crps = 0.0
+    total_abs = 0.0
+    for grid, y in zip(grids, targets):
+        total_crps += float(grid.sum())
+        total_abs += float(np.abs(y).sum())
+    if total_abs == 0.0:
+        return total_crps, False
+    return total_crps / total_abs, True
+
+
+def _hit_fraction(masks: list[np.ndarray]) -> float:
+    hits = 0
+    total = 0
+    for mask in masks:
+        hits += int(mask.sum())
+        total += mask.size
+    if total == 0:
+        raise ValueError("coverage over an empty split")
+    return hits / total
+
+
+def _extreme_fraction(masks: list[np.ndarray], targets, baseline_preds) -> float:
+    """Coverage of the EXTREME_SHARE of the split's points hardest for a baseline.
+
+    Points from the whole split are pooled and ranked by the baseline's
+    absolute error; the top floor(EXTREME_SHARE * n) points, at least one,
+    are kept (ties broken toward the earliest index) and their interval
+    coverage is returned.
+    """
+    err = np.concatenate(
+        [np.abs(np.asarray(base) - np.asarray(y, dtype=np.float64)).reshape(-1)
+         for y, base in zip(targets, baseline_preds)]
+    )
+    hit = np.concatenate([mask.reshape(-1) for mask in masks])
+    k = max(1, int(np.floor(EXTREME_SHARE * err.size)))
+    order = np.argsort(-err, kind="stable")  # stable: ties keep earliest index
+    return float(hit[order[:k]].mean())
 
 
 @dataclass
@@ -315,14 +233,17 @@ def build_report(
 
     ``baseline_preds`` (default: persistence is computed by the caller) feeds
     the extreme-coverage selection; point metrics use the ensemble mean. Each
-    ensemble is sorted once, and that sort feeds its CRPS grid and the
-    interval masks at every level. An ensemble holding NaN or inf raises
-    ValueError naming its window's position.
+    (S, H, C) ensemble, S >= 2, is sorted once, and that sort feeds its CRPS
+    grid and the interval masks at every level. An ensemble of the wrong
+    shape or holding NaN or inf raises ValueError naming its window's
+    position.
     """
     if not ensembles:
         raise ValueError("cannot build a report from zero windows")
     if len(ensembles) != len(targets):
         raise ValueError("ensemble/target count mismatch")
+    if baseline_preds is not None and len(baseline_preds) != len(targets):
+        raise ValueError("baseline/target count mismatch")
     mask_levels = tuple(levels)
     if baseline_preds is not None and EXTREME_LEVEL not in mask_levels:
         mask_levels += (EXTREME_LEVEL,)
@@ -334,11 +255,10 @@ def build_report(
     grids = []
     masks: dict[float, list[np.ndarray]] = {lvl: [] for lvl in mask_levels}
     for position, (ens, y) in enumerate(zip(ensembles, targets)):
-        mean = ens.mean(axis=0)
-        diff = mean - y
+        grid, window_masks = _window_scores(position, ens, y, mask_levels, fair)
+        diff = ens.mean(axis=0) - y
         sq_sum += (diff * diff).mean(axis=1)
         abs_sum += np.abs(diff).mean(axis=1)
-        grid, window_masks = _window_scores(position, ens, y, mask_levels, fair)
         crps_sum += grid.mean(axis=1)
         grids.append(grid)
         for lvl, mask in window_masks.items():
@@ -350,7 +270,7 @@ def build_report(
     if baseline_preds is None:
         extreme = float("nan")
     else:
-        extreme = _extreme_fraction(masks[EXTREME_LEVEL], targets, baseline_preds, top_frac=0.1)
+        extreme = _extreme_fraction(masks[EXTREME_LEVEL], targets, baseline_preds)
     return MetricsReport(
         n_windows=n,
         n_points=per_point,

@@ -189,9 +189,6 @@ class PapNfModel:
                 )
             t.data = arr.copy()
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.parameters().items()}
-
 
 def ablation_variant(cfg: ModelConfig, arm: str) -> ModelConfig:
     """Derive the config for one ablation arm from the full config."""

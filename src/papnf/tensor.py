@@ -934,20 +934,16 @@ def _rank_coefficients(s: int) -> np.ndarray:
     return 2.0 * np.arange(s) - s + 1.0
 
 
-def pairwise_spread(sorted_samples: np.ndarray, axis: int = 0) -> np.ndarray:
-    """sum_{i<j} |x_i - x_j| along an axis of an array sorted ascending along it.
+def pairwise_spread(sorted_rows: np.ndarray) -> np.ndarray:
+    """sum_{i<j} |x_i - x_j| down axis -2 of rows sorted ascending along it.
 
     Uses sum_k (2k - S + 1) x_(k), which costs one sort instead of S(S-1)/2
     differences (the scoringRules estimator, Jordan, Kruger & Lerch 2019).
-    ``axis`` is 0, the samples of an (S,) or (S, H, C) ensemble, or -2, the
-    rows of an (S, n) ensemble or a (B, S, n) stack of them. Along -2 the
-    product is one BLAS call per (S, n) block, so each window of a stack gets
-    the bits of its own call; a tensordot over the whole stack would not.
+    ``sorted_rows`` is (S, n), S sorted samples of n columns, giving (n,), or
+    a (B, S, n) stack of them, giving (B, n). The product is one BLAS call
+    per (S, n) block, so each window of a stack gets the bits of its own call.
     """
-    coeffs = _rank_coefficients(sorted_samples.shape[axis])
-    if axis == -2:
-        return coeffs @ sorted_samples
-    return np.tensordot(coeffs, sorted_samples, axes=(0, 0))
+    return _rank_coefficients(sorted_rows.shape[-2]) @ sorted_rows
 
 
 def energy_score(samples: Tensor, target: Tensor) -> Tensor:
@@ -972,7 +968,7 @@ def energy_score(samples: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"target shape {target.shape} does not match {(*windows, 1, n)}")
     diff = samples.data - target.data
     order = np.argsort(samples.data, axis=-2, kind="stable")
-    spread = pairwise_spread(np.take_along_axis(samples.data, order, axis=-2), axis=-2)
+    spread = pairwise_spread(np.take_along_axis(samples.data, order, axis=-2))
     value = np.abs(diff).sum(axis=(-2, -1)) * (1.0 / (s * n)) - spread.sum(axis=-1) * (
         1.0 / (s * (s - 1) * n)
     )

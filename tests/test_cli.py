@@ -165,6 +165,19 @@ class TestConfigHandling:
         assert "config error: train: epochs must be >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_one_eval_sample_exits_2_before_ablating(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(
+            "ablate", "--config", ws["config"], "--out", str(out), "--set", "eval.n_samples=1",
+            "--set", 'model.backbone_kind="frozen_checkpoint"', "--set", "pretrain.steps=2",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error: eval.n_samples must be >= 2, got 1" in captured.err
+        assert "pretrained backbone" not in captured.out
+        assert not (out / "ablation.csv").exists()
+        assert not (out / "backbone.papnf").exists()
+
     def test_token_budget_exits_2_before_pretraining(self, ws, tmp_path, capsys):
         out = tmp_path / "o"
         code = run(
@@ -227,7 +240,7 @@ class TestConfigHandling:
                 "pretrain: steps and batch must be positive",
             ),
             ("eval", ['eval.n_samples="x"'], "eval.n_samples: expected int"),
-            ("eval", ["eval.n_samples=0"], "eval.n_samples must be >= 1"),
+            ("eval", ["eval.n_samples=0"], "eval.n_samples must be >= 2"),
             ("eval", ['eval.levels="x"'], "eval.levels: expected a list"),
             ("eval", ["eval.levels=[0.5,1.0]"], "eval.levels[1] must lie in (0, 1)"),
             ("baseline", ['dataset.period="x"'], "dataset.period: expected int"),

@@ -26,7 +26,7 @@ def test_patch_count_with_ragged_tail():
     assert enc.PatchConfig(100, 16).n_patches == 7
 
 
-def test_patchify_unpatchify_round_trip():
+def test_patchify_round_trip():
     rng = np.random.default_rng(1)
     cfg = enc.PatchConfig(100, 16)
     x = rng.normal(size=(100, 3))
@@ -34,7 +34,7 @@ def test_patchify_unpatchify_round_trip():
     assert patches.shape == (7, 48)
     # tail padding is zeros
     np.testing.assert_array_equal(patches[6, 4 * 3 :], np.zeros(12 * 3))
-    np.testing.assert_array_equal(enc.unpatchify(patches, cfg, 3), x)
+    np.testing.assert_array_equal(patches.reshape(-1, 3)[:100], x)
 
 
 def test_patchify_rows_are_time_major():

