@@ -30,6 +30,7 @@ __all__ = [
     "gaussian_residual",
     "MetricsReport",
     "build_report",
+    "coverage_label",
 ]
 
 
@@ -222,6 +223,11 @@ class MetricsReport:
         return canonical_json(self.to_dict())
 
 
+def coverage_label(level: float) -> str:
+    """The key of ``level`` in ``MetricsReport.coverage``, e.g. ``"0.9"``."""
+    return f"{level:g}"
+
+
 def build_report(
     ensembles: list[np.ndarray],
     targets: list[np.ndarray],
@@ -266,7 +272,7 @@ def build_report(
         per_point += y.size
     n = len(targets)
     w_crps, normalized = _weighted_ratio(grids, targets)
-    cov = {f"{lvl:g}": _hit_fraction(masks[lvl]) for lvl in levels}
+    cov = {coverage_label(lvl): _hit_fraction(masks[lvl]) for lvl in levels}
     if baseline_preds is None:
         extreme = float("nan")
     else:

@@ -1,19 +1,22 @@
-"""End-to-end tests for the command-line harness, run in-process."""
+"""End-to-end tests for the command-line harness, run in-process and as a process."""
 
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import papnf
 from papnf import cli
 from papnf.backbone import TransformerBackbone
 from papnf.checkpoint import read_container, write_container
-from papnf.cli import main
+from papnf.cli import ConfigError, main
 from papnf.synthetic import ar1_seasonal, write_csv
-from papnf.train import load_checkpoint, save_checkpoint
+from papnf.train import TrainingDiverged, load_checkpoint, save_checkpoint
 
 LOOKBACK, HORIZON = 16, 4
 TEST_LEN = 26  # -> 26 - 16 - 4 + 1 = 7 test windows
@@ -211,6 +214,20 @@ class TestConfigHandling:
         rows = read_rows(out / "training_log.csv")
         assert len(rows) == 1 + 2
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_out_exits_2_writing_nothing(self, ws, tmp_path, monkeypatch, capsys, spelling):
+        run_dir = tmp_path / "cwd"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        if spelling == "flag":
+            argv = ["--config", ws["config"], "--out", ""]
+        else:
+            path = tmp_path / "empty_out.json"
+            path.write_text(json.dumps(dict(ws["dict"], out="")))
+            argv = ["--config", str(path)]
+        assert run("train", *argv) == 2
+        assert capsys.readouterr().err == "config error: out must be a non-empty directory path\n"
+        assert list(run_dir.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, sets, needle",
@@ -243,6 +260,14 @@ class TestConfigHandling:
             ("eval", ["eval.n_samples=0"], "eval.n_samples must be >= 2"),
             ("eval", ['eval.levels="x"'], "eval.levels: expected a list"),
             ("eval", ["eval.levels=[0.5,1.0]"], "eval.levels[1] must lie in (0, 1)"),
+            (
+                "eval",
+                ["eval.levels=[0.9000001,0.9000002]"],
+                "eval.levels[1] repeats the coverage label '0.9' of eval.levels[0]",
+            ),
+            ("eval", ["train.epochs=1.5"], "train.epochs: expected int, got 1.5"),
+            ("sample", ["train.batch_size=0"], "train: batch_size 0 outside [1, 16]"),
+            ("baseline", ["train.learning_rate=5"], "train: learning_rate 5 outside"),
             ("baseline", ['dataset.period="x"'], "dataset.period: expected int"),
             ("baseline", ["dataset.period=0"], "dataset.period must be >= 1"),
             ("baseline", ["seed=1.5"], "seed: expected int"),
@@ -253,7 +278,7 @@ class TestConfigHandling:
     ):
         out = tmp_path / "o"
         argv = [command, "--config", ws["config"], "--out", str(out)]
-        if command == "eval":
+        if command in ("eval", "sample"):
             argv += ["--checkpoint", trained["checkpoint"]]
         for assignment in sets:
             argv += ["--set", assignment]
@@ -410,6 +435,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert "window 0 " in err and "NaN or inf" in err
 
+    def test_config_error_is_reported_before_the_checkpoint_is_read(self, ws, tmp_path, capsys):
+        bad = tmp_path / "bad.papnf"
+        bad.write_bytes(b"PAPNF1\x00garbage")
+        code = run(
+            "eval", "--config", ws["config"], "--out", str(tmp_path / "o"),
+            "--checkpoint", str(bad), "--set", "train.epochs=1.5",
+        )
+        assert code == 2
+        assert "config error: train.epochs: expected int" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exits_1(self, ws, tmp_path):
         bad = tmp_path / "bad.papnf"
         bad.write_bytes(b"PAPNF1\x00garbage")
@@ -548,6 +583,23 @@ class TestSweepPrefix:
         assert "pretrained backbone" not in captured.out
         assert not (out / "backbone.papnf").exists()
 
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            (TrainingDiverged(1, 0, float("nan"), []), 1, "error: k_prefix 0 failed: "),
+            (ConfigError("train: boom"), 2, "config error: train: boom"),
+        ],
+    )
+    def test_a_failing_k_is_named(self, ws, tmp_path, monkeypatch, capsys, error, code, message):
+        def failing_train(cfg, splits, model_cfg):
+            raise error
+
+        monkeypatch.setattr(cli, "_train_model", failing_train)
+        out = str(tmp_path / "o")
+        argv = ["--config", ws["config"], "--out", out, "--set", "sweep.k_list=[2,0]"]
+        assert run("sweep-prefix", *argv) == code
+        assert capsys.readouterr().err.startswith(message)
+
     def test_negative_k_exits_2(self, ws, tmp_path):
         code = run(
             "sweep-prefix", "--config", ws["config"], "--out", str(tmp_path / "o"),
@@ -577,6 +629,42 @@ class TestBaseline:
         assert all(np.isfinite(d) for d in deltas)
         assert (out / "model_metrics.json").exists()
 
+    def test_model_metrics_use_the_eval_levels(self, ws, trained, tmp_path):
+        common = ["--config", ws["config"], "--checkpoint", trained["checkpoint"],
+                  "--set", "eval.levels=[0.5,0.9]"]
+        assert run("eval", "--out", str(tmp_path / "e"), *common) == 0
+        assert run("baseline", "--out", str(tmp_path / "b"), *common) == 0
+        metrics = (tmp_path / "e" / "metrics.json").read_bytes()
+        assert json.loads(metrics)["coverage"].keys() == {"0.5", "0.9"}
+        assert (tmp_path / "b" / "model_metrics.json").read_bytes() == metrics
+        rows = read_rows(tmp_path / "b" / "baselines.csv")  # coverage_90 still filled
+        assert all(np.isfinite(float(r[5])) for r in rows[1:])
+
+
+class TestOneTrainAndScorePath:
+    def test_commands_report_the_same_point_metrics(self, ws, trained, tmp_path):
+        """eval, baseline, ablate's full arm and sweep-prefix at the config's K agree bitwise."""
+        ckpt = ["--checkpoint", trained["checkpoint"]]
+        for command, extra in [
+            ("eval", ckpt),
+            ("baseline", ckpt),
+            ("ablate", []),
+            ("sweep-prefix", ["--set", "sweep.k_list=[0,2]"]),
+        ]:
+            out = str(tmp_path / command)
+            assert run(command, "--config", ws["config"], "--out", out, *extra) == 0
+        k_prefix = ws["dict"]["model"]["k_prefix"]
+        found = []
+        for name in ("eval/metrics.json", "baseline/model_metrics.json"):
+            report = json.loads((tmp_path / name).read_text())
+            found.append((report["mse"], report["mae"]))
+        ablation = {r[0]: r for r in read_rows(tmp_path / "ablate" / "ablation.csv")[1:]}
+        found.append((float(ablation["full"][1]), float(ablation["full"][2])))
+        sweep_rows = read_rows(tmp_path / "sweep-prefix" / "prefix_sweep.csv")[1:]
+        sweep = {int(r[0]): r for r in sweep_rows}
+        found.append((float(sweep[k_prefix][1]), float(sweep[k_prefix][2])))
+        assert len(set(found)) == 1, found
+
 
 class TestUsage:
     def test_no_arguments_exits_2(self):
@@ -587,3 +675,24 @@ class TestUsage:
 
     def test_missing_required_config_flag_exits_2(self):
         assert run("train") == 2
+
+    def test_exit_codes_of_the_module_entry_point(self, ws, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(papnf.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def python_m(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "papnf.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        done = python_m()
+        assert done.returncode == 2 and "usage: papnf" in done.stderr
+        out = str(tmp_path / "o")
+        done = python_m("train", "--config", ws["config"], "--out", out, "--set", "train.epochs=0")
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: train: epochs must be >= 1")
+        bad = tmp_path / "bad.papnf"
+        bad.write_bytes(b"PAPNF1\x00garbage")
+        done = python_m("eval", "--config", ws["config"], "--out", out, "--checkpoint", str(bad))
+        assert done.returncode == 1 and done.stderr.startswith("error: ")
