@@ -260,6 +260,9 @@ class TestConfigHandling:
             ("eval", ["eval.n_samples=0"], "eval.n_samples must be >= 2"),
             ("eval", ['eval.levels="x"'], "eval.levels: expected a list"),
             ("eval", ["eval.levels=[0.5,1.0]"], "eval.levels[1] must lie in (0, 1)"),
+            ("baseline", ['dataset.period="x"'], "dataset.period: expected int"),
+            ("baseline", ["dataset.period=0"], "dataset.period must be >= 1"),
+            ("baseline", ["seed=1.5"], "seed: expected int"),
             (
                 "eval",
                 ["eval.levels=[0.9000001,0.9000002]"],
@@ -268,9 +271,6 @@ class TestConfigHandling:
             ("eval", ["train.epochs=1.5"], "train.epochs: expected int, got 1.5"),
             ("sample", ["train.batch_size=0"], "train: batch_size 0 outside [1, 16]"),
             ("baseline", ["train.learning_rate=5"], "train: learning_rate 5 outside"),
-            ("baseline", ['dataset.period="x"'], "dataset.period: expected int"),
-            ("baseline", ["dataset.period=0"], "dataset.period must be >= 1"),
-            ("baseline", ["seed=1.5"], "seed: expected int"),
         ],
     )
     def test_ill_typed_values_exit_2_naming_the_key(
