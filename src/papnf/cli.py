@@ -1,9 +1,10 @@
 """Command-line harness: train, eval, sample, ablate, sweep-prefix, baseline.
 
-Every command is driven by a JSON config plus a few overriding flags, writes
-its fully resolved config next to its outputs, and is deterministic given
-(config, input files, seed). Exit codes: 0 success, 1 runtime or numeric
-failure, 2 usage or config error.
+Every command is driven by a JSON config plus a few overriding flags, checked
+as one ``RunConfig`` before any work, writes that config with every default
+filled in (``resolved_config.json``, which loads back) next to its outputs,
+and is deterministic given (config, input files, seed). Exit codes: 0
+success, 1 runtime or numeric failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 from papnf.checkpoint import CheckpointError, canonical_json
-from papnf.config import ConfigError, check_value, schema
+from papnf.config import ConfigError, DictConfig
 from papnf.data import SplitError, SplitSpec, load_csv, make_windows, split_series, windows_digest
 from papnf.evaluate import (
     BASELINE_NAMES,
@@ -32,48 +33,92 @@ from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import derive_seed
 from papnf.train import (
     PretrainConfig,
+    PretrainSection,
     TrainConfig,
     TrainingDiverged,
+    TrainSection,
     fit,
     model_from_checkpoint,
     pretrain_backbone,
     save_checkpoint,
 )
 
-__all__ = ["main", "ConfigError", "load_config", "resolve_config"]
+__all__ = ["main", "ConfigError", "RunConfig", "load_config", "resolve_config"]
 
 ABLATION_ARMS = ("full", "no_pap", "random_backbone", "no_global_context")
 DEFAULT_K_LIST = (1, 3, 5, 8, 12)
 
 
-# Allowed keys, nested; a None value marks a leaf key. The dataclass sections
-# leave out the fields the command line fills in itself (model, arch, seed).
-_SCHEMA = {
-    "version": None,
-    "seed": None,
-    "out": None,
-    "dataset": {"path": None, "period": None},
-    "split": schema(SplitSpec),
-    "model": schema(ModelConfig),
-    "train": schema(TrainConfig, skip=("model", "seed")),
-    "eval": {"n_samples": None, "levels": None},
-    "sweep": {"k_list": None},
-    "pretrain": schema(PretrainConfig, skip=("arch", "seed")),
-}
+@dataclass(frozen=True)
+class DatasetConfig(DictConfig):
+    """The input CSV and its seasonal period (the seasonal-naive lag)."""
+
+    path: str
+    period: int = 24
+
+    def __post_init__(self):
+        if not self.path:
+            raise ValueError("path must be a non-empty file path")
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
 
 
-def _unknown_keys(node, schema, prefix="") -> list[str]:
-    bad = []
-    for key, value in node.items():
-        path = f"{prefix}{key}"
-        if key not in schema:
-            bad.append(path)
-        elif isinstance(schema[key], dict):
-            if isinstance(value, dict):
-                bad += _unknown_keys(value, schema[key], prefix=f"{path}.")
-            else:
-                bad.append(f"{path} (expected an object)")
-    return bad
+@dataclass(frozen=True)
+class EvalConfig(DictConfig):
+    """Sample count and central-interval levels of every scoring run."""
+
+    n_samples: int = 100
+    levels: list[float] = field(default_factory=lambda: list(DEFAULT_LEVELS))
+
+    def __post_init__(self):
+        if self.n_samples < 2:  # the CRPS needs two
+            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+        labels: dict[str, int] = {}
+        for i, level in enumerate(self.levels):
+            if not 0.0 < level < 1.0:
+                raise ValueError(f"levels[{i}] must lie in (0, 1), got {level}")
+            label = coverage_label(level)
+            if label in labels:  # the report would keep one coverage value for both
+                raise ValueError(
+                    f"levels[{i}] repeats the coverage label {label!r} of levels[{labels[label]}]"
+                )
+            labels[label] = i
+
+
+@dataclass(frozen=True)
+class SweepConfig(DictConfig):
+    """The prefix lengths sweep-prefix trains; over-budget ones are its own check."""
+
+    k_list: list[int] = field(default_factory=lambda: list(DEFAULT_K_LIST))
+
+    def __post_init__(self):
+        if not self.k_list:
+            raise ValueError("k_list must be non-empty")
+        for i, k in enumerate(self.k_list):
+            if k < 0:
+                raise ValueError(f"k_list[{i}] must be >= 0, got {k}")
+
+
+@dataclass(frozen=True)
+class RunConfig(DictConfig):
+    """A run config file, the one schema every command checks; ``split: None`` is 60/20/20."""
+
+    dataset: DatasetConfig
+    model: ModelConfig
+    version: int = 1
+    seed: int = 0
+    out: str = "papnf_out"
+    split: SplitSpec | None = None
+    train: TrainSection = field(default_factory=TrainSection)
+    eval: EvalConfig = field(default_factory=EvalConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    pretrain: PretrainSection = field(default_factory=PretrainSection)
+
+    def __post_init__(self):
+        if self.version != 1:
+            raise ValueError(f"unsupported config version {self.version!r}")
+        if not self.out:
+            raise ValueError("out must be a non-empty directory path")
 
 
 def load_config(path: str) -> dict:
@@ -90,15 +135,15 @@ def load_config(path: str) -> dict:
 
 
 def _apply_set(cfg: dict, assignment: str) -> None:
-    if "=" not in assignment:
+    key_path, eq, raw = assignment.partition("=")
+    parts = key_path.split(".")
+    if not eq or "" in parts:
         raise ConfigError(f"--set expects key.path=value, got {assignment!r}")
-    key_path, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
     node = cfg
-    parts = key_path.split(".")
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
@@ -106,8 +151,14 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def resolve_config(args) -> dict:
-    """Load, override, and validate the run configuration."""
+def resolve_config(args):
+    """Load, override and check the run configuration; returns it with the dataset's series.
+
+    The dataset is read first: ``model.channels`` defaults to its channel
+    count, and a declared count that differs is a config error. Then one
+    ``RunConfig.from_dict`` checks the whole file. Without a usable
+    ``dataset.path`` the series is None, and that call names the fault.
+    """
     cfg = load_config(args.config)
     for assignment in args.set or []:
         _apply_set(cfg, assignment)
@@ -115,124 +166,77 @@ def resolve_config(args) -> dict:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
-    bad = _unknown_keys(cfg, _SCHEMA)
-    if bad:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(bad)))
-    cfg.setdefault("version", 1)
-    if check_value(cfg["version"], int, "version") != 1:
-        raise ConfigError(f"unsupported config version {cfg['version']!r}")
-    check_value(cfg.setdefault("seed", 0), int, "seed")
-    if not check_value(cfg.setdefault("out", "papnf_out"), str, "out"):
-        raise ConfigError("out must be a non-empty directory path")
-    if "dataset" not in cfg or not cfg["dataset"].get("path"):
-        raise ConfigError("config needs dataset.path")
-    check_value(cfg["dataset"]["path"], str, "dataset.path")
-    _at_least(cfg["dataset"].setdefault("period", 24), 1, "dataset.period")
-    section = cfg.setdefault("eval", {})
-    _at_least(section.setdefault("n_samples", 100), 2, "eval.n_samples")  # the CRPS needs two
-    levels = section.setdefault("levels", list(DEFAULT_LEVELS))
-    labels: dict[str, int] = {}
-    for i, level in enumerate(check_value(levels, list[float], "eval.levels")):
-        if not 0.0 < level < 1.0:
-            raise ConfigError(f"eval.levels[{i}] must lie in (0, 1), got {level}")
-        label = coverage_label(level)
-        if label in labels:  # the report would keep one coverage value for both
-            raise ConfigError(
-                f"eval.levels[{i}] repeats the coverage label {label!r} "
-                f"of eval.levels[{labels[label]}]"
-            )
-        labels[label] = i
-    section = cfg.get("sweep") or {}
-    if "k_list" in section:
-        if not check_value(section["k_list"], list[int], "sweep.k_list"):
-            raise ConfigError("sweep.k_list must be non-empty")
-        for i, k in enumerate(section["k_list"]):
-            _at_least(k, 0, f"sweep.k_list[{i}]")
-    return cfg
+    dataset, model, series = cfg.get("dataset"), cfg.get("model"), None
+    path = dataset.get("path") if isinstance(dataset, dict) else None
+    if isinstance(path, str) and path:
+        if not os.path.isfile(path):
+            raise ConfigError(f"dataset file not found: {path}")
+        series = load_csv(path)
+        if isinstance(model, dict):  # a null channels count, like none, is the dataset's
+            if model.get("channels") not in (None, series.channels):
+                raise ConfigError(
+                    f"config declares {model['channels']} channels "
+                    f"but the dataset has {series.channels}"
+                )
+            model["channels"] = series.channels
+    return RunConfig.from_dict(cfg), series
 
 
-def _at_least(value, low: int, path: str) -> None:
-    if check_value(value, int, path) < low:
-        raise ConfigError(f"{path} must be >= {low}, got {value}")
-
-
-def _split_lengths(cfg: dict, total: int) -> SplitSpec:
-    if cfg.get("split"):
-        return SplitSpec.from_dict(cfg["split"], "split")
-    train = int(total * 0.6)
-    val = int(total * 0.2)
-    return SplitSpec(train, val, total - train - val)
-
-
-def _model_config(cfg: dict, channels: int) -> ModelConfig:
-    section = dict(cfg.get("model") or {})
-    declared = section.get("channels")
-    if declared is not None and declared != channels:
-        raise ConfigError(
-            f"config declares {declared} channels but the dataset has {channels}"
-        )
-    section["channels"] = channels
-    return ModelConfig.from_dict(section, "model")
-
-
-def _train_config(cfg: dict, model_cfg: ModelConfig) -> TrainConfig:
-    section = cfg.get("train") or {}
-    return TrainConfig.from_dict({**section, "model": model_cfg, "seed": cfg["seed"]}, "train")
-
-
-def _pretrain_config(cfg: dict, model_cfg: ModelConfig) -> PretrainConfig:
+def _pretrain_config(run: RunConfig, model_cfg: ModelConfig) -> PretrainConfig:
     """The pretrain section; a seq_len beyond the backbone's max_len is clamped to it."""
     arch = model_cfg.backbone
-    seed = derive_seed(cfg["seed"], "pretrain")
-    section = {**(cfg.get("pretrain") or {}), "arch": arch, "seed": seed}
-    seq_len = check_value(section.get("seq_len", PretrainConfig.seq_len), int, "pretrain.seq_len")
-    section["seq_len"] = min(seq_len, arch.max_len)
-    return PretrainConfig.from_dict(section, "pretrain")
+    section = run.pretrain.to_dict()
+    section["seq_len"] = min(section["seq_len"], arch.max_len)
+    seed = derive_seed(run.seed, "pretrain")
+    return PretrainConfig.from_dict({**section, "arch": arch, "seed": seed}, "pretrain")
 
 
-def _ensure_backbone(cfg: dict, model_cfg: ModelConfig, out_dir: str) -> ModelConfig:
+def _ensure_backbone(run: RunConfig, model_cfg: ModelConfig) -> ModelConfig:
     """Pretrain the backbone when requested but not yet materialized."""
     if model_cfg.backbone_kind != "frozen_checkpoint":
         return model_cfg
     path = model_cfg.backbone_checkpoint
     if path and os.path.exists(path):
         return model_cfg
-    target = path or os.path.join(out_dir, "backbone.papnf")
-    result = pretrain_backbone(_pretrain_config(cfg, model_cfg), target)
+    target = path or os.path.join(run.out, "backbone.papnf")
+    result = pretrain_backbone(_pretrain_config(run, model_cfg), target)
     print(f"pretrained backbone -> {target} (loss decrease {result.loss_decrease:.1%})")
     return replace(model_cfg, backbone_checkpoint=target)
 
 
-def _prepare(cfg: dict):
-    """The windows of each split and the checked model config; checks the train section."""
-    path = cfg["dataset"]["path"]
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
-    series = load_csv(path)
-    model_cfg = _model_config(cfg, series.channels)
+def _prepare(args):
+    """The checked run config and each split's windows, none of them empty; writes nothing."""
+    run, series = resolve_config(args)
+    lookback, horizon = run.model.lookback, run.model.horizon
+    spec = run.split
     try:
-        parts = split_series(series, _split_lengths(cfg, series.length))
+        if spec is None:
+            train, val = int(series.length * 0.6), int(series.length * 0.2)
+            spec = SplitSpec(train, val, series.length - train - val)
+        parts = split_series(series, spec)
     except SplitError as err:
         raise ConfigError(f"split: {err}") from None
-    splits = {
-        name: make_windows(part, model_cfg.lookback, model_cfg.horizon)
-        for name, part in zip(("train", "val", "test"), parts)
-    }
-    _train_config(cfg, model_cfg)  # a bad train section must not cost a pretraining run
-    return splits, model_cfg
+    splits = {}
+    for name, part in zip(("train", "val", "test"), parts):
+        splits[name] = make_windows(part, lookback, horizon)
+        if not splits[name]:
+            raise ConfigError(
+                f"split: {name}_len {part.length} holds no window of "
+                f"lookback {lookback} + horizon {horizon}"
+            )
+    return run, splits
 
 
 def _start(args):
-    """The set-up of every command: resolved config, output directory, splits, model config."""
-    cfg = resolve_config(args)
-    os.makedirs(cfg["out"], exist_ok=True)
-    splits, model_cfg = _prepare(cfg)
-    return cfg, cfg["out"], splits, model_cfg
+    """The set-up of every command: checked config and splits, then the output directory."""
+    run, splits = _prepare(args)
+    os.makedirs(run.out, exist_ok=True)
+    return run, splits
 
 
-def _finish(cfg: dict, out_dir: str, summary: str, extra: dict | None = None) -> int:
+def _finish(run: RunConfig, summary: str) -> int:
     """Write the resolved config next to the outputs and print the command's summary."""
-    _write_json(os.path.join(out_dir, "resolved_config.json"), {**cfg, **(extra or {})})
+    _write_json(os.path.join(run.out, "resolved_config.json"), run.to_dict())
     print(summary)
     return 0
 
@@ -259,25 +263,25 @@ def _checkpoint_model(args) -> PapNfModel:
     return model_from_checkpoint(path)
 
 
-def _score(model, windows, cfg: dict):
+def _score(model, windows, run: RunConfig):
     """Sample and score windows with the eval section's sample count and levels."""
     return evaluate_split(
         model,
         windows,
-        n_samples=cfg["eval"]["n_samples"],
-        seed=cfg["seed"],
-        levels=tuple(cfg["eval"]["levels"]),
+        n_samples=run.eval.n_samples,
+        seed=run.seed,
+        levels=tuple(run.eval.levels),
     )
 
 
-def _train_model(cfg: dict, splits, model_cfg: ModelConfig):
-    train_cfg = _train_config(cfg, model_cfg)
-    model = PapNfModel(model_cfg, seed=derive_seed(cfg["seed"], "init"))
+def _train_model(run: RunConfig, splits, model_cfg: ModelConfig):
+    train_cfg = TrainConfig(**run.train.to_dict(), model=model_cfg, seed=run.seed)
+    model = PapNfModel(model_cfg, seed=derive_seed(run.seed, "init"))
     ckpt = fit(model, splits["train"], splits["val"], train_cfg)
     return model, ckpt
 
 
-def _train_and_score(cfg: dict, splits, arms: dict, what: str) -> dict:
+def _train_and_score(run: RunConfig, splits, arms: dict, what: str) -> dict:
     """Train each arm's model config and score it on the test split.
 
     An arm whose config equals one already trained (random_backbone on a
@@ -288,8 +292,8 @@ def _train_and_score(cfg: dict, splits, arms: dict, what: str) -> dict:
         if model_cfg in trained:
             continue
         try:
-            model, ckpt = _train_model(cfg, splits, model_cfg)
-            report, _ = _score(model, splits["test"], cfg)
+            model, ckpt = _train_model(run, splits, model_cfg)
+            report, _ = _score(model, splits["test"], run)
         except ConfigError:
             raise
         except (TrainingDiverged, ValueError, FloatingPointError) as err:
@@ -315,68 +319,54 @@ def _window_picks(windows, picks: list[int]) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    cfg, out_dir, splits, model_cfg = _start(args)
-    model_cfg = _ensure_backbone(cfg, model_cfg, out_dir)
-    _, ckpt = _train_model(cfg, splits, model_cfg)
-    ckpt_path = os.path.join(out_dir, "checkpoint.papnf")
+    run, splits = _start(args)
+    _, ckpt = _train_model(run, splits, _ensure_backbone(run, run.model))
+    ckpt_path = os.path.join(run.out, "checkpoint.papnf")
     save_checkpoint(ckpt, ckpt_path)
     _write_csv(
-        os.path.join(out_dir, "training_log.csv"),
+        os.path.join(run.out, "training_log.csv"),
         ["epoch", "train_loss", "val_mse"],
         ([row["epoch"], repr(row["train_loss"]), repr(row["val_mse"])] for row in ckpt.history),
     )
     return _finish(
-        cfg,
-        out_dir,
-        f"wrote {ckpt_path} (best epoch {ckpt.best_epoch}, val_mse {ckpt.val_mse!r})",
-        {"resolved_channels": model_cfg.channels},
+        run, f"wrote {ckpt_path} (best epoch {ckpt.best_epoch}, val_mse {ckpt.val_mse!r})"
     )
 
 
 def cmd_eval(args) -> int:
-    cfg, out_dir, splits, _ = _start(args)
+    run, splits = _start(args)
     windows = splits["test"]
     picks = _window_picks(windows, args.window or [])
-    report, ensembles = _score(_checkpoint_model(args), windows, cfg)
-    _write_json(os.path.join(out_dir, "metrics.json"), report.to_dict())
-    write_quantiles_csv(os.path.join(out_dir, "quantiles.csv"), windows, ensembles)
+    report, ensembles = _score(_checkpoint_model(args), windows, run)
+    _write_json(os.path.join(run.out, "metrics.json"), report.to_dict())
+    write_quantiles_csv(os.path.join(run.out, "quantiles.csv"), windows, ensembles)
     for idx in picks:
         if args.svg:
             write_fan_chart_svg(
-                os.path.join(out_dir, f"fan_window_{idx}.svg"), windows[idx], ensembles[idx]
+                os.path.join(run.out, f"fan_window_{idx}.svg"), windows[idx], ensembles[idx]
             )
-    return _finish(
-        cfg,
-        out_dir,
-        f"wrote metrics.json (mse {report.mse!r}, crps {report.crps_mean!r})",
-        {"checkpoint": args.checkpoint},
-    )
+    return _finish(run, f"wrote metrics.json (mse {report.mse!r}, crps {report.crps_mean!r})")
 
 
 def cmd_sample(args) -> int:
-    cfg, out_dir, splits, _ = _start(args)
+    run, splits = _start(args)
     windows = splits["test"]
     chosen = [windows[i] for i in _window_picks(windows, args.window or [0])]
-    _, ensembles = _score(_checkpoint_model(args), chosen, cfg)
-    write_ensemble_csv(os.path.join(out_dir, "ensemble.csv"), chosen, ensembles)
+    _, ensembles = _score(_checkpoint_model(args), chosen, run)
+    write_ensemble_csv(os.path.join(run.out, "ensemble.csv"), chosen, ensembles)
     if args.svg:
         for w, ens in zip(chosen, ensembles):
             write_fan_chart_svg(
-                os.path.join(out_dir, f"fan_window_{int(w.index)}.svg"), w, ens
+                os.path.join(run.out, f"fan_window_{int(w.index)}.svg"), w, ens
             )
-    return _finish(
-        cfg,
-        out_dir,
-        f"wrote ensemble.csv for {len(chosen)} window(s)",
-        {"checkpoint": args.checkpoint},
-    )
+    return _finish(run, f"wrote ensemble.csv for {len(chosen)} window(s)")
 
 
 def cmd_ablate(args) -> int:
-    cfg, out_dir, splits, base_cfg = _start(args)
-    base_cfg = _ensure_backbone(cfg, base_cfg, out_dir)
+    run, splits = _start(args)
+    base_cfg = _ensure_backbone(run, run.model)
     arms = {arm: ablation_variant(base_cfg, arm) for arm in ABLATION_ARMS}
-    results = _train_and_score(cfg, splits, arms, "ablation arm")
+    results = _train_and_score(run, splits, arms, "ablation arm")
     full = results["full"]
     rows = []
     for arm, row in results.items():
@@ -384,7 +374,7 @@ def cmd_ablate(args) -> int:
         d_mae = 100.0 * (full["mae"] - row["mae"]) / row["mae"]
         rows.append([arm, repr(row["mse"]), repr(row["mae"]), f"{d_mse:.1f}", f"{d_mae:.1f}"])
     _write_csv(
-        os.path.join(out_dir, "ablation.csv"),
+        os.path.join(run.out, "ablation.csv"),
         ["arm", "mse", "mae", "delta_mse_pct", "delta_mae_pct"],
         rows,
     )
@@ -397,43 +387,40 @@ def cmd_ablate(args) -> int:
         },
         "census": {arm: row["census"] for arm, row in results.items()},
     }
-    _write_json(os.path.join(out_dir, "ablation.json"), meta)
-    return _finish(
-        cfg, out_dir, f"wrote ablation.csv ({len(ABLATION_ARMS)} arms, digest {digest[:12]})"
-    )
+    _write_json(os.path.join(run.out, "ablation.json"), meta)
+    return _finish(run, f"wrote ablation.csv ({len(ABLATION_ARMS)} arms, digest {digest[:12]})")
 
 
 def cmd_sweep_prefix(args) -> int:
-    cfg, out_dir, splits, base_cfg = _start(args)
-    k_list = (cfg.get("sweep") or {}).get("k_list", list(DEFAULT_K_LIST))
-    for i, k in enumerate(k_list):  # an over-budget K must not cost a pretraining run
+    run, splits = _start(args)
+    for i, k in enumerate(run.sweep.k_list):  # an over-budget K must not cost a pretraining run
         try:
-            replace(base_cfg, k_prefix=k)
+            replace(run.model, k_prefix=k)
         except ValueError as err:
             raise ConfigError(f"sweep.k_list[{i}]: {err}") from None
-    base_cfg = _ensure_backbone(cfg, base_cfg, out_dir)
-    arms = {k: replace(base_cfg, k_prefix=k) for k in sorted(set(k_list))}
-    results = _train_and_score(cfg, splits, arms, "k_prefix")
+    base_cfg = _ensure_backbone(run, run.model)
+    arms = {k: replace(base_cfg, k_prefix=k) for k in sorted(set(run.sweep.k_list))}
+    results = _train_and_score(run, splits, arms, "k_prefix")
     _write_csv(
-        os.path.join(out_dir, "prefix_sweep.csv"),
+        os.path.join(run.out, "prefix_sweep.csv"),
         ["k_prefix", "mse", "mae"],
         ([k, repr(row["mse"]), repr(row["mae"])] for k, row in results.items()),
     )
-    return _finish(cfg, out_dir, f"wrote prefix_sweep.csv ({len(results)} rows)")
+    return _finish(run, f"wrote prefix_sweep.csv ({len(results)} rows)")
 
 
 def cmd_baseline(args) -> int:
-    cfg, out_dir, splits, model_cfg = _start(args)
+    run, splits = _start(args)
     windows = splits["test"]
-    period = min(cfg["dataset"]["period"], model_cfg.lookback)
+    period = min(run.dataset.period, run.model.lookback)
     model_report = None
     if args.checkpoint:
-        model_report, _ = _score(_checkpoint_model(args), windows, cfg)
+        model_report, _ = _score(_checkpoint_model(args), windows, run)
     rows = []
     for name in BASELINE_NAMES:
         # at the default levels, which hold the 0.9 coverage this table reports
         rep = baseline_report(
-            windows, name, n_samples=cfg["eval"]["n_samples"], seed=cfg["seed"], period=period
+            windows, name, n_samples=run.eval.n_samples, seed=run.seed, period=period
         )
         delta = (
             ""
@@ -452,14 +439,14 @@ def cmd_baseline(args) -> int:
             ]
         )
     _write_csv(
-        os.path.join(out_dir, "baselines.csv"),
+        os.path.join(run.out, "baselines.csv"),
         ["baseline", "mse", "mae", "crps_mean", "weighted_crps", "coverage_90",
          "model_delta_mse_pct"],
         rows,
     )
     if model_report is not None:
-        _write_json(os.path.join(out_dir, "model_metrics.json"), model_report.to_dict())
-    return _finish(cfg, out_dir, f"wrote baselines.csv ({len(BASELINE_NAMES)} baselines)")
+        _write_json(os.path.join(run.out, "model_metrics.json"), model_report.to_dict())
+    return _finish(run, f"wrote baselines.csv ({len(BASELINE_NAMES)} baselines)")
 
 
 # -- argument plumbing -------------------------------------------------------------

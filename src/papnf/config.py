@@ -1,7 +1,8 @@
 """Dict conversion for the config dataclasses, checked against their field annotations.
 
 Every error is a ``ConfigError`` whose message names the key path, such as
-``model.backbone.d``; ``schema`` derives the key tree the command line accepts.
+``model.backbone.d``; unknown keys are collected from every nested section
+first, so one message lists them all.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import functools
 import types
 import typing
 
-__all__ = ["ConfigError", "DictConfig", "check_value", "schema"]
+__all__ = ["ConfigError", "DictConfig", "check_value"]
 
 
 class ConfigError(ValueError):
@@ -58,6 +59,20 @@ def check_value(value, tp, path: str):
     return value
 
 
+def _unknown_keys(cls, d: dict, path: str) -> list[str]:
+    """Key paths in ``d`` and its nested section dicts that name no field."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    bad = []
+    for key, value in d.items():
+        if key not in names:
+            bad.append(_join(path, key))
+        elif isinstance(value, dict):  # a section annotated X or X | None
+            hint = _hints(cls)[key]
+            for sub in filter(_is_config, (hint, *typing.get_args(hint))):
+                bad += _unknown_keys(sub, value, _join(path, key))
+    return bad
+
+
 class DictConfig:
     """Mixin for config dataclasses: ``to_dict`` and a checked ``from_dict``."""
 
@@ -66,14 +81,17 @@ class DictConfig:
 
     @classmethod
     def from_dict(cls, d, path: str = ""):
-        """Build from a dict, rejecting unknown, missing and ill-typed keys."""
-        where = path or cls.__name__
+        """Build from a dict, rejecting unknown, missing and ill-typed keys.
+
+        Fields are checked in declaration order. A constructor error is
+        prefixed with ``path``; at the top level it is the message itself.
+        """
         if not isinstance(d, dict):
-            raise ConfigError(f"{where}: expected an object, got {d!r}")
-        fields = dataclasses.fields(cls)
-        unknown = sorted(set(d) - {f.name for f in fields})
+            raise ConfigError(f"{path or cls.__name__}: expected an object, got {d!r}")
+        unknown = _unknown_keys(cls, d, path)
         if unknown:
-            raise ConfigError("unknown config keys: " + ", ".join(_join(path, k) for k in unknown))
+            raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+        fields = dataclasses.fields(cls)
         missing = [
             _join(path, f.name)
             for f in fields
@@ -84,18 +102,12 @@ class DictConfig:
         if missing:
             raise ConfigError("missing config keys: " + ", ".join(missing))
         hints = _hints(cls)
-        kwargs = {k: check_value(v, hints[k], _join(path, k)) for k, v in d.items()}
+        kwargs = {
+            f.name: check_value(d[f.name], hints[f.name], _join(path, f.name))
+            for f in fields
+            if f.name in d
+        }
         try:
             return cls(**kwargs)
         except ValueError as err:
-            raise ConfigError(f"{where}: {err}") from None
-
-
-def schema(cls, skip: tuple[str, ...] = ()) -> dict:
-    """Allowed-key tree of a config dataclass; None marks a leaf key."""
-    hints = _hints(cls)
-    return {
-        f.name: schema(hints[f.name]) if _is_config(hints[f.name]) else None
-        for f in dataclasses.fields(cls)
-        if f.name not in skip
-    }
+            raise ConfigError(f"{path}: {err}" if path else str(err)) from None

@@ -26,6 +26,7 @@ from papnf.tensor import Tensor, energy_score, matmul, repeat_rows, sum_in_order
 
 __all__ = [
     "OBJECTIVES",
+    "TrainSection",
     "TrainConfig",
     "TrainingDiverged",
     "Adam",
@@ -37,6 +38,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "model_from_checkpoint",
+    "PretrainSection",
     "PretrainConfig",
     "PretrainResult",
     "pretrain_backbone",
@@ -70,14 +72,12 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig(DictConfig):
-    """Optimization hyperparameters wrapped around a model configuration."""
+class TrainSection(DictConfig):
+    """Optimization hyperparameters: the keys a run config's ``train`` section sets."""
 
-    model: ModelConfig
     learning_rate: float = 1e-3
     batch_size: int = 8
     epochs: int = 15
-    seed: int = 0
     objective: str = "energy"
     train_samples: int = 8
     val_samples: int = 16
@@ -97,6 +97,14 @@ class TrainConfig(DictConfig):
             raise ValueError("the energy objective needs train_samples >= 2")
         if self.val_samples < 2:
             raise ValueError("val_samples must be >= 2")
+
+
+@dataclass(frozen=True)
+class TrainConfig(TrainSection):
+    """Optimization hyperparameters wrapped around a model configuration."""
+
+    model: ModelConfig = field(kw_only=True)
+    seed: int = field(default=0, kw_only=True)
 
 
 class Adam:
@@ -199,7 +207,9 @@ def loss_energy(pred_rows: Tensor, target_row: Tensor) -> Tensor:
     """Unbiased energy score of an S-row ensemble against one target row.
 
     mean_s|pred_s - y| - (1/(S(S-1))) sum_{i<j} |pred_i - pred_j|, averaged
-    over the H*C points. Proper: minimized only by the true predictive law.
+    over the H*C points. Proper, but strictly proper only for the marginals:
+    each point is scored apart, so an ensemble whose columns are shuffled
+    independently gets the same score.
     Built as one sort-based graph node (``tensor.energy_score``); stacks
     (B, S, H*C) and (B, 1, H*C) give each window's score, (B,).
     """
@@ -377,23 +387,32 @@ def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Chec
 # -- backbone pretraining ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PretrainConfig(DictConfig):
-    """Next-value regression pretraining for the small frozen backbone."""
+class PretrainSection(DictConfig):
+    """Pretraining steps and sizes: the keys a run config's ``pretrain`` section sets."""
 
-    arch: BackboneArch = field(default_factory=BackboneArch)
     steps: int = 2000
     batch: int = 8
     seq_len: int = 48
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
-        if self.seq_len > self.arch.max_len:
-            raise ValueError(f"seq_len {self.seq_len} exceeds max_len {self.arch.max_len}")
         if self.seq_len < 2:
             raise ValueError(f"seq_len {self.seq_len} must be >= 2 (next-value targets)")
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be positive")
+
+
+@dataclass(frozen=True)
+class PretrainConfig(PretrainSection):
+    """Next-value regression pretraining for the small frozen backbone."""
+
+    arch: BackboneArch = field(default_factory=BackboneArch, kw_only=True)
+    seed: int = field(default=0, kw_only=True)
+
+    def __post_init__(self):
+        if self.seq_len > self.arch.max_len:
+            raise ValueError(f"seq_len {self.seq_len} exceeds max_len {self.arch.max_len}")
+        super().__post_init__()
 
 
 @dataclass

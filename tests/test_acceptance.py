@@ -3,8 +3,8 @@
 Each test prints a single ``criterion N [...]: PASS/FAIL`` line (visible with
 ``pytest -s`` or in the captured output of failures) and asserts the same
 condition. The slow end-to-end criteria share module-scoped pipeline fixtures;
-the determinism criterion reruns those pipelines under a different thread cap
-and compares report JSON bitwise.
+the determinism criterion reruns those pipelines in the same process, with the
+same settings, and compares report JSON bitwise.
 """
 
 import json

@@ -145,7 +145,7 @@ class TestConfigHandling:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: split: split needs 460 rows but the series has 120")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "ablate", "sweep-prefix"])
     def test_bad_train_section_exits_2_before_pretraining(self, ws, tmp_path, capsys, command):
@@ -166,7 +166,7 @@ class TestConfigHandling:
         code = run("ablate", "--config", ws["config"], "--out", str(out), "--set", "train.epochs=0")
         assert code == 2
         assert "config error: train: epochs must be >= 1" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_one_eval_sample_exits_2_before_ablating(self, ws, tmp_path, capsys):
         out = tmp_path / "o"
@@ -176,7 +176,7 @@ class TestConfigHandling:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert "config error: eval.n_samples must be >= 2, got 1" in captured.err
+        assert "config error: eval: n_samples must be >= 2, got 1" in captured.err
         assert "pretrained backbone" not in captured.out
         assert not (out / "ablation.csv").exists()
         assert not (out / "backbone.papnf").exists()
@@ -191,7 +191,7 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert "config error: model: K+M = 9 tokens exceed backbone max_len 8" in captured.err
         assert "pretrained backbone" not in captured.out
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_seed_flag_lands_in_resolved_config(self, ws, trained, tmp_path):
         out = tmp_path / "seeded"
@@ -257,20 +257,23 @@ class TestConfigHandling:
                 "pretrain: steps and batch must be positive",
             ),
             ("eval", ['eval.n_samples="x"'], "eval.n_samples: expected int"),
-            ("eval", ["eval.n_samples=0"], "eval.n_samples must be >= 2"),
+            ("eval", ["eval.n_samples=0"], "eval: n_samples must be >= 2"),
             ("eval", ['eval.levels="x"'], "eval.levels: expected a list"),
-            ("eval", ["eval.levels=[0.5,1.0]"], "eval.levels[1] must lie in (0, 1)"),
+            ("eval", ["eval.levels=[0.5,1.0]"], "eval: levels[1] must lie in (0, 1)"),
             ("baseline", ['dataset.period="x"'], "dataset.period: expected int"),
-            ("baseline", ["dataset.period=0"], "dataset.period must be >= 1"),
+            ("baseline", ["dataset.period=0"], "dataset: period must be >= 1"),
             ("baseline", ["seed=1.5"], "seed: expected int"),
             (
                 "eval",
                 ["eval.levels=[0.9000001,0.9000002]"],
-                "eval.levels[1] repeats the coverage label '0.9' of eval.levels[0]",
+                "eval: levels[1] repeats the coverage label '0.9' of levels[0]",
             ),
             ("eval", ["train.epochs=1.5"], "train.epochs: expected int, got 1.5"),
             ("sample", ["train.batch_size=0"], "train: batch_size 0 outside [1, 16]"),
             ("baseline", ["train.learning_rate=5"], "train: learning_rate 5 outside"),
+            ("baseline", ["pretrain.seq_len=1"], "pretrain: seq_len 1 must be >= 2"),
+            ("eval", ["split={}"], "missing config keys: split.train_len, split.val_len"),
+            ("sample", ["sweep.k_list=[]"], "sweep: k_list must be non-empty"),
         ],
     )
     def test_ill_typed_values_exit_2_naming_the_key(
@@ -285,7 +288,121 @@ class TestConfigHandling:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and needle in err
-        assert not out.exists() or not any(out.iterdir())  # nothing trained or written
+        assert not out.exists()  # nothing trained or written
+
+
+    @pytest.mark.parametrize("assignment", ["=3", "model..d=1", "model.=1", ".seed=1"])
+    def test_set_with_an_empty_key_segment_exits_2(self, ws, tmp_path, capsys, assignment):
+        out = tmp_path / "o"
+        code = run("train", "--config", ws["config"], "--out", str(out), "--set", assignment)
+        assert code == 2
+        expected = f"config error: --set expects key.path=value, got {assignment!r}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, sets, needle",
+        [
+            (
+                "train",
+                ["split.val_len=10", "split.train_len=50",
+                 'model.backbone_kind="frozen_checkpoint"', "pretrain.steps=2"],
+                "split: val_len 10 holds no window of lookback 16 + horizon 4",
+            ),
+            ("eval", ["split.test_len=10"], "split: test_len 10 holds no window"),
+            ("baseline", ["split=null"], "split: val_len 17 holds no window"),  # 86 rows: 51/17/18
+        ],
+    )
+    def test_a_segment_without_a_window_exits_2_writing_nothing(
+        self, ws, trained, tmp_path, capsys, command, sets, needle
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--config", ws["config"], "--out", str(out)]
+        if command == "eval":
+            argv += ["--checkpoint", trained["checkpoint"]]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {needle}")
+        assert "pretrained backbone" not in captured.out
+        assert not out.exists()
+
+    def test_a_null_split_is_the_default_split(self, ws, tmp_path):
+        data = tmp_path / "rows200.csv"
+        write_csv(ar1_seasonal(200, period=8, seed=5), str(data))
+        out = tmp_path / "o"
+        code = run(
+            "baseline", "--config", ws["config"], "--out", str(out),
+            "--set", f"dataset.path={data}", "--set", "split=null",
+        )
+        assert code == 0
+        assert json.loads((out / "resolved_config.json").read_text())["split"] is None
+        assert len(read_rows(out / "baselines.csv")) == 1 + 3
+
+    def test_readme_minimal_config_resolves(self, tmp_path):
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+            readme = fh.read()
+        block = readme.split("Minimal config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        path = tmp_path / "minimal.json"
+        path.write_text(block)
+        data = tmp_path / "data.csv"
+        write_csv(ar1_seasonal(3000, period=24, seed=7), str(data))
+        args = cli.build_parser().parse_args(
+            ["train", "--config", str(path), "--set", f"dataset.path={data}"]
+        )
+        resolved, splits = cli._prepare(args)
+        assert resolved.model.channels == 1
+        assert resolved.to_dict() == cli.RunConfig.from_dict(resolved.to_dict()).to_dict()
+        assert {name: len(w) for name, w in splits.items()} == {
+            "train": 1800 - 96 - 24 + 1, "val": 600 - 96 - 24 + 1, "test": 600 - 96 - 24 + 1,
+        }
+
+
+class TestResolvedConfig:
+    """resolved_config.json is the whole checked config, and a rerun from it repeats the run."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("train", []),
+            ("eval", ["--window", "0", "--window", "3", "--svg"]),
+            ("sample", ["--window", "1", "--window", "2", "--svg"]),
+            ("ablate", []),
+            ("ablate", ["--set", 'model.backbone_kind="frozen_checkpoint"',
+                        "--set", "pretrain.steps=2"]),
+            ("sweep-prefix", ["--set", "sweep.k_list=[0,2]"]),
+            ("baseline", []),
+        ],
+    )
+    def test_a_rerun_from_it_is_bitwise_identical(self, ws, trained, tmp_path, command, extra):
+        if command in ("eval", "sample", "baseline"):
+            extra = [*extra, "--checkpoint", trained["checkpoint"]]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(command, "--config", ws["config"], "--out", str(first), *extra) == 0
+        resolved = first / "resolved_config.json"
+        assert run(command, "--config", str(resolved), "--out", str(second), *extra) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            if name != "resolved_config.json":
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        again = json.loads((second / "resolved_config.json").read_text())
+        assert json.loads(resolved.read_text()) == {**again, "out": str(first)}
+
+    def test_it_holds_every_default(self, trained):
+        resolved = json.loads((trained["out"] / "resolved_config.json").read_text())
+        assert resolved == cli.RunConfig.from_dict(resolved).to_dict()
+        assert resolved["model"]["channels"] == 1
+        assert resolved["train"] == {
+            "learning_rate": 1e-3, "batch_size": 8, "epochs": 1, "objective": "energy",
+            "train_samples": 2, "val_samples": 2,
+        }
+        assert resolved["sweep"] == {"k_list": [1, 3, 5, 8, 12]}
+        assert resolved["pretrain"] == {
+            "steps": 2000, "batch": 8, "seq_len": 48, "learning_rate": 1e-3,
+        }
+        assert "resolved_channels" not in resolved and "checkpoint" not in resolved
 
 
 class TestTrain:

@@ -1,8 +1,9 @@
-"""Config dataclasses: one checked dict conversion, the derived CLI schema, --set fuzz."""
+"""Config dataclasses: one checked dict conversion, the run-config schema, --set fuzz."""
 
 import argparse
 import dataclasses
 import json
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from papnf.backbone import BackboneArch
 from papnf.config import ConfigError, check_value
 from papnf.data import SplitSpec
 from papnf.model import ModelConfig
+from papnf.synthetic import ar1_seasonal, write_csv
 from papnf.train import PretrainConfig, TrainConfig
 
 
@@ -147,24 +149,38 @@ class TestModelConfigChecks:
             PretrainConfig(seq_len=1)
 
 
-# -- the derived CLI schema and the --set fuzz ----------------------------------------
+# -- the run-config schema and the --set fuzz -----------------------------------------
 
 
-def _leaves(node, prefix=""):
-    for key, sub in node.items():
-        if isinstance(sub, dict):
-            yield from _leaves(sub, f"{prefix}{key}.")
+def _leaves(cls, prefix=""):
+    """Every key path a run config may set, derived from the dataclass tree."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        sub = [t for t in (hints[f.name], *typing.get_args(hints[f.name])) if config._is_config(t)]
+        if sub:
+            yield from _leaves(sub[0], f"{prefix}{f.name}.")
         else:
-            yield f"{prefix}{key}"
+            yield f"{prefix}{f.name}"
 
 
-LEAVES = sorted(_leaves(cli._SCHEMA))
+LEAVES = sorted(_leaves(cli.RunConfig))
 SERIES_LEN = 120
+
+
+def test_the_run_config_has_the_41_documented_keys():
+    sections = {"dataset": 2, "split": 3, "model": 20, "train": 6, "eval": 2, "sweep": 1,
+                "pretrain": 4}
+    assert len(LEAVES) == 41
+    assert {"version", "seed", "out"} <= set(LEAVES)
+    for name, count in sections.items():
+        assert sum(leaf.split(".")[0] == name for leaf in LEAVES) == count, name
+    assert not {"train.model", "train.seed", "pretrain.arch", "pretrain.seed"} & set(LEAVES)
 
 
 @pytest.fixture(scope="module")
 def base_config(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
+    write_csv(ar1_seasonal(SERIES_LEN, period=8, seed=5), str(root / "data.csv"))
     cfg = {
         "version": 1,
         "seed": 3,
@@ -188,13 +204,10 @@ def base_config(tmp_path_factory):
 
 
 def _build_all(config_path, sets):
-    """resolve_config plus every section builder; trains nothing."""
+    """The whole command set-up bar the output directory, plus the pretraining config."""
     args = argparse.Namespace(config=config_path, set=sets, seed=None, out=None)
-    cfg = cli.resolve_config(args)
-    model_cfg = cli._model_config(cfg, 1)
-    cli._split_lengths(cfg, SERIES_LEN)
-    cli._train_config(cfg, model_cfg)
-    cli._pretrain_config(cfg, model_cfg)
+    run, _ = cli._prepare(args)
+    cli._pretrain_config(run, run.model)
 
 
 def test_base_config_builds(base_config):
