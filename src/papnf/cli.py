@@ -154,8 +154,9 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 def resolve_config(args):
     """Load, override and check the run configuration; returns it with the dataset's series.
 
-    The dataset is read first: ``model.channels`` defaults to its channel
-    count, and a declared count that differs is a config error. Then one
+    Unknown keys are rejected first, before the dataset is parsed. Then the
+    dataset is read: ``model.channels`` defaults to its channel count, and a
+    declared count that differs is a config error. Then one
     ``RunConfig.from_dict`` checks the whole file. Without a usable
     ``dataset.path`` the series is None, and that call names the fault.
     """
@@ -166,6 +167,7 @@ def resolve_config(args):
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
+    RunConfig.check_keys(cfg)
     dataset, model, series = cfg.get("dataset"), cfg.get("model"), None
     path = dataset.get("path") if isinstance(dataset, dict) else None
     if isinstance(path, str) and path:

@@ -32,12 +32,14 @@ def _is_config(tp) -> bool:
     return isinstance(tp, type) and issubclass(tp, DictConfig)
 
 
-def check_value(value, tp, path: str):
+def check_value(value, tp, path: str, keys_checked: bool = False):
     """Return ``value`` if it fits annotation ``tp``, else raise ConfigError.
 
     ``int`` rejects bool and float, ``float`` accepts int, ``bool`` must be a
     bool, ``X | None`` allows None, ``list[X]`` checks every item, and a config
-    dataclass takes an instance or the dict it is built from.
+    dataclass takes an instance or the dict it is built from. ``keys_checked``
+    says that such a dict's unknown keys, nested ones too, were looked for
+    already, as the ``from_dict`` of the section holding it does.
     """
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         if value is None and type(None) in typing.get_args(tp):
@@ -49,7 +51,9 @@ def check_value(value, tp, path: str):
         (item,) = typing.get_args(tp)
         return [check_value(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
     if _is_config(tp):
-        return value if isinstance(value, tp) else tp.from_dict(value, path)
+        if isinstance(value, tp):
+            return value
+        return tp._from_checked_keys(value, path) if keys_checked else tp.from_dict(value, path)
     if tp is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
@@ -80,17 +84,32 @@ class DictConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, d, path: str = ""):
-        """Build from a dict, rejecting unknown, missing and ill-typed keys.
+    def check_keys(cls, d: dict, path: str = "") -> None:
+        """Reject the keys of d and its nested section dicts that name no field.
 
-        Fields are checked in declaration order. A constructor error is
-        prefixed with ``path``; at the top level it is the message itself.
+        One sorted message lists every such key by its path.
         """
-        if not isinstance(d, dict):
-            raise ConfigError(f"{path or cls.__name__}: expected an object, got {d!r}")
         unknown = _unknown_keys(cls, d, path)
         if unknown:
             raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+
+    @classmethod
+    def from_dict(cls, d, path: str = ""):
+        """Build from a dict, rejecting unknown, missing and ill-typed keys.
+
+        The unknown keys of the whole tree are looked for once, first. Then
+        fields are checked in declaration order. A constructor error is
+        prefixed with ``path``; at the top level it is the message itself.
+        """
+        if isinstance(d, dict):
+            cls.check_keys(d, path)
+        return cls._from_checked_keys(d, path)
+
+    @classmethod
+    def _from_checked_keys(cls, d, path: str):
+        """``from_dict`` of a value whose unknown keys were looked for already."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{path or cls.__name__}: expected an object, got {d!r}")
         fields = dataclasses.fields(cls)
         missing = [
             _join(path, f.name)
@@ -103,7 +122,7 @@ class DictConfig:
             raise ConfigError("missing config keys: " + ", ".join(missing))
         hints = _hints(cls)
         kwargs = {
-            f.name: check_value(d[f.name], hints[f.name], _join(path, f.name))
+            f.name: check_value(d[f.name], hints[f.name], _join(path, f.name), keys_checked=True)
             for f in fields
             if f.name in d
         }

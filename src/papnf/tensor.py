@@ -31,15 +31,24 @@ width) arrays, recording a graph or not; a 2-D operand such as a weight or
 the prefix broadcasts over it. Every product stays one BLAS call per window
 (a batched ``(B, r, k) @ (k, n)``, never the windows stacked into the rows of
 one 2-D GEMM), so each window's values are bitwise those of its own 2-D pass.
-In backward, a 2-D operand shared across windows gets every window's
-gradient from one rank-generic call: a stacked product
-``a.swapaxes(-1, -2) @ b``, one BLAS call per window, or a sum over each
-window's rows; a window of one row takes the exact outer product instead,
-bitwise that K=1 GEMM. The (B, ...) stack is then added in one in-order
-reduction, window B-1 first: the order in which one backward over
-per-window graphs, built for windows 0..B-1, reaches an operand that each
-window's graph uses once. Every model weight is such an operand, so a
-batch's gradients are bitwise those of its per-window graphs.
+
+In backward, a weight's gradient is a product over rows, ``left.T @ right``:
+the W of ``linear`` and ``linear_split``, the right operand of ``matmul`` and
+the four weights of ``causal_attention``. During ``Tape.replay_backward`` an
+op only records a leaf weight's (left, right) row blocks; after the last
+node, each weight takes one GEMM over its blocks' rows, concatenated in
+creation order. A batch's (B, r, m) node and B per-window graphs built in
+batch order and replayed in one backward hand that GEMM the same two
+matrices. A non-leaf operand, whose own closure must see its whole gradient,
+and a closure run outside a replay take the product at once. Any other
+operand shared across windows (a bias, a layer-norm gain, an addend
+broadcast over the windows) gets every window's gradient from one
+rank-generic call as a (B, ...) stack, added in one in-order reduction,
+window B-1 first: the order in which one backward over per-window graphs,
+built for windows 0..B-1, reaches it. Both orders give the per-window
+graphs' bits for an operand that each window's graph uses once. Every model
+weight is such an operand, so a batch's gradients are bitwise those of one
+backward over its per-window graphs.
 """
 
 from __future__ import annotations
@@ -90,6 +99,11 @@ _CREATION_COUNTER = itertools.count()
 
 # Whether ops record graph nodes; ``no_grad`` clears it for a block.
 _grad_enabled = True
+
+# The weight-gradient row blocks that the running ``Tape.replay_backward``
+# defers: id -> (leaf, left blocks, right blocks), in replay order. None
+# outside a replay.
+_deferred: dict[int, tuple[Tensor, list[np.ndarray], list[np.ndarray]]] | None = None
 
 
 @contextlib.contextmanager
@@ -276,10 +290,26 @@ class Tape:
         return len(self.nodes)
 
     def replay_backward(self) -> None:
-        for node in self.nodes:
-            node._backward()
-            node._backward = None
-            node._parents = ()
+        """Run every node's closure, then add each deferred weight gradient.
+
+        A leaf weight's row blocks were recorded in replay order, the reverse
+        of creation order, so they are reversed before the one product. A
+        closure that raises leaves nothing deferred: the blocks recorded so
+        far are dropped, and no weight takes a partial product. The blocks
+        are module state, like ``no_grad``'s switch, so do not replay from
+        concurrent threads.
+        """
+        global _deferred
+        outer, _deferred = _deferred, {}
+        try:
+            for node in self.nodes:
+                node._backward()
+                node._backward = None
+                node._parents = ()
+            for t, lefts, rights in _deferred.values():
+                _add_rows_product(t, lefts[::-1], rights[::-1])
+        finally:
+            _deferred = outer
 
 
 # -- construction helpers ----------------------------------------------------
@@ -341,12 +371,13 @@ def _over_windows(a: Tensor, b: Tensor) -> bool:
 
 
 def _accumulate_windows(t: Tensor, fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> None:
-    """Add ``fn(*arrays)`` into the grad of t, an operand the windows share.
+    """Add ``fn(*arrays)`` into the grad of t, a bias or gain the windows share.
 
     fn is rank-generic and returns a fresh array: from (B, rows, width)
-    arrays, one call gives every window's gradient as a (B, *t.shape) stack,
-    which ``_add_windows`` adds window B-1 first; from 2-D arrays, one
-    gradient. It runs only when t takes a gradient.
+    arrays, one call gives every window's gradient as a (B, *t.shape) stack
+    of row sums, which ``_add_windows`` adds window B-1 first; from 2-D
+    arrays, one gradient. It runs only when t takes a gradient. Weights take
+    theirs from ``_accumulate_product`` instead.
     """
     if t.requires_grad:
         _add_windows(t, fn(*arrays), fresh=True)
@@ -359,6 +390,7 @@ def _add_windows(t: Tensor, g: np.ndarray, fresh: bool) -> None:
     module docstring says why); t's grad so far goes in before window B-1,
     as it would in a chain of ``+=``. ``fresh`` says that nothing else holds
     g, so the stack may be written and the result adopted as the buffer.
+    A weight's row product never comes here; it is deferred to the replay's end.
     """
     if g.ndim > t.data.ndim:
         if t.grad is not None:
@@ -386,18 +418,35 @@ def _sum_windows(stack: np.ndarray) -> np.ndarray:
     return np.add.reduce(reverse, axis=0)
 
 
-def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a.swapaxes(-1, -2) @ b``, per window for (B, r, m) and (B, r, k) arrays.
+def _accumulate_product(t: Tensor, left: np.ndarray, right: np.ndarray) -> None:
+    """Add ``left.T @ right`` over every row into t's grad: a weight's gradient.
 
-    With one row (r = 1), the exact outer product ``a.swapaxes(-1, -2) * b``
-    instead, far cheaper than B K=1 GEMMs and bitwise theirs. A GEMM adds
-    each product to +0.0, which turns a -0.0 product into +0.0; einsum's
-    sum over the one row starts from +0.0 too, and runs about twice as fast
-    as numpy's broadcast multiply.
+    left (..., rows, m) and right (..., rows, n) hold the same rows, with or
+    without a window axis. During a replay, a leaf t only records the pair,
+    and ``Tape.replay_backward`` takes one product over all of t's pairs
+    after the last node. A non-leaf t, whose own closure is still to run,
+    and a closure run outside a replay take the product at once.
     """
-    if a.shape[-2] != 1:
-        return a.swapaxes(-1, -2) @ b
-    return np.einsum("...ri,...rj->...ij", a, b)
+    if not t.requires_grad:
+        return
+    if _deferred is None or t._backward is not None:
+        _add_rows_product(t, [left], [right])
+    else:
+        _, lefts, rights = _deferred.setdefault(id(t), (t, [], []))
+        lefts.append(left)
+        rights.append(right)
+
+
+def _add_rows_product(t: Tensor, lefts: list[np.ndarray], rights: list[np.ndarray]) -> None:
+    """Add ``L.T @ R`` into t's grad, one GEMM over the blocks' rows.
+
+    L and R are the blocks reshaped to rows and concatenated in order, each
+    a fresh C-contiguous matrix, so the same rows always reach BLAS in the
+    same layout, whether they came as one (B, r, m) block or B (r, m) ones.
+    """
+    left = np.concatenate([a.reshape(-1, a.shape[-1]) for a in lefts])
+    right = np.concatenate([b.reshape(-1, b.shape[-1]) for b in rights])
+    t._add_grad(left.T @ right)
 
 
 def _accumulate_broadcast(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
@@ -472,7 +521,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if a.requires_grad:
             a._add_grad(g @ b.data.T)
-        _accumulate_windows(b, _rows_product, a.data, g)
+        _accumulate_product(b, a.data, g)
 
     out = _make(a.data @ b.data, (a, b), _bw)
     return out
@@ -716,7 +765,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if x.requires_grad:
             x._add_grad(g @ W.data)
-        _accumulate_windows(W, _rows_product, g, x.data)
+        _accumulate_product(W, g, x.data)
         _accumulate_windows(b, lambda gw: gw.sum(axis=-2), g)
 
     y = x.data @ W.data.T
@@ -734,7 +783,7 @@ def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
     ``u @ W_u.T``, so h's product is not repeated S times. Latents
     (B, S, d_u) take rows h (B, 1, d_h), one per window. Backward takes
     h's gradient from the row sum of the output gradient, and W's from the
-    ``[u | h]`` rows, each window's product the one ``linear`` computes.
+    ``[u | h]`` rows, the product ``linear`` takes.
     """
     u = _as_tensor(u)
     _require_2d(u, "linear_split", windows=True)
@@ -760,12 +809,12 @@ def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
         if h.requires_grad:
             h._add_grad(g_row @ W_h)
         if W.requires_grad:
-            # one (m, S) @ (S, d_u + d_h) product over the [u | h] rows, as in
-            # linear: cheaper at training's S than an outer product for h's
-            # columns plus a concatenation of the two blocks
+            # one product over the [u | h] rows, as in linear: cheaper at
+            # training's S than an outer product for h's columns plus a
+            # concatenation of the two blocks
             h_rows = np.broadcast_to(h.data, (*u.shape[:-1], h.shape[-1]))
             x = np.concatenate([u.data, h_rows], axis=-1)
-            _accumulate_windows(W, _rows_product, g, x)
+            _accumulate_product(W, g, x)
         _accumulate_windows(b, lambda rw: rw[..., 0, :], g_row)
 
     row = h.data @ W_h.T
@@ -832,7 +881,7 @@ def causal_attention(
 
     def _bw():
         g = out.grad
-        _accumulate_windows(Wo, _rows_product, heads, g)
+        _accumulate_product(Wo, heads, g)
         g_heads = split(g @ Wo.data.T)
         g_scores = _softmax_last_grad(g_heads @ v.swapaxes(-1, -2), p) * scale
         grads = (
@@ -843,7 +892,7 @@ def causal_attention(
         if x.requires_grad:
             x._add_grad(sum(gm @ W.data.T for W, gm in grads))
         for W, gm in grads:
-            _accumulate_windows(W, _rows_product, x.data, gm)
+            _accumulate_product(W, x.data, gm)
 
     out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), _bw)
     return out

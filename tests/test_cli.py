@@ -100,6 +100,19 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "modle" in err and "model.loopback" in err
 
+    def test_unknown_keys_exit_2_before_the_dataset_is_read(self, ws, tmp_path, capsys):
+        lines = (ws["root"] / "data.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",abc"  # a malformed cell
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = dict(ws["dict"], trian={}, dataset={"path": str(data), "period": 8})
+        path = tmp_path / "trian.json"
+        path.write_text(json.dumps(cfg))
+        assert run("train", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "unknown config keys: trian" in capsys.readouterr().err
+        assert run("train", "--config", ws["config"], "--set", f'dataset.path="{data}"',
+                   "--out", str(tmp_path / "o")) == 1  # the CSV alone is a runtime error
+
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

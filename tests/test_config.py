@@ -112,6 +112,19 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="d: expected int, got '64'"):
             BackboneArch.from_dict({"d": "64"})
 
+    def test_unknown_keys_are_looked_for_once_per_section(self, monkeypatch):
+        walked = []
+        real = config._unknown_keys
+
+        def counting(cls, d, path):
+            walked.append(path)
+            return real(cls, d, path)
+
+        monkeypatch.setattr(config, "_unknown_keys", counting)
+        cfg = TrainConfig(model=ModelConfig(lookback=16, horizon=4, channels=1), epochs=3)
+        assert TrainConfig.from_dict(cfg.to_dict(), "train") == cfg
+        assert walked == ["train", "train.model", "train.model.backbone"]
+
     def test_type_hints_are_resolved_once_per_class(self):
         config._hints.cache_clear()
         for _ in range(3):

@@ -557,10 +557,19 @@ def _backward_from(out, grad):
     Tape.from_root(out).replay_backward()
 
 
+def _one_backward_over_windows(outs, upstream):
+    """One backward over per-window graphs: their terms summed into one loss."""
+    total = None
+    for out, g in zip(outs, upstream):
+        term = (out * Tensor(g)).sum()
+        total = term if total is None else total + term
+    total.backward()
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_window_axis_gradients_are_bitwise_the_per_window_graphs(name):
-    # reference: one graph per window, built for windows 0..B-1 and replayed
-    # window B-1 first, so each shared operand sums its gradients in that order
+    # reference: one graph per window, built for windows 0..B-1 and replayed in
+    # one backward, as fit's reference loop and perfbench build a batch
     op, stacked, shared = _window_axis_cases(np.random.default_rng(2))[name]
     operands = [Tensor(s, requires_grad=True) for s in stacked]
     shared_t = [Tensor(s, requires_grad=True) for s in shared]
@@ -571,8 +580,7 @@ def test_window_axis_gradients_are_bitwise_the_per_window_graphs(name):
     per_window = [[Tensor(s[i], requires_grad=True) for s in stacked] for i in range(B)]
     shared_ref = [Tensor(s, requires_grad=True) for s in shared]
     outs = [op(*per_window[i], *shared_ref) for i in range(B)]
-    for i in reversed(range(B)):
-        _backward_from(outs[i], upstream[i])
+    _one_backward_over_windows(outs, upstream)
 
     for i in range(B):
         assert out.data[i].tobytes() == outs[i].data.tobytes()
@@ -587,9 +595,17 @@ SHARED_CASES = [n for n in CASES if _window_axis_cases(np.random.default_rng(0))
 
 @pytest.mark.parametrize("name", SHARED_CASES)
 def test_each_shared_operand_takes_one_stacked_gradient_per_node(name, monkeypatch):
-    # one gradient call over the window stack per operand, not one per window
-    runs, stacks = {}, {}
-    real_accumulate, real_add = tz._accumulate_windows, tz._add_windows
+    # a weight takes one product per backward over all B*r rows; a bias, gain
+    # or broadcast addend one (B, ...) stack per node, not one call per window
+    products, runs, stacks = {}, {}, {}
+    real_product, real_accumulate, real_add = (
+        tz._add_rows_product, tz._accumulate_windows, tz._add_windows
+    )
+
+    def product(t, lefts, rights):
+        rows = {sum(a.size // a.shape[-1] for a in blocks) for blocks in (lefts, rights)}
+        products.setdefault(id(t), []).append(rows)
+        real_product(t, lefts, rights)
 
     def accumulate(t, fn, *arrays):
         def counted(*args):
@@ -603,13 +619,20 @@ def test_each_shared_operand_takes_one_stacked_gradient_per_node(name, monkeypat
         stacks.setdefault(id(t), []).append(g.shape)
         real_add(t, g, fresh)
 
+    monkeypatch.setattr(tz, "_add_rows_product", product)
     monkeypatch.setattr(tz, "_accumulate_windows", accumulate)
     monkeypatch.setattr(tz, "_add_windows", add)
     op, stacked, shared = _window_axis_cases(np.random.default_rng(2))[name]
     shared_t = [Tensor(s, requires_grad=True) for s in shared]
-    out = op(*[Tensor(s, requires_grad=True) for s in stacked], *shared_t)
+    x = Tensor(stacked[0], requires_grad=True)
+    out = op(x, *[Tensor(s, requires_grad=True) for s in stacked[1:]], *shared_t)
     _backward_from(out, np.random.default_rng(3).normal(size=out.shape))
     broadcast = name in ("concat_rows", "positional_add")  # out.grad's stack, handed over
     for t in shared_t:
-        assert stacks[id(t)] == [(B, *t.shape)]
-        assert runs.get(id(t), 0) == (0 if broadcast else 1)
+        if t.data.ndim == 2 and not broadcast:  # a weight
+            assert products[id(t)] == [{B * x.shape[-2]}]
+            assert id(t) not in stacks
+        else:
+            assert id(t) not in products
+            assert stacks[id(t)] == [(B, *t.shape)]
+            assert runs.get(id(t), 0) == (0 if broadcast else 1)

@@ -506,8 +506,14 @@ def _order_cases():
     }
 
 
+def _rows(*arrays):
+    return [np.ascontiguousarray(a.reshape(-1, a.shape[-1])) for a in arrays]
+
+
 @pytest.mark.parametrize("name", sorted(_order_cases()))
 def test_shared_operands_add_window_gradients_window_b_minus_1_first(name):
+    # a bias, gain or addend adds its window gradients window B-1 first; a
+    # linear's weight takes one product over the windows' rows in creation order
     op, x, upstream, shared = _order_cases()[name]
     per_window = []
     for i in range(len(x)):
@@ -522,32 +528,69 @@ def test_shared_operands_add_window_gradients_window_b_minus_1_first(name):
     out.accumulate_grad(upstream)
     tz.Tape.from_root(out).replay_backward()
     for k, t in enumerate(leaves):  # a linear's W and b, a layer norm's g and b, the addend
+        if name.startswith("linear") and k == 0:
+            g_rows, x_rows = _rows(upstream, x)
+            g_back, x_back = _rows(upstream[::-1], x[::-1])
+            want = (g_rows.T @ x_rows).tobytes()
+            assert (g_back.T @ x_back).tobytes() != want  # the orders are told apart
+            assert t.grad.tobytes() == want
+            continue
         sums = [s.tobytes() for s in _three_sums([g[k] for g in per_window])]
         assert len(set(sums)) == 3  # the orders are told apart
         assert t.grad.tobytes() == sums[0]
 
 
-def _signed_zeros_and_underflow(rng, shape):
-    x = rng.normal(size=shape) * 10.0 ** rng.integers(-170, 170, size=shape)
-    pick = rng.random(shape)
-    x[pick < 0.15] = 0.0
-    x[(pick >= 0.15) & (pick < 0.3)] = -0.0
-    return x
+def _linear_backward(W, x, upstream):
+    """Replay ``linear(x, W, 0)`` from the given upstream gradient; returns W's product."""
+    out = tz.linear(x, W, Tensor(np.zeros(W.shape[0])))
+    out.accumulate_grad(upstream)
+    tz.Tape.from_root(out).replay_backward()
+    g_rows, x_rows = _rows(upstream, x.data)
+    return g_rows.T @ x_rows
 
 
-@pytest.mark.parametrize("m, k", [(1, 1), (1, 5), (6, 1), (7, 9)])
-def test_single_row_product_is_bitwise_the_k1_gemm(m, k):
-    rng = np.random.default_rng(m * 10 + k)
-    a = _signed_zeros_and_underflow(rng, (4, 1, m))
-    b = _signed_zeros_and_underflow(rng, (4, 1, k))
-    a[0, 0, 0], b[0, 0, 0] = -0.0, 2.0  # an exact product of -0.0, which the GEMM makes +0.0
-    with np.errstate(over="ignore"):
-        stacked = tz._rows_product(a, b)
-        for i in range(4):
-            want = a[i].T @ b[i]
-            assert tz._rows_product(a[i], b[i]).tobytes() == want.tobytes()
-            assert stacked[i].tobytes() == want.tobytes()
-    assert not np.signbit(stacked[0, 0, 0])
+def test_a_deferred_product_goes_in_after_the_gradient_so_far():
+    # two backwards without zero_grad: the second adds its product to the first
+    rng = np.random.default_rng(5)
+    W = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    first = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
+    assert W.grad.tobytes() == first.tobytes()
+    second = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
+    assert W.grad.tobytes() == (first + second).tobytes()
+
+
+def test_a_closure_that_raises_leaves_nothing_deferred():
+    rng = np.random.default_rng(6)
+    W = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True) * 1.0  # replays after linear
+
+    def boom():
+        raise RuntimeError("boom")
+
+    x._backward = boom
+    with pytest.raises(RuntimeError, match="boom"):
+        _linear_backward(W, x, rng.normal(size=(3, 4, 2)))
+    assert tz._deferred is None
+    assert W.grad is None  # linear's recorded blocks were dropped, not added
+    want = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
+    assert W.grad.tobytes() == want.tobytes()
+
+
+def test_a_non_leaf_weight_has_its_gradient_before_its_own_node_runs():
+    rng = np.random.default_rng(7)
+    leaf = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    W = leaf * 1.0
+    seen, own = [], W._backward
+
+    def spy():
+        seen.append(W.grad)
+        own()
+
+    W._backward = spy
+    want = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
+    assert len(seen) == 1 and seen[0] is not None
+    assert seen[0].tobytes() == want.tobytes()
+    assert leaf.grad.tobytes() == want.tobytes()
 
 
 def test_window_sum_of_one_element_windows_is_in_order():
