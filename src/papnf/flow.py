@@ -241,9 +241,9 @@ def sample_chunk(windows, model, n_samples: int, rngs) -> list[ForecastEnsemble]
 
     Window i's latents come from ``rngs[i]``. All windows run through one
     forward pass under ``no_grad``, the window a leading axis (a lone window
-    runs without it): the conditioning (z, c, h) once per window, and all S
-    latents of each window through the flow and the reconstruction together.
-    Each ensemble is bitwise the one the window gets alone.
+    too): the conditioning (z, c, h) once per window, and all S latents of
+    each window through the flow and the reconstruction together. Each
+    ensemble is bitwise the one the window gets from a 2-D pass alone.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -251,8 +251,6 @@ def sample_chunk(windows, model, n_samples: int, rngs) -> list[ForecastEnsemble]
         raise ValueError(f"{len(rngs)} generators for {len(windows)} windows")
     u0 = np.array([rng.standard_normal((n_samples, model.cfg.d_u)) for rng in rngs])
     x_std = np.array([w.x_std for w in windows])
-    if len(windows) == 1:  # a lone window skips the per-op cost of a window axis
-        u0, x_std = u0[0], x_std[0]
     with tz.no_grad():
         rows = model.forward_samples(x_std, u0)  # (B, S, H*C) standardized
     std = rows.data.reshape(len(windows), n_samples, model.cfg.horizon, model.cfg.channels)

@@ -131,7 +131,7 @@ def _interval_mask(ordered: np.ndarray, target: np.ndarray, level: float) -> np.
 
 
 def _window_scores(
-    position: int, ensemble, target, levels: tuple[float, ...], fair: bool
+    position: int, ensemble, target, levels: tuple[float, ...]
 ) -> tuple[np.ndarray, dict[float, np.ndarray]]:
     """One window's CRPS grid and interval masks from a single sort.
 
@@ -155,7 +155,7 @@ def _window_scores(
         raise ValueError(f"{where}: ensemble holds NaN or inf")
     term1 = np.abs(ensemble - target[None]).mean(axis=0)
     spread = pairwise_spread(ordered.reshape(s, -1)).reshape(target.shape)
-    grid = term1 - spread / (s * (s - 1) if fair else s * s)
+    grid = term1 - spread / (s * s)
     return grid, {lvl: _interval_mask(ordered, target, lvl) for lvl in levels}
 
 
@@ -233,7 +233,6 @@ def build_report(
     targets: list[np.ndarray],
     baseline_preds: list[np.ndarray] | None = None,
     levels: tuple[float, ...] = (0.8, 0.9, 0.95),
-    fair: bool = False,
 ) -> MetricsReport:
     """Aggregate per-window ensembles and truths into one MetricsReport.
 
@@ -261,7 +260,7 @@ def build_report(
     grids = []
     masks: dict[float, list[np.ndarray]] = {lvl: [] for lvl in mask_levels}
     for position, (ens, y) in enumerate(zip(ensembles, targets)):
-        grid, window_masks = _window_scores(position, ens, y, mask_levels, fair)
+        grid, window_masks = _window_scores(position, ens, y, mask_levels)
         diff = ens.mean(axis=0) - y
         sq_sum += (diff * diff).mean(axis=1)
         abs_sum += np.abs(diff).mean(axis=1)

@@ -32,23 +32,23 @@ the prefix broadcasts over it. Every product stays one BLAS call per window
 (a batched ``(B, r, k) @ (k, n)``, never the windows stacked into the rows of
 one 2-D GEMM), so each window's values are bitwise those of its own 2-D pass.
 
-In backward, a weight's gradient is a product over rows, ``left.T @ right``:
-the W of ``linear`` and ``linear_split``, the right operand of ``matmul`` and
-the four weights of ``causal_attention``. During ``Tape.replay_backward`` an
-op only records a leaf weight's (left, right) row blocks; after the last
-node, each weight takes one GEMM over its blocks' rows, concatenated in
-creation order. A batch's (B, r, m) node and B per-window graphs built in
-batch order and replayed in one backward hand that GEMM the same two
-matrices. A non-leaf operand, whose own closure must see its whole gradient,
-and a closure run outside a replay take the product at once. Any other
-operand shared across windows (a bias, a layer-norm gain, an addend
-broadcast over the windows) gets every window's gradient from one
-rank-generic call as a (B, ...) stack, added in one in-order reduction,
-window B-1 first: the order in which one backward over per-window graphs,
-built for windows 0..B-1, reaches it. Both orders give the per-window
-graphs' bits for an operand that each window's graph uses once. Every model
-weight is such an operand, so a batch's gradients are bitwise those of one
-backward over its per-window graphs.
+In backward, an operand that a node may share across windows takes its
+gradient as rows for one reduction: a weight (the W of ``linear`` and
+``linear_split``, the right operand of ``matmul``, the four weights of
+``causal_attention``) as the row blocks of ``left.T @ right``, and any other
+operand (a bias, a layer-norm gain, an addend or factor broadcast over the
+windows or a scalar, a leaf written through a slice) as gradient rows of its
+size, to be summed. During ``Tape.replay_backward`` an op only records a
+leaf's rows; after the last node, each leaf takes one reduction over all its
+rows, concatenated in creation order into one C-contiguous matrix: the
+product for a weight, the row sum for the rest. A non-leaf operand, whose
+own closure must see its whole gradient, and a closure run outside a replay
+reduce at once. A batch's (B, r, m) node and B per-window graphs built in
+batch order and replayed in one backward hand the reduction the same rows,
+for a leaf that each window's graph hands to one such node once, as it is
+(a leaf reached through another op first, as in ``tanh(P) + x``, is not
+covered). Every model weight is such a leaf, so a batch's gradients are
+bitwise those of one backward over its per-window graphs.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ _CREATION_COUNTER = itertools.count()
 # Whether ops record graph nodes; ``no_grad`` clears it for a block.
 _grad_enabled = True
 
-# The weight-gradient row blocks that the running ``Tape.replay_backward``
-# defers: id -> (leaf, left blocks, right blocks), in replay order. None
-# outside a replay.
-_deferred: dict[int, tuple[Tensor, list[np.ndarray], list[np.ndarray]]] | None = None
+# The gradient rows that the running ``Tape.replay_backward`` defers, in
+# replay order: (id, is a row sum) -> (leaf, left blocks of a weight's product
+# or None, row blocks). None outside a replay.
+_deferred: dict[tuple[int, bool], tuple[Tensor, list | None, list]] | None = None
 
 
 @contextlib.contextmanager
@@ -290,12 +290,12 @@ class Tape:
         return len(self.nodes)
 
     def replay_backward(self) -> None:
-        """Run every node's closure, then add each deferred weight gradient.
+        """Run every node's closure, then reduce each leaf's deferred rows.
 
-        A leaf weight's row blocks were recorded in replay order, the reverse
-        of creation order, so they are reversed before the one product. A
+        A leaf's row blocks were recorded in replay order, the reverse of
+        creation order, so they are reversed before its one reduction. A
         closure that raises leaves nothing deferred: the blocks recorded so
-        far are dropped, and no weight takes a partial product. The blocks
+        far are dropped, and no leaf takes a partial reduction. The blocks
         are module state, like ``no_grad``'s switch, so do not replay from
         concurrent threads.
         """
@@ -306,8 +306,8 @@ class Tape:
                 node._backward()
                 node._backward = None
                 node._parents = ()
-            for t, lefts, rights in _deferred.values():
-                _add_rows_product(t, lefts[::-1], rights[::-1])
+            for t, lefts, blocks in _deferred.values():
+                _reduce(t, None if lefts is None else lefts[::-1], blocks[::-1])
         finally:
             _deferred = outer
 
@@ -354,11 +354,11 @@ def _binary_elementwise(a, b, op: str) -> Tensor:
     def _bw():
         g = out.grad
         if op == "mul":
-            _accumulate_broadcast(a, g * b.data, fresh=True)
-            _accumulate_broadcast(b, g * a.data, fresh=True)
+            _accumulate_rows(a, g * b.data)
+            _accumulate_rows(b, g * a.data)
         else:
-            _accumulate_broadcast(a, g)
-            _accumulate_broadcast(b, g if op == "add" else -g, fresh=op == "sub")
+            _accumulate_rows(a, g)
+            _accumulate_rows(b, g if op == "add" else -g)
 
     out = _make(data, (a, b), _bw)
     return out
@@ -370,97 +370,61 @@ def _over_windows(a: Tensor, b: Tensor) -> bool:
     return big.data.ndim == 3 and big.shape[1:] == small.shape
 
 
-def _accumulate_windows(t: Tensor, fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> None:
-    """Add ``fn(*arrays)`` into the grad of t, a bias or gain the windows share.
+def _accumulate_rows(t: Tensor, rows: np.ndarray, left: np.ndarray | None = None) -> None:
+    """Add the gradient that t takes from one node, as rows for one reduction.
 
-    fn is rank-generic and returns a fresh array: from (B, rows, width)
-    arrays, one call gives every window's gradient as a (B, *t.shape) stack
-    of row sums, which ``_add_windows`` adds window B-1 first; from 2-D
-    arrays, one gradient. It runs only when t takes a gradient. Weights take
-    theirs from ``_accumulate_product`` instead.
-    """
-    if t.requires_grad:
-        _add_windows(t, fn(*arrays), fresh=True)
-
-
-def _add_windows(t: Tensor, g: np.ndarray, fresh: bool) -> None:
-    """Add g, t's gradient or a (B, *t.shape) stack of them, into t's grad.
-
-    A stack is added in one reduction, window B-1 first, window 0 last (the
-    module docstring says why); t's grad so far goes in before window B-1,
-    as it would in a chain of ``+=``. ``fresh`` says that nothing else holds
-    g, so the stack may be written and the result adopted as the buffer.
-    A weight's row product never comes here; it is deferred to the replay's end.
-    """
-    if g.ndim > t.data.ndim:
-        if t.grad is not None:
-            g = g if fresh else g.copy()
-            g[-1] += t.grad
-            t.grad = None
-        g, fresh = _sum_windows(g), True
-    if fresh:
-        t._add_grad(g)
-    else:
-        t.accumulate_grad(g)
-
-
-def _sum_windows(stack: np.ndarray) -> np.ndarray:
-    """``stack[B-1] + stack[B-2] + ... + stack[0]``, added in that order.
-
-    Reduced over its leading axis, numpy adds whole windows one after
-    another, each an elementwise pass. A one-element window would leave the
-    window axis as the inner loop, which numpy sums pairwise, so such stacks
-    take the running sum of ``np.cumsum``, as ``sum_in_order`` does.
-    """
-    reverse = stack[::-1]
-    if reverse[0].size == 1:
-        return np.cumsum(reverse, axis=0)[-1]
-    return np.add.reduce(reverse, axis=0)
-
-
-def _accumulate_product(t: Tensor, left: np.ndarray, right: np.ndarray) -> None:
-    """Add ``left.T @ right`` over every row into t's grad: a weight's gradient.
-
-    left (..., rows, m) and right (..., rows, n) hold the same rows, with or
-    without a window axis. During a replay, a leaf t only records the pair,
-    and ``Tape.replay_backward`` takes one product over all of t's pairs
-    after the last node. A non-leaf t, whose own closure is still to run,
-    and a closure run outside a replay take the product at once.
+    Without ``left``, rows is t's gradient or a stack of gradients that t
+    takes summed, such as (B, *t.shape) for an operand broadcast over
+    windows, or any shape for a scalar: rows of t.size entries each. With
+    ``left``, t is a weight, and left (..., rows, m) and rows (..., rows, n)
+    hold the two operands of its product ``left.T @ rows``. During a replay,
+    a leaf t only records the rows, and ``Tape.replay_backward`` reduces all
+    of t's rows after the last node. A non-leaf t, whose own closure is still
+    to run, and a closure run outside a replay reduce them at once.
     """
     if not t.requires_grad:
         return
+    if left is None:
+        rows = rows.reshape(-1, t.size)
     if _deferred is None or t._backward is not None:
-        _add_rows_product(t, [left], [right])
-    else:
-        _, lefts, rights = _deferred.setdefault(id(t), (t, [], []))
-        lefts.append(left)
-        rights.append(right)
-
-
-def _add_rows_product(t: Tensor, lefts: list[np.ndarray], rights: list[np.ndarray]) -> None:
-    """Add ``L.T @ R`` into t's grad, one GEMM over the blocks' rows.
-
-    L and R are the blocks reshaped to rows and concatenated in order, each
-    a fresh C-contiguous matrix, so the same rows always reach BLAS in the
-    same layout, whether they came as one (B, r, m) block or B (r, m) ones.
-    """
-    left = np.concatenate([a.reshape(-1, a.shape[-1]) for a in lefts])
-    right = np.concatenate([b.reshape(-1, b.shape[-1]) for b in rights])
-    t._add_grad(left.T @ right)
-
-
-def _accumulate_broadcast(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add g into t's grad, undoing a broadcast over a window axis or of a scalar.
-
-    ``fresh`` says that nothing else holds g; an alias such as ``out.grad``
-    itself, or a slice of it, is copied, not adopted.
-    """
-    if not t.requires_grad:
+        _reduce(t, None if left is None else [left], [rows])
         return
-    if g.shape == t.shape or (g.ndim == 3 and g.shape[1:] == t.shape):
-        _add_windows(t, g, fresh)
+    _, lefts, blocks = _deferred.setdefault(
+        (id(t), left is None), (t, None if left is None else [], [])
+    )
+    if left is not None:
+        lefts.append(left)
+    blocks.append(rows)
+
+
+def _reduce(t: Tensor, lefts: list[np.ndarray] | None, blocks: list[np.ndarray]) -> None:
+    """Add one reduction over the blocks' rows into t's grad.
+
+    The rows, in the blocks' order, make one matrix R, and the lefts' rows
+    make L: t takes ``L.T @ R`` if it is a weight and R's row sum otherwise.
+    A row sum reads one C-contiguous block in place, and one row is its own sum.
+    """
+    if lefts is not None:
+        t._add_grad(_c_rows(lefts).T @ _c_rows(blocks))
+        return
+    rows = blocks[0] if len(blocks) == 1 and blocks[0].flags.c_contiguous else _c_rows(blocks)
+    if len(rows) == 1:
+        t.accumulate_grad(rows.reshape(t.shape))
     else:
-        t._add_grad(np.asarray(g.sum(), dtype=np.float64).reshape(t.shape))
+        t._add_grad(np.add.reduce(rows, axis=0).reshape(t.shape))
+
+
+def _c_rows(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks reshaped to rows and concatenated, as a fresh C-contiguous matrix.
+
+    The same rows thus reach numpy and BLAS in the same layout, whether they
+    came as one (B, r, n) block or as B (r, n) ones, and whatever the layout
+    of the arrays they came in (``np.concatenate`` alone keeps an F-ordered
+    block's layout).
+    """
+    rows = [b.reshape(-1, b.shape[-1]) for b in blocks]
+    out = np.empty((sum(len(r) for r in rows), rows[0].shape[1]))
+    return np.concatenate(rows, out=out)
 
 
 # -- unary elementwise ops ----------------------------------------------------
@@ -521,7 +485,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if a.requires_grad:
             a._add_grad(g @ b.data.T)
-        _accumulate_product(b, a.data, g)
+        _accumulate_rows(b, g, left=a.data)
 
     out = _make(a.data @ b.data, (a, b), _bw)
     return out
@@ -564,9 +528,9 @@ def _slice(x: Tensor, key) -> Tensor:
     c0, c1 = _normalize_slice(key[1], x.shape[-1], "cols")
 
     def _bw():
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[..., r0:r1, c0:c1] += out.grad
+        g = np.zeros_like(x.data)
+        g[..., r0:r1, c0:c1] = out.grad
+        _accumulate_rows(x, g)
 
     out = _make(x.data[..., r0:r1, c0:c1].copy(), (x,), _bw)
     return out
@@ -597,7 +561,7 @@ def concat_rows(parts: Iterable[Tensor]) -> Tensor:
         off = 0
         for p in parts:
             r = p.shape[-2]
-            _accumulate_broadcast(p, out.grad[..., off : off + r, :])
+            _accumulate_rows(p, out.grad[..., off : off + r, :])
             off += r
 
     out = _make(np.concatenate(_common_windows(parts), axis=-2), parts, _bw)
@@ -618,7 +582,7 @@ def concat_cols(parts: Iterable[Tensor]) -> Tensor:
         off = 0
         for p in parts:
             c = p.shape[-1]
-            _accumulate_broadcast(p, out.grad[..., off : off + c])
+            _accumulate_rows(p, out.grad[..., off : off + c])
             off += c
 
     out = _make(np.concatenate(_common_windows(parts), axis=-1), parts, _bw)
@@ -669,7 +633,7 @@ def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
     def _bw():
         m.accumulate_grad(out.grad)
-        v._add_grad(out.grad.sum(axis=0))
+        _accumulate_rows(v, out.grad)
 
     out = _make(m.data + v.data[None, :], (m, v), _bw)
     return out
@@ -684,7 +648,7 @@ def mul_rowvec(m: Tensor, v: Tensor) -> Tensor:
 
     def _bw():
         m._add_grad(out.grad * v.data[None, :])
-        v._add_grad((out.grad * m.data).sum(axis=0))
+        _accumulate_rows(v, out.grad * m.data)
 
     out = _make(m.data * v.data[None, :], (m, v), _bw)
     return out
@@ -765,8 +729,8 @@ def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if x.requires_grad:
             x._add_grad(g @ W.data)
-        _accumulate_product(W, g, x.data)
-        _accumulate_windows(b, lambda gw: gw.sum(axis=-2), g)
+        _accumulate_rows(W, x.data, left=g)
+        _accumulate_rows(b, g)
 
     y = x.data @ W.data.T
     y += b.data
@@ -803,19 +767,18 @@ def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
     def _bw():
         g = out.grad
-        g_row = g.sum(axis=-2, keepdims=True)  # gradient on the bias row
         if u.requires_grad:
             u._add_grad(g @ W_u)
         if h.requires_grad:
-            h._add_grad(g_row @ W_h)
+            h._add_grad(g.sum(axis=-2, keepdims=True) @ W_h)  # through the bias row
         if W.requires_grad:
             # one product over the [u | h] rows, as in linear: cheaper at
             # training's S than an outer product for h's columns plus a
             # concatenation of the two blocks
             h_rows = np.broadcast_to(h.data, (*u.shape[:-1], h.shape[-1]))
             x = np.concatenate([u.data, h_rows], axis=-1)
-            _accumulate_product(W, g, x)
-        _accumulate_windows(b, lambda rw: rw[..., 0, :], g_row)
+            _accumulate_rows(W, x, left=g)
+        _accumulate_rows(b, g)
 
     row = h.data @ W_h.T
     row += b.data
@@ -836,8 +799,9 @@ def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tens
         gy = out.grad
         if x.requires_grad:
             x._add_grad(_normalize_rows_grad(gy * g.data[None, :], xhat, inv))
-        _accumulate_windows(g, lambda gw, xw: (gw * xw).sum(axis=-2), gy, xhat)
-        _accumulate_windows(b, lambda gw: gw.sum(axis=-2), gy)
+        if g.requires_grad:
+            _accumulate_rows(g, gy * xhat)
+        _accumulate_rows(b, gy)
 
     y = xhat * g.data
     y += b.data
@@ -881,7 +845,7 @@ def causal_attention(
 
     def _bw():
         g = out.grad
-        _accumulate_product(Wo, heads, g)
+        _accumulate_rows(Wo, g, left=heads)
         g_heads = split(g @ Wo.data.T)
         g_scores = _softmax_last_grad(g_heads @ v.swapaxes(-1, -2), p) * scale
         grads = (
@@ -892,7 +856,7 @@ def causal_attention(
         if x.requires_grad:
             x._add_grad(sum(gm @ W.data.T for W, gm in grads))
         for W, gm in grads:
-            _accumulate_product(W, x.data, gm)
+            _accumulate_rows(W, gm, left=x.data)
 
     out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), _bw)
     return out

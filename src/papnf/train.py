@@ -219,10 +219,10 @@ def loss_energy(pred_rows: Tensor, target_row: Tensor) -> Tensor:
 def _batch_loss(model: PapNfModel, windows, cfg: TrainConfig, epoch: int) -> Tensor:
     """Mean loss over a batch of windows, built in one forward pass.
 
-    The windows are a leading axis (a lone window runs without it, as in
-    sampling). Window w's latents come from substream(seed, "noise", epoch,
-    w.index), and the per-window losses are added first to last and scaled
-    by 1/len(windows): the loss, and through the op's backward the gradients,
+    The windows are a leading axis, a lone window too, as in sampling.
+    Window w's latents come from substream(seed, "noise", epoch, w.index),
+    and the per-window losses are added first to last and scaled by
+    1/len(windows): the loss, and through the op's backward the gradients,
     are bitwise those of a sum of per-window graphs.
     """
     s = cfg.train_samples if cfg.objective == "energy" else 1
@@ -232,8 +232,6 @@ def _batch_loss(model: PapNfModel, windows, cfg: TrainConfig, epoch: int) -> Ten
     ])
     x_std = np.array([w.x_std for w in windows])
     target = np.array([w.y_std.reshape(1, -1) for w in windows])
-    if len(windows) == 1:
-        u0, x_std, target = u0[0], x_std[0], target[0]
     pred = model.forward_samples(x_std, u0)
     loss = loss_energy if cfg.objective == "energy" else loss_reconstruction
     return sum_in_order(loss(pred, Tensor(target))) * (1.0 / len(windows))

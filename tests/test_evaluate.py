@@ -452,7 +452,7 @@ class TestChunkedSampling:
 
         monkeypatch.setattr(PapNfModel, "forward_samples", counting)
         evaluate_split(model, chunk_windows(1, 17), n_samples=5, seed=1)
-        assert SAMPLE_CHUNK == 8 and passes == [8, 8, "alone"]
+        assert SAMPLE_CHUNK == 8 and passes == [8, 8, 1]
 
     @pytest.mark.parametrize("channels", [1, 7])
     def test_validation_mse_is_bitwise_the_per_window_reference(self, channels):
@@ -595,44 +595,29 @@ SHARED_CASES = [n for n in CASES if _window_axis_cases(np.random.default_rng(0))
 
 @pytest.mark.parametrize("name", SHARED_CASES)
 def test_each_shared_operand_takes_one_stacked_gradient_per_node(name, monkeypatch):
-    # a weight takes one product per backward over all B*r rows; a bias, gain
-    # or broadcast addend one (B, ...) stack per node, not one call per window
-    products, runs, stacks = {}, {}, {}
-    real_product, real_accumulate, real_add = (
-        tz._add_rows_product, tz._accumulate_windows, tz._add_windows
-    )
+    # each shared operand takes exactly one reduction per backward, over one
+    # block of all B windows' rows: a weight one product over B*r rows, a bias
+    # or gain one sum over B*r rows, a broadcast addend one sum over B rows
+    reductions = {}
+    real = tz._reduce
 
-    def product(t, lefts, rights):
-        rows = {sum(a.size // a.shape[-1] for a in blocks) for blocks in (lefts, rights)}
-        products.setdefault(id(t), []).append(rows)
-        real_product(t, lefts, rights)
+    def spy(t, lefts, blocks):
+        rows = {sum(a.size // a.shape[-1] for a in arrays) for arrays in (lefts or blocks, blocks)}
+        kind = "sum" if lefts is None else "product"
+        reductions.setdefault(id(t), []).append((kind, len(blocks), *rows))
+        real(t, lefts, blocks)
 
-    def accumulate(t, fn, *arrays):
-        def counted(*args):
-            runs[id(t)] = runs.get(id(t), 0) + 1
-            assert all(a.ndim == 3 and len(a) == B for a in args)
-            return fn(*args)
-
-        real_accumulate(t, counted, *arrays)
-
-    def add(t, g, fresh):
-        stacks.setdefault(id(t), []).append(g.shape)
-        real_add(t, g, fresh)
-
-    monkeypatch.setattr(tz, "_add_rows_product", product)
-    monkeypatch.setattr(tz, "_accumulate_windows", accumulate)
-    monkeypatch.setattr(tz, "_add_windows", add)
+    monkeypatch.setattr(tz, "_reduce", spy)
     op, stacked, shared = _window_axis_cases(np.random.default_rng(2))[name]
     shared_t = [Tensor(s, requires_grad=True) for s in shared]
     x = Tensor(stacked[0], requires_grad=True)
     out = op(x, *[Tensor(s, requires_grad=True) for s in stacked[1:]], *shared_t)
     _backward_from(out, np.random.default_rng(3).normal(size=out.shape))
-    broadcast = name in ("concat_rows", "positional_add")  # out.grad's stack, handed over
+    broadcast = name in ("concat_rows", "positional_add")  # out.grad's rows, handed over
     for t in shared_t:
-        if t.data.ndim == 2 and not broadcast:  # a weight
-            assert products[id(t)] == [{B * x.shape[-2]}]
-            assert id(t) not in stacks
+        if broadcast:
+            assert reductions[id(t)] == [("sum", 1, B)]
+        elif t.data.ndim == 2:  # a weight
+            assert reductions[id(t)] == [("product", 1, B * x.shape[-2])]
         else:
-            assert id(t) not in products
-            assert stacks[id(t)] == [(B, *t.shape)]
-            assert runs.get(id(t), 0) == (0 if broadcast else 1)
+            assert reductions[id(t)] == [("sum", 1, B * x.shape[-2])]

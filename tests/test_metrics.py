@@ -312,7 +312,7 @@ def _ensembles(s: int, seed: int) -> dict[str, np.ndarray]:
     }
 
 
-def reference_report(ensembles, targets, baseline_preds=None, levels=(0.8, 0.9, 0.95), fair=False):
+def reference_report(ensembles, targets, baseline_preds=None, levels=(0.8, 0.9, 0.95)):
     """build_report computed function by function, with np.quantile bounds.
 
     The CRPS spread is the rank-weighted sum taken by one tensordot over the
@@ -324,7 +324,7 @@ def reference_report(ensembles, targets, baseline_preds=None, levels=(0.8, 0.9, 
         s = ens.shape[0]
         term1 = np.abs(ens - y[None]).mean(axis=0)
         spread = np.tensordot(_rank_coefficients(s), np.sort(ens, axis=0), axes=(0, 0))
-        return term1 - spread / (s * (s - 1) if fair else s * s)
+        return term1 - spread / (s * s)
 
     def mask(ens, y, level):
         alpha = (1.0 - level) / 2.0
@@ -435,12 +435,11 @@ class TestReportParity:
         return ensembles, targets, baselines
 
     @pytest.mark.parametrize("s", SIZES)
-    @pytest.mark.parametrize("fair", [False, True])
-    def test_json_matches_reference(self, s, fair):
-        for ties in (False, True):
-            ens, ys, base = self._split(s, seed=s, ties=ties)
-            got = build_report(ens, ys, base, fair=fair).to_json()
-            assert got == reference_report(ens, ys, base, fair=fair).to_json()
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_json_matches_reference(self, s, ties):
+        ens, ys, base = self._split(s, seed=s, ties=ties)
+        got = build_report(ens, ys, base).to_json()
+        assert got == reference_report(ens, ys, base).to_json()
 
     def test_levels_without_baseline_match_reference(self):
         ens, ys, _ = self._split(40, seed=9)
@@ -461,8 +460,8 @@ class TestReportParity:
     def test_standalone_functions_match_report(self):
         # a report asked for one metric gives the full report's value for it
         ens, ys, base = self._split(30, seed=2)
-        rep = build_report(ens, ys, base, fair=True)
-        alone = build_report(ens, ys, None, levels=(), fair=True)
+        rep = build_report(ens, ys, base)
+        alone = build_report(ens, ys, None, levels=())
         assert (alone.weighted_crps, alone.weighted_crps_normalized) == (rep.weighted_crps, True)
         for lvl in (0.8, 0.9, 0.95):
             assert report_coverage(ens, ys, lvl) == rep.coverage[f"{lvl:g}"]
@@ -492,4 +491,4 @@ class TestNonFiniteGuard:
         with pytest.raises(ValueError, match="window 2 "):
             build_report(ens, ys, [np.zeros((4, 2))] * 4)
         with pytest.raises(ValueError, match="window 2 "):
-            build_report(ens, ys, levels=(0.9,), fair=True)
+            build_report(ens, ys, levels=(0.9,))

@@ -1,5 +1,6 @@
 """Tensor core: forward oracles, backward checks, tape behaviour."""
 
+import functools
 import gc
 import weakref
 
@@ -471,17 +472,17 @@ def test_no_grad_forward_leaves_nothing_for_the_cyclic_collector():
 
 # -- gradients of operands shared across windows -----------------------------------
 
-# window gradients whose three summation orders round apart: window B-1 first
-# (what per-window graphs give), window 0 first, and pairwise
+# window gradients whose three summation orders round apart: creation order
+# (window 0 first), window B-1 first, and pairwise
 ORDER_VALUES = np.array([1e16, 1.0, 5.0, -(2.0**53)])
 
 
 def _three_sums(stack):
     s = list(stack)
-    last_first = ((s[3] + s[2]) + s[1]) + s[0]
     first_first = ((s[0] + s[1]) + s[2]) + s[3]
+    last_first = ((s[3] + s[2]) + s[1]) + s[0]
     pairwise = (s[0] + s[1]) + (s[2] + s[3])
-    return last_first, first_first, pairwise
+    return first_first, last_first, pairwise
 
 
 def _order_cases():
@@ -510,10 +511,15 @@ def _rows(*arrays):
     return [np.ascontiguousarray(a.reshape(-1, a.shape[-1])) for a in arrays]
 
 
+def _in_order(rows):
+    """Rows added first to last, one at a time."""
+    return functools.reduce(np.add, rows)
+
+
 @pytest.mark.parametrize("name", sorted(_order_cases()))
-def test_shared_operands_add_window_gradients_window_b_minus_1_first(name):
-    # a bias, gain or addend adds its window gradients window B-1 first; a
-    # linear's weight takes one product over the windows' rows in creation order
+def test_shared_operands_take_one_reduction_in_creation_order(name):
+    # a weight takes one product, and a bias, gain or addend one sum, over the
+    # windows' gradient rows in creation order: window 0 first
     op, x, upstream, shared = _order_cases()[name]
     per_window = []
     for i in range(len(x)):
@@ -540,28 +546,51 @@ def test_shared_operands_add_window_gradients_window_b_minus_1_first(name):
         assert t.grad.tobytes() == sums[0]
 
 
-def _linear_backward(W, x, upstream):
-    """Replay ``linear(x, W, 0)`` from the given upstream gradient; returns W's product."""
-    out = tz.linear(x, W, Tensor(np.zeros(W.shape[0])))
+SHARED_KINDS = ("weight", "bias", "addend")
+
+
+def _shared_backward(kind, t, x, upstream):
+    """Replay one node that hands the shared leaf t every window's gradient rows.
+
+    x is (3, 4, 5) rows and upstream (3, 4, 2); t is linear's W (2, 5) or
+    b (2,), or a (4, 2) addend to its output. Returns t's one reduction.
+    """
+    weight = t if kind == "weight" else Tensor(np.linspace(-1.0, 1.0, 10).reshape(2, 5))
+    out = tz.linear(x, weight, t if kind == "bias" else Tensor(np.zeros(2)))
+    if kind == "addend":
+        out = out + t
     out.accumulate_grad(upstream)
     tz.Tape.from_root(out).replay_backward()
-    g_rows, x_rows = _rows(upstream, x.data)
-    return g_rows.T @ x_rows
+    if kind == "weight":
+        g_rows, x_rows = _rows(upstream, x.data)
+        return g_rows.T @ x_rows
+    return _in_order(upstream.reshape(-1, t.size)).reshape(t.shape)
 
 
-def test_a_deferred_product_goes_in_after_the_gradient_so_far():
-    # two backwards without zero_grad: the second adds its product to the first
+def _shared_leaf(kind, rng):
+    shape = {"weight": (2, 5), "bias": (2,), "addend": (4, 2)}[kind]
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+@pytest.mark.parametrize("kind", SHARED_KINDS)
+def test_a_deferred_gradient_goes_in_after_the_gradient_so_far(kind):
+    # two backwards without zero_grad: the second adds its reduction to the first
     rng = np.random.default_rng(5)
-    W = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-    first = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
-    assert W.grad.tobytes() == first.tobytes()
-    second = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
-    assert W.grad.tobytes() == (first + second).tobytes()
+    t = _shared_leaf(kind, rng)
+    first = _shared_backward(kind, t, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
+    assert t.grad.tobytes() == first.tobytes()
+    upstream = rng.normal(size=(3, 4, 2))
+    second = _shared_backward(kind, t, Tensor(rng.normal(size=(3, 4, 5))), upstream)
+    assert t.grad.tobytes() == (first + second).tobytes()
+    if kind != "weight":  # not the gradient so far added as the first row
+        rows = upstream.reshape(-1, t.size)
+        assert _in_order([first.reshape(-1), *rows]).tobytes() != t.grad.tobytes()
 
 
-def test_a_closure_that_raises_leaves_nothing_deferred():
+@pytest.mark.parametrize("kind", SHARED_KINDS)
+def test_a_closure_that_raises_leaves_nothing_deferred(kind):
     rng = np.random.default_rng(6)
-    W = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    t = _shared_leaf(kind, rng)
     x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True) * 1.0  # replays after linear
 
     def boom():
@@ -569,11 +598,11 @@ def test_a_closure_that_raises_leaves_nothing_deferred():
 
     x._backward = boom
     with pytest.raises(RuntimeError, match="boom"):
-        _linear_backward(W, x, rng.normal(size=(3, 4, 2)))
+        _shared_backward(kind, t, x, rng.normal(size=(3, 4, 2)))
     assert tz._deferred is None
-    assert W.grad is None  # linear's recorded blocks were dropped, not added
-    want = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
-    assert W.grad.tobytes() == want.tobytes()
+    assert t.grad is None  # the recorded rows were dropped, not added
+    want = _shared_backward(kind, t, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
+    assert t.grad.tobytes() == want.tobytes()
 
 
 def test_a_non_leaf_weight_has_its_gradient_before_its_own_node_runs():
@@ -587,22 +616,28 @@ def test_a_non_leaf_weight_has_its_gradient_before_its_own_node_runs():
         own()
 
     W._backward = spy
-    want = _linear_backward(W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
+    want = _shared_backward("weight", W, Tensor(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 4, 2)))
     assert len(seen) == 1 and seen[0] is not None
     assert seen[0].tobytes() == want.tobytes()
     assert leaf.grad.tobytes() == want.tobytes()
 
 
-def test_window_sum_of_one_element_windows_is_in_order():
-    # numpy sums a (B, 1) stack pairwise along the window axis
-    values = np.array([1e-3, 1.0, -2.5, -1e16, 1.0, 1e-3, 3.0, 0.5, 1.0])
-    want = values[-1]
-    for v in values[-2::-1]:
-        want = want + v
-    assert np.add.reduce(values[::-1]) != want
-    for shape in ((9,), (9, 1), (9, 1, 1)):
-        got = tz._sum_windows(values.reshape(shape))
-        assert got.tobytes() == np.reshape(want, shape[1:]).tobytes()
+def test_gradient_rows_reach_the_reduction_in_c_order():
+    # mean_rows hands linear a broadcast gradient, which numpy copies in F
+    # order; its rows are still summed first to last, not pairwise
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(40, 3)))
+    W = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    out = tz.mean_rows(tz.linear(x, W, b))
+    upstream = np.array([[1.0, -0.7]])
+    out.accumulate_grad(upstream)
+    tz.Tape.from_root(out).replay_backward()
+    rows = np.ascontiguousarray(np.broadcast_to(upstream / 40, (40, 2)))
+    want = _in_order(rows)
+    assert np.add.reduce(np.asfortranarray(rows), axis=0).tobytes() != want.tobytes()
+    assert b.grad.tobytes() == want.tobytes()
+    assert W.grad.tobytes() == (rows.T @ x.data).tobytes()
 
 
 def test_accumulate_grad_copies_the_array_it_is_given():
@@ -637,21 +672,3 @@ def test_no_gradient_aliases_the_upstream_or_another_tensor(windows):
         assert t.grad is not None
         assert not any(np.shares_memory(t.grad, a) for a in held)
         assert not any(np.shares_memory(t.grad, o.grad) for o in tensors if o is not t)
-
-
-@pytest.mark.parametrize("fresh", [False, True])
-def test_a_window_stack_goes_in_after_the_gradient_so_far(fresh):
-    # as a chain of += would add it: grad, then window B-1, ..., window 0
-    grad = np.array([0.5, -0.5])
-    stack = np.outer(ORDER_VALUES, [1.0, -1.0])
-    given = stack.copy()
-    t = Tensor(np.zeros(2), requires_grad=True)
-    t.accumulate_grad(grad)
-    tz._add_windows(t, stack, fresh)
-    want = grad.copy()
-    for row in given[::-1]:
-        want += row
-    assert t.grad.tobytes() == want.tobytes()
-    assert want.tobytes() != (grad + np.add.reduce(given[::-1], axis=0)).tobytes()
-    if not fresh:
-        assert stack.tobytes() == given.tobytes()

@@ -530,7 +530,7 @@ class TestBatchedFit:
         tc = TrainConfig(model=cfg, batch_size=4, epochs=1, seed=5,
                          train_samples=2, val_samples=2)
         fit(PapNfModel(cfg, seed=6), windows[:9], windows[9:], tc)
-        assert passes[:3] == [4, 4, "alone"]  # then validation's chunk
+        assert passes[:3] == [4, 4, 1]  # then validation's chunk
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_tape_nodes_per_batch_loss_do_not_depend_on_the_batch_size(self, objective):
