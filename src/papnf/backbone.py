@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from papnf import tensor as tz
-from papnf.checkpoint import CheckpointError, read_container, write_container
-from papnf.config import ConfigError, DictConfig
+from papnf.checkpoint import CheckpointError, check_header, read_container, write_container
+from papnf.config import DictConfig
 from papnf.seeding import substream
 from papnf.tensor import ShapeError, Tensor
 
@@ -55,14 +55,10 @@ class TransformerBackbone:
         self,
         arch: BackboneArch,
         seed: int = 0,
-        kind: str = "frozen_random",
         trainable: bool = False,
         weights: dict[str, np.ndarray] | None = None,
     ):
-        if kind not in BACKBONE_KINDS:
-            raise ValueError(f"unsupported transformer kind {kind!r}")
         self.arch = arch
-        self.kind = kind
         self.params: dict[str, Tensor] = {}
         if weights is not None:
             for name, arr in weights.items():
@@ -168,25 +164,28 @@ class TransformerBackbone:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str) -> None:
-        header = {"kind": "backbone", "version": 1, "arch": self.arch.to_dict()}
-        write_container(path, header, self.weights())
+        write_container(path, _Header(self.arch).to_dict(), self.weights())
+
+
+@dataclass(frozen=True)
+class _Header(DictConfig):
+    """JSON header of a backbone checkpoint, checked field by field on load."""
+
+    arch: BackboneArch
+    version: int = 1
+    kind: str = "backbone"
 
 
 def load_frozen_checkpoint(path: str, expected: BackboneArch | None = None) -> TransformerBackbone:
     """Load a pretrained backbone and freeze it; validates the arch header."""
     header, weights = read_container(path)
-    if header.get("kind") != "backbone":
-        raise CheckpointError(f"{path}: not a backbone checkpoint (kind={header.get('kind')!r})")
-    try:
-        arch = BackboneArch.from_dict(header.get("arch"), "arch")
-    except ConfigError as err:
-        raise CheckpointError(f"{path}: bad header: {err}") from None
+    arch = check_header(path, header, _Header).arch
     if expected is not None and arch != expected:
         raise CheckpointError(
             f"{path}: architecture mismatch: checkpoint has {arch.to_dict()}, "
             f"config expects {expected.to_dict()}"
         )
-    return TransformerBackbone(arch, kind="frozen_checkpoint", trainable=False, weights=weights)
+    return TransformerBackbone(arch, weights=weights)
 
 
 def build_backbone(
@@ -195,12 +194,14 @@ def build_backbone(
     seed: int = 0,
     checkpoint_path: str | None = None,
 ):
-    """Construct the backbone named by ``kind``; TransformerBackbone rejects unknown kinds."""
+    """Construct the backbone named by ``kind``, one of BACKBONE_KINDS."""
+    if kind not in BACKBONE_KINDS:
+        raise ValueError(f"unsupported transformer kind {kind!r}")
     if kind == "frozen_checkpoint":
         if not checkpoint_path:
             raise ValueError("frozen_checkpoint backbone needs a checkpoint path")
         return load_frozen_checkpoint(checkpoint_path, expected=arch)
-    return TransformerBackbone(arch, seed=seed, kind=kind)
+    return TransformerBackbone(arch, seed=seed)
 
 
 class ContextProjector:
@@ -210,19 +211,10 @@ class ContextProjector:
         self.W_c = Tensor(rng.normal(size=(d_c, d)) / math.sqrt(d), requires_grad=True)
         self.b_c = Tensor(np.zeros(d_c), requires_grad=True)
 
-    def project_rows(self, h_rows: Tensor) -> Tensor:
-        if h_rows.shape[-1] != self.W_c.shape[1]:
-            raise ShapeError(
-                f"context projector expects rows of width {self.W_c.shape[1]}, got {h_rows.shape}"
-            )
-        return tz.linear(h_rows, self.W_c, self.b_c)
-
     def parameters(self) -> dict[str, Tensor]:
         return {"context.W_c": self.W_c, "context.b_c": self.b_c}
 
 
 def extract_context(h_rows: Tensor, projector: ContextProjector) -> Tensor:
     """c = mean over all N positions of the projected hidden rows: (1, d_c)."""
-    if h_rows.shape[-2] < 1:
-        raise ShapeError("extract_context needs at least one hidden row")
-    return tz.mean_rows(projector.project_rows(h_rows))
+    return tz.mean_rows(tz.linear(h_rows, projector.W_c, projector.b_c))

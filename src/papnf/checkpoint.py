@@ -12,7 +12,7 @@ Layout (all integers little-endian):
     u32     CRC-32 of the body bytes
 
 The header carries the config needed to rebuild the owning object and is
-validated on load; a corrupted body fails the CRC check.
+validated on load by ``check_header``; a corrupted body fails the CRC check.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import zlib
 
 import numpy as np
 
+from papnf.config import ConfigError
+
 MAGIC = b"PAPNF1\x00"
 
 
@@ -33,6 +35,23 @@ class CheckpointError(ValueError):
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def check_header(path: str, header: dict, cls):
+    """``cls.from_dict(header)`` for a header whose kind and version are the defaults of ``cls``.
+
+    Every fault, a wrong kind or version first, is a CheckpointError naming ``path``.
+    """
+    if header.get("kind") != cls.kind:
+        raise CheckpointError(
+            f"{path}: expected a {cls.kind} checkpoint, found kind {header.get('kind')!r}"
+        )
+    if header.get("version") != cls.version:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    try:
+        return cls.from_dict(header)
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: bad header: {err}") from None
 
 
 def write_container(path: str, header: dict, weights: dict[str, np.ndarray]) -> None:

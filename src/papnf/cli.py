@@ -157,7 +157,7 @@ def resolve_config(args):
     Unknown keys are rejected first, before the dataset is parsed. Then the
     dataset is read: ``model.channels`` defaults to its channel count, and a
     declared count that differs is a config error. Then one
-    ``RunConfig.from_dict`` checks the whole file. Without a usable
+    ``RunConfig.from_checked_dict`` checks the values. Without a usable
     ``dataset.path`` the series is None, and that call names the fault.
     """
     cfg = load_config(args.config)
@@ -181,7 +181,7 @@ def resolve_config(args):
                     f"but the dataset has {series.channels}"
                 )
             model["channels"] = series.channels
-    return RunConfig.from_dict(cfg), series
+    return RunConfig.from_checked_dict(cfg), series
 
 
 def _pretrain_config(run: RunConfig, model_cfg: ModelConfig) -> PretrainConfig:

@@ -53,7 +53,7 @@ def check_value(value, tp, path: str, keys_checked: bool = False):
     if _is_config(tp):
         if isinstance(value, tp):
             return value
-        return tp._from_checked_keys(value, path) if keys_checked else tp.from_dict(value, path)
+        return tp.from_checked_dict(value, path) if keys_checked else tp.from_dict(value, path)
     if tp is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
@@ -103,11 +103,11 @@ class DictConfig:
         """
         if isinstance(d, dict):
             cls.check_keys(d, path)
-        return cls._from_checked_keys(d, path)
+        return cls.from_checked_dict(d, path)
 
     @classmethod
-    def _from_checked_keys(cls, d, path: str):
-        """``from_dict`` of a value whose unknown keys were looked for already."""
+    def from_checked_dict(cls, d, path: str = ""):
+        """``from_dict`` for a value whose keys ``check_keys`` already accepted."""
         if not isinstance(d, dict):
             raise ConfigError(f"{path or cls.__name__}: expected an object, got {d!r}")
         fields = dataclasses.fields(cls)

@@ -79,10 +79,6 @@ class NumericalEncoder:
     def encode_global(self, x_std: np.ndarray) -> Tensor:
         x = np.asarray(x_std, dtype=np.float64)
         flat = x.reshape(*x.shape[:-2], 1, -1)
-        if flat.shape[-1] != self.W.shape[1]:
-            raise ShapeError(
-                f"window flattens to {flat.shape[-1]} values, encoder expects {self.W.shape[1]}"
-            )
         return tz.linear(Tensor(flat), self.W, self.b)
 
     def encode_patches(self, x_std: np.ndarray) -> Tensor:
@@ -106,10 +102,6 @@ class Reprogrammer:
         self.b_p = Tensor(np.zeros(d), requires_grad=True)
 
     def reprogram(self, z_rows: Tensor) -> Tensor:
-        if z_rows.shape[-1] != self.W_p.shape[1]:
-            raise ShapeError(
-                f"reprogram: rows have width {z_rows.shape[-1]}, expected {self.W_p.shape[1]}"
-            )
         return tz.linear(z_rows, self.W_p, self.b_p)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -123,7 +115,6 @@ class PrefixBank:
         if k < 0:
             raise ValueError(f"prefix length must be >= 0, got {k}")
         self.k = k
-        self.d = d
         self.P = Tensor(rng.normal(size=(k, d)) * 0.02, requires_grad=True) if k > 0 else None
 
     def parameters(self) -> dict[str, Tensor]:
@@ -132,10 +123,6 @@ class PrefixBank:
 
 def build_llm_input(prefix: PrefixBank, e_rep: Tensor) -> Tensor:
     """Stack [P; E_rep] into the (K+M, d) backbone input; P broadcasts over windows."""
-    if e_rep.shape[-1] != prefix.d:
-        raise ShapeError(
-            f"token width {e_rep.shape[-1]} does not match prefix width {prefix.d}"
-        )
     if prefix.P is None:
         return e_rep
     return tz.concat_rows([prefix.P, e_rep])

@@ -45,12 +45,7 @@ class FusionLayer:
     def fuse(self, z: Tensor, c: Tensor) -> Tensor:
         if z.shape[-2] != 1 or c.shape[-2] != 1:
             raise ShapeError(f"fuse expects row vectors, got {z.shape} and {c.shape}")
-        joined = tz.concat_cols([z, c])
-        if joined.shape[-1] != self.W_h.shape[1]:
-            raise ShapeError(
-                f"fuse: [z; c] has width {joined.shape[-1]}, expected {self.W_h.shape[1]}"
-            )
-        return tz.linear(joined, self.W_h, self.b_h)
+        return tz.linear(tz.concat_cols([z, c]), self.W_h, self.b_h)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"fusion.W_h": self.W_h, "fusion.b_h": self.b_h}

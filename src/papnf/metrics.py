@@ -159,28 +159,6 @@ def _window_scores(
     return grid, {lvl: _interval_mask(ordered, target, lvl) for lvl in levels}
 
 
-def _weighted_ratio(grids: list[np.ndarray], targets) -> tuple[float, bool]:
-    total_crps = 0.0
-    total_abs = 0.0
-    for grid, y in zip(grids, targets):
-        total_crps += float(grid.sum())
-        total_abs += float(np.abs(y).sum())
-    if total_abs == 0.0:
-        return total_crps, False
-    return total_crps / total_abs, True
-
-
-def _hit_fraction(masks: list[np.ndarray]) -> float:
-    hits = 0
-    total = 0
-    for mask in masks:
-        hits += int(mask.sum())
-        total += mask.size
-    if total == 0:
-        raise ValueError("coverage over an empty split")
-    return hits / total
-
-
 def _extreme_fraction(masks: list[np.ndarray], targets, baseline_preds) -> float:
     """Coverage of the EXTREME_SHARE of the split's points hardest for a baseline.
 
@@ -256,26 +234,32 @@ def build_report(
     sq_sum = np.zeros(h)
     abs_sum = np.zeros(h)
     crps_sum = np.zeros(h)
+    total_crps = total_abs = 0.0
     per_point = 0
-    grids = []
-    masks: dict[float, list[np.ndarray]] = {lvl: [] for lvl in mask_levels}
+    hits = dict.fromkeys(mask_levels, 0)
+    extreme_masks = []
     for position, (ens, y) in enumerate(zip(ensembles, targets)):
         grid, window_masks = _window_scores(position, ens, y, mask_levels)
         diff = ens.mean(axis=0) - y
         sq_sum += (diff * diff).mean(axis=1)
         abs_sum += np.abs(diff).mean(axis=1)
         crps_sum += grid.mean(axis=1)
-        grids.append(grid)
+        total_crps += float(grid.sum())
+        total_abs += float(np.abs(y).sum())
         for lvl, mask in window_masks.items():
-            masks[lvl].append(mask)
+            hits[lvl] += int(mask.sum())
+        extreme_masks.append(window_masks.get(EXTREME_LEVEL))
         per_point += y.size
+    if per_point == 0:
+        raise ValueError("coverage over an empty split")
     n = len(targets)
-    w_crps, normalized = _weighted_ratio(grids, targets)
-    cov = {coverage_label(lvl): _hit_fraction(masks[lvl]) for lvl in levels}
+    normalized = total_abs != 0.0
+    w_crps = total_crps / total_abs if normalized else total_crps
+    cov = {coverage_label(lvl): hits[lvl] / per_point for lvl in levels}
     if baseline_preds is None:
         extreme = float("nan")
     else:
-        extreme = _extreme_fraction(masks[EXTREME_LEVEL], targets, baseline_preds)
+        extreme = _extreme_fraction(extreme_masks, targets, baseline_preds)
     return MetricsReport(
         n_windows=n,
         n_points=per_point,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from papnf.backbone import BackboneArch, TransformerBackbone
-from papnf.checkpoint import CheckpointError, read_container, write_container
-from papnf.config import ConfigError, DictConfig
+from papnf.checkpoint import check_header, read_container, write_container
+from papnf.config import DictConfig
 from papnf.flow import sample_windows
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
@@ -294,19 +294,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     header, weights = read_container(path)
-    if header.get("kind") != "model":
-        raise CheckpointError(f"expected a model checkpoint, found kind {header.get('kind')!r}")
-    if header.get("version") != 1:
-        raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
     # headers written while ModelConfig had a no_pap switch carry "no_pap": false
     train = header.get("train")
     for section in (header.get("model"), train.get("model") if isinstance(train, dict) else None):
         if isinstance(section, dict) and section.get("no_pap") is False:
             del section["no_pap"]
-    try:
-        h = _Header.from_dict(header)
-    except ConfigError as err:
-        raise CheckpointError(f"{path}: bad header: {err}") from None
+    h = check_header(path, header, _Header)
     return Checkpoint(
         model_config=h.model,
         weights=weights,
@@ -327,7 +320,7 @@ def model_from_checkpoint(ckpt: Checkpoint | str) -> PapNfModel:
     # backbone weights are inlined; the original pretraining file is not needed
     prefix = "backbone."
     weights = {n[len(prefix):]: a for n, a in ckpt.weights.items() if n.startswith(prefix)}
-    backbone = TransformerBackbone(cfg.backbone, kind=cfg.backbone_kind, weights=weights)
+    backbone = TransformerBackbone(cfg.backbone, weights=weights)
     model = PapNfModel(cfg, seed=seed, backbone=backbone)
     model.load_weights(ckpt.weights)
     return model
@@ -431,8 +424,7 @@ def pretrain_backbone(cfg: PretrainConfig, path: str) -> PretrainResult:
     losses and weights are bitwise those of one graph per sequence.
     """
     backbone = TransformerBackbone(
-        cfg.arch, seed=derive_seed(cfg.seed, "pretrain-init"), kind="frozen_checkpoint",
-        trainable=True,
+        cfg.arch, seed=derive_seed(cfg.seed, "pretrain-init"), trainable=True
     )
     rng_lift = substream(cfg.seed, "pretrain-lift")
     d = cfg.arch.d

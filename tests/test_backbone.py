@@ -137,7 +137,6 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path = str(tmp_path / "bb.ckpt")
     backbone.save(path)
     loaded = bb.load_frozen_checkpoint(path)
-    assert loaded.kind == "frozen_checkpoint"
     assert loaded.frozen
     assert loaded.weight_hash() == backbone.weight_hash()
     x = np.random.default_rng(29).normal(size=(4, 8))
@@ -175,7 +174,7 @@ def test_checkpoint_bad_magic(tmp_path):
 @pytest.mark.parametrize(
     "tamper, needle",
     [
-        (lambda h: h.pop("arch"), "arch: expected an object, got None"),
+        (lambda h: h.pop("arch"), "missing config keys: arch"),
         (lambda h: h["arch"].update(d="4"), "arch.d: expected int, got '4'"),
         (lambda h: h["arch"].update(depth=2), "unknown config keys: arch.depth"),
         (lambda h: h["arch"].update(n_heads=3), "arch: d=4 not divisible by n_heads=3"),
@@ -207,6 +206,11 @@ def test_random_vs_checkpoint_weights_differ(tmp_path):
     loaded = bb.build_backbone(tiny_arch(), "frozen_checkpoint", checkpoint_path=path)
     x = Tensor(np.random.default_rng(42).normal(size=(3, 4)))
     assert np.abs(rand.forward(x).data - loaded.forward(x).data).max() > 1e-6
+
+
+def test_build_backbone_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unsupported transformer kind 'bogus'"):
+        bb.build_backbone(tiny_arch(), "bogus")
 
 
 # -- context extraction ----------------------------------------------------------

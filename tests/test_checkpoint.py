@@ -1,4 +1,4 @@
-"""Checkpoint container: malformed weight records and byte-level fuzzing."""
+"""Checkpoint container: headers of both kinds, malformed weight records, byte-level fuzzing."""
 
 import struct
 import zlib
@@ -8,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from papnf.backbone import BackboneArch, TransformerBackbone, load_frozen_checkpoint
 from papnf.checkpoint import MAGIC, CheckpointError, read_container, write_container
+from papnf.model import ModelConfig, PapNfModel
+from papnf.train import Checkpoint, load_checkpoint, save_checkpoint
 
 HEADER = b'{"kind":"model"}'
 
@@ -84,6 +87,49 @@ def test_unreadable_header_is_a_checkpoint_error(tmp_path, header):
     path.write_bytes(wrapped(b"", header))
     with pytest.raises(CheckpointError, match="unreadable header"):
         read_container(str(path))
+
+
+ARCH = BackboneArch(n_layers=1, n_heads=1, d=4, ffn_width=8, max_len=8)
+
+
+def _save_backbone(path: str) -> None:
+    TransformerBackbone(ARCH).save(path)
+
+
+def _save_model(path: str) -> None:
+    cfg = ModelConfig(
+        lookback=8, horizon=2, channels=1, patch_len=4, d_n=4, d_c=4, d_h=4, d_u=2, t_flow=1,
+        k_prefix=1, recon_hidden=4, hyper_hidden=4, backbone=ARCH,
+    )
+    weights = PapNfModel(cfg).all_weights()
+    save_checkpoint(Checkpoint(cfg, weights, {"root_seed": 0}, val_mse=0.0, best_epoch=0), path)
+
+
+@pytest.mark.parametrize(
+    "save, tamper, load, message",
+    [
+        (_save_backbone, {"version": 2}, load_frozen_checkpoint,
+         "unsupported checkpoint version 2"),
+        (_save_backbone, {"extra": 1}, load_frozen_checkpoint,
+         "bad header: unknown config keys: extra"),
+        (_save_model, {}, load_frozen_checkpoint,
+         "expected a backbone checkpoint, found kind 'model'"),
+        (_save_backbone, {}, load_checkpoint, "expected a model checkpoint, found kind 'backbone'"),
+        (_save_model, {"version": 2}, load_checkpoint, "unsupported checkpoint version 2"),
+    ],
+    ids=["backbone-version-2", "backbone-unknown-key", "model-as-backbone", "backbone-as-model",
+         "model-version-2"],
+)
+def test_one_header_check_reads_both_kinds_and_names_the_path(
+    tmp_path, save, tamper, load, message
+):
+    path = str(tmp_path / "c.papnf")
+    save(path)
+    header, weights = read_container(path)
+    write_container(path, {**header, **tamper}, weights)
+    with pytest.raises(CheckpointError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def _read_or_checkpoint_error(tmp_path, blob: bytes) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import papnf
-from papnf import cli
+from papnf import cli, config
 from papnf.backbone import TransformerBackbone
 from papnf.checkpoint import read_container, write_container
 from papnf.cli import ConfigError, main
@@ -112,6 +112,20 @@ class TestConfigHandling:
         assert "unknown config keys: trian" in capsys.readouterr().err
         assert run("train", "--config", ws["config"], "--set", f'dataset.path="{data}"',
                    "--out", str(tmp_path / "o")) == 1  # the CSV alone is a runtime error
+
+    def test_the_keys_are_walked_once(self, ws, monkeypatch):
+        calls = []
+        check_keys = config.DictConfig.check_keys.__func__
+
+        def spy(cls, d, path=""):
+            calls.append(cls)
+            return check_keys(cls, d, path)
+
+        monkeypatch.setattr(config.DictConfig, "check_keys", classmethod(spy))
+        args = cli.build_parser().parse_args(["train", "--config", ws["config"]])
+        run_cfg, series = cli.resolve_config(args)
+        assert calls == [cli.RunConfig]
+        assert run_cfg.model.channels == series.channels
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -447,6 +447,11 @@ class TestReportParity:
         got = build_report(ens, ys, None, levels=levels).to_json()
         assert got == reference_report(ens, ys, None, levels=levels).to_json()
 
+    def test_a_repeated_level_counts_its_hits_once(self):
+        ens, ys, base = self._split(40, seed=9)
+        got = build_report(ens, ys, base, levels=(0.9, 0.5, 0.9)).to_json()
+        assert got == reference_report(ens, ys, base, levels=(0.9, 0.5)).to_json()
+
     @pytest.mark.parametrize("name", ["persistence", "seasonal_naive", "gaussian_residual"])
     def test_baseline_reports_match_reference(self, name):
         series = ar1_seasonal(80, channels=2, period=12, seed=4)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from papnf import flow as F
-from papnf.backbone import BackboneArch, TransformerBackbone
+from papnf.backbone import BackboneArch, TransformerBackbone, extract_context
 from papnf.data import make_windows
+from papnf.encoder import PrefixBank, build_llm_input
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import substream
-from papnf.tensor import Tape, Tensor, grad_check
+from papnf.tensor import ShapeError, Tape, Tensor, grad_check
 from papnf.train import loss_energy
 
 
@@ -63,6 +64,50 @@ def test_conditioning_pass_returns_row_vectors():
     assert z.shape == (1, cfg.d_n)
     assert c.shape == (1, cfg.d_c)
     assert h.shape == (1, cfg.d_h)
+
+
+# Each layer leaves its operand checks to the fused op it calls: (call on the
+# toy model, the op's message). The toy widths are d_n=10, d=16, d_c=6, d_h=12.
+WRONG_OPERANDS = {
+    "encode_global": (
+        lambda m: m.encoder.encode_global(np.zeros((24, 3))),
+        "linear: rows of width 72 for a weight of shape (10, 48)",
+    ),
+    "reprogram": (
+        lambda m: m.reprogrammer.reprogram(Tensor(np.zeros((3, 5)))),
+        "linear: rows of width 5 for a weight of shape (16, 10)",
+    ),
+    "build_llm_input-k3": (
+        lambda m: build_llm_input(m.prefix, Tensor(np.zeros((2, 3, 5)))),
+        "concat_rows: column counts differ: [5, 16]",
+    ),
+    "build_llm_input-k0": (
+        lambda m: m.backbone.forward(
+            build_llm_input(PrefixBank(0, 16, np.random.default_rng(0)), Tensor(np.zeros((3, 5))))
+        ),
+        "backbone expects (N, 16) input, got (3, 5)",
+    ),
+    "extract_context-width": (
+        lambda m: extract_context(Tensor(np.zeros((6, 15))), m.ctx_proj),
+        "linear: rows of width 15 for a weight of shape (6, 16)",
+    ),
+    "extract_context-zero-rows": (
+        lambda m: extract_context(Tensor(np.zeros((2, 0, 16))), m.ctx_proj),
+        "mean_rows over zero rows",
+    ),
+    "fuse-width": (
+        lambda m: m.fusion.fuse(Tensor(np.zeros((1, 11))), Tensor(np.zeros((1, 6)))),
+        "linear: rows of width 17 for a weight of shape (12, 16)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_OPERANDS))
+def test_a_wrong_layer_operand_is_a_shape_error_from_its_op(case):
+    call, message = WRONG_OPERANDS[case]
+    with pytest.raises(ShapeError) as err:
+        call(PapNfModel(toy_config(), seed=4))
+    assert str(err.value) == message
 
 
 def test_trainable_census_excludes_backbone():

@@ -644,10 +644,9 @@ class TestPretraining:
         result = pretrain_backbone(cfg, str(tmp_path / "bb.papnf"))
         bb = load_frozen_checkpoint(result.path, expected=arch)
         assert bb.frozen
-        assert bb.kind == "frozen_checkpoint"
         from papnf.backbone import TransformerBackbone
 
-        rnd = TransformerBackbone(arch, seed=99, kind="frozen_random")
+        rnd = TransformerBackbone(arch, seed=99)
         x = Tensor(np.random.default_rng(3).normal(size=(5, 8)))
         out_pre = bb.forward(x).data
         out_rnd = rnd.forward(x).data
@@ -673,8 +672,7 @@ class TestPretraining:
     def _per_sequence_pretrain(cfg, path):
         """pretrain_backbone as one graph per sequence, added with ``+``."""
         backbone = TransformerBackbone(
-            cfg.arch, seed=derive_seed(cfg.seed, "pretrain-init"), kind="frozen_checkpoint",
-            trainable=True,
+            cfg.arch, seed=derive_seed(cfg.seed, "pretrain-init"), trainable=True
         )
         rng_lift = substream(cfg.seed, "pretrain-lift")
         d, n = cfg.arch.d, cfg.seq_len
