@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from papnf import tensor as tz
-from papnf.checkpoint import CheckpointError, check_header, read_container, write_container
+from papnf.checkpoint import CheckpointError, check_header, check_weights
+from papnf.checkpoint import read_container, write_container
 from papnf.config import DictConfig
 from papnf.seeding import substream
-from papnf.tensor import ShapeError, Tensor
+from papnf.tensor import Layer, ShapeError, Tensor
 
 BACKBONE_KINDS = ("frozen_random", "frozen_checkpoint")
 _LAYER_PARAMS = ("Wq", "Wk", "Wv", "Wo", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "W1", "W2")
@@ -43,6 +44,19 @@ class BackboneArch(DictConfig):
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
 
 
+def _init(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A fresh draw of one backbone weight; a matrix's fan-in is its first dimension."""
+    if name == "pos":
+        return rng.normal(size=shape) * 0.02
+    if name.endswith("_g"):
+        return np.ones(shape)
+    if name.endswith("_b"):
+        return np.zeros(shape)
+    if name.endswith(".W2"):
+        return rng.normal(size=shape) / math.sqrt(shape[0])
+    return rng.normal(size=shape) * (1.0 / math.sqrt(shape[0]))
+
+
 class TransformerBackbone:
     """Pre-norm causal transformer with learned absolute positions.
 
@@ -59,15 +73,17 @@ class TransformerBackbone:
         weights: dict[str, np.ndarray] | None = None,
     ):
         self.arch = arch
-        self.params: dict[str, Tensor] = {}
+        expected = self._expected_shapes()
         if weights is not None:
-            for name, arr in weights.items():
-                self.params[name] = Tensor(arr.copy(), requires_grad=trainable)
-            self._check_weights()
+            check_weights(expected, weights, "backbone weights")
+            arrays = {name: np.array(weights[name], dtype=np.float64) for name in expected}
         else:
-            self._init_params(substream(seed, "backbone"), trainable)
+            rng = substream(seed, "backbone")
+            arrays = {name: _init(name, shape, rng) for name, shape in expected.items()}
+        self.params = {name: Tensor(arr, requires_grad=trainable) for name, arr in arrays.items()}
 
     def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every weight, in the order a fresh backbone draws them."""
         a = self.arch
         square, vector = (a.d, a.d), (a.d,)
         layer = (square,) * 4 + (vector,) * 4 + ((a.d, a.ffn_width), (a.ffn_width, a.d))
@@ -75,37 +91,6 @@ class TransformerBackbone:
         for i in range(a.n_layers):
             shapes.update({f"layers.{i}.{n}": s for n, s in zip(_LAYER_PARAMS, layer)})
         return shapes
-
-    def _check_weights(self):
-        expected = self._expected_shapes()
-        missing = set(expected) - set(self.params)
-        extra = set(self.params) - set(expected)
-        shapes = sorted(n for n in expected.keys() - missing if self.params[n].shape != expected[n])
-        if missing or extra or shapes:
-            raise CheckpointError(
-                f"backbone weights do not match architecture (missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}, wrong shape {shapes})"
-            )
-
-    def _init_params(self, rng: np.random.Generator, trainable: bool):
-        a = self.arch
-        scale = 1.0 / math.sqrt(a.d)
-
-        def mk(name, arr):
-            self.params[name] = Tensor(arr, requires_grad=trainable)
-
-        mk("pos", rng.normal(size=(a.max_len, a.d)) * 0.02)
-        for i in range(a.n_layers):
-            for w in ("Wq", "Wk", "Wv", "Wo"):
-                mk(f"layers.{i}.{w}", rng.normal(size=(a.d, a.d)) * scale)
-            mk(f"layers.{i}.ln1_g", np.ones(a.d))
-            mk(f"layers.{i}.ln1_b", np.zeros(a.d))
-            mk(f"layers.{i}.ln2_g", np.ones(a.d))
-            mk(f"layers.{i}.ln2_b", np.zeros(a.d))
-            mk(f"layers.{i}.W1", rng.normal(size=(a.d, a.ffn_width)) * scale)
-            mk(f"layers.{i}.W2", rng.normal(size=(a.ffn_width, a.d)) / math.sqrt(a.ffn_width))
-        mk("ln_f_g", np.ones(a.d))
-        mk("ln_f_b", np.zeros(a.d))
 
     # -- contract helpers ---------------------------------------------------
 
@@ -204,15 +189,14 @@ def build_backbone(
     return TransformerBackbone(arch, seed=seed)
 
 
-class ContextProjector:
+class ContextProjector(Layer):
     """Projects each hidden row to context width and mean-pools over positions."""
+
+    name = "context"
 
     def __init__(self, d: int, d_c: int, rng: np.random.Generator):
         self.W_c = Tensor(rng.normal(size=(d_c, d)) / math.sqrt(d), requires_grad=True)
         self.b_c = Tensor(np.zeros(d_c), requires_grad=True)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"context.W_c": self.W_c, "context.b_c": self.b_c}
 
 
 def extract_context(h_rows: Tensor, projector: ContextProjector) -> Tensor:

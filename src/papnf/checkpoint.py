@@ -54,6 +54,17 @@ def check_header(path: str, header: dict, cls):
         raise CheckpointError(f"{path}: bad header: {err}") from None
 
 
+def check_weights(expected: dict[str, tuple[int, ...]], weights: dict, what: str) -> None:
+    """Raise one CheckpointError naming each missing, unexpected and wrongly shaped weight."""
+    missing = sorted(expected.keys() - weights.keys())
+    extra = sorted(weights.keys() - expected.keys())
+    shapes = sorted(n for n in expected if n in weights and np.shape(weights[n]) != expected[n])
+    if missing or extra or shapes:
+        raise CheckpointError(
+            f"{what} do not match (missing {missing}, unexpected {extra}, wrong shape {shapes})"
+        )
+
+
 def write_container(path: str, header: dict, weights: dict[str, np.ndarray]) -> None:
     """Write the container record by record, with the body's CRC computed as it goes."""
     header_bytes = canonical_json(header).encode("utf-8")

@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
+from papnf.backbone import TransformerBackbone, load_frozen_checkpoint
 from papnf.checkpoint import CheckpointError, canonical_json
 from papnf.config import ConfigError, DictConfig
 from papnf.data import SplitError, SplitSpec, load_csv, make_windows, split_series, windows_digest
@@ -193,17 +194,19 @@ def _pretrain_config(run: RunConfig, model_cfg: ModelConfig) -> PretrainConfig:
     return PretrainConfig.from_dict({**section, "arch": arch, "seed": seed}, "pretrain")
 
 
-def _ensure_backbone(run: RunConfig, model_cfg: ModelConfig) -> ModelConfig:
-    """Pretrain the backbone when requested but not yet materialized."""
+def _ensure_backbone(run: RunConfig, model_cfg: ModelConfig) -> TransformerBackbone | None:
+    """The frozen backbone of a ``frozen_checkpoint`` config, pretrained if its file is missing.
+
+    None for ``frozen_random``. The config stays as it is, so checkpoints do not depend on --out.
+    """
     if model_cfg.backbone_kind != "frozen_checkpoint":
-        return model_cfg
+        return None
     path = model_cfg.backbone_checkpoint
-    if path and os.path.exists(path):
-        return model_cfg
-    target = path or os.path.join(run.out, "backbone.papnf")
-    result = pretrain_backbone(_pretrain_config(run, model_cfg), target)
-    print(f"pretrained backbone -> {target} (loss decrease {result.loss_decrease:.1%})")
-    return replace(model_cfg, backbone_checkpoint=target)
+    if not (path and os.path.exists(path)):
+        path = path or os.path.join(run.out, "backbone.papnf")
+        result = pretrain_backbone(_pretrain_config(run, model_cfg), path)
+        print(f"pretrained backbone -> {path} (loss decrease {result.loss_decrease:.1%})")
+    return load_frozen_checkpoint(path, expected=model_cfg.backbone)
 
 
 def _prepare(args):
@@ -276,14 +279,16 @@ def _score(model, windows, run: RunConfig):
     )
 
 
-def _train_model(run: RunConfig, splits, model_cfg: ModelConfig):
+def _train_model(run: RunConfig, splits, model_cfg: ModelConfig, backbone):
+    """Train one model, on ``backbone`` when the config's kind is ``frozen_checkpoint``."""
     train_cfg = TrainConfig(**run.train.to_dict(), model=model_cfg, seed=run.seed)
-    model = PapNfModel(model_cfg, seed=derive_seed(run.seed, "init"))
+    frozen = backbone if model_cfg.backbone_kind == "frozen_checkpoint" else None
+    model = PapNfModel(model_cfg, seed=derive_seed(run.seed, "init"), backbone=frozen)
     ckpt = fit(model, splits["train"], splits["val"], train_cfg)
     return model, ckpt
 
 
-def _train_and_score(run: RunConfig, splits, arms: dict, what: str) -> dict:
+def _train_and_score(run: RunConfig, splits, arms: dict, what: str, backbone) -> dict:
     """Train each arm's model config and score it on the test split.
 
     An arm whose config equals one already trained (random_backbone on a
@@ -294,7 +299,7 @@ def _train_and_score(run: RunConfig, splits, arms: dict, what: str) -> dict:
         if model_cfg in trained:
             continue
         try:
-            model, ckpt = _train_model(run, splits, model_cfg)
+            model, ckpt = _train_model(run, splits, model_cfg, backbone)
             report, _ = _score(model, splits["test"], run)
         except ConfigError:
             raise
@@ -322,7 +327,7 @@ def _window_picks(windows, picks: list[int]) -> list[int]:
 
 def cmd_train(args) -> int:
     run, splits = _start(args)
-    _, ckpt = _train_model(run, splits, _ensure_backbone(run, run.model))
+    _, ckpt = _train_model(run, splits, run.model, _ensure_backbone(run, run.model))
     ckpt_path = os.path.join(run.out, "checkpoint.papnf")
     save_checkpoint(ckpt, ckpt_path)
     _write_csv(
@@ -366,9 +371,9 @@ def cmd_sample(args) -> int:
 
 def cmd_ablate(args) -> int:
     run, splits = _start(args)
-    base_cfg = _ensure_backbone(run, run.model)
-    arms = {arm: ablation_variant(base_cfg, arm) for arm in ABLATION_ARMS}
-    results = _train_and_score(run, splits, arms, "ablation arm")
+    backbone = _ensure_backbone(run, run.model)
+    arms = {arm: ablation_variant(run.model, arm) for arm in ABLATION_ARMS}
+    results = _train_and_score(run, splits, arms, "ablation arm", backbone)
     full = results["full"]
     rows = []
     for arm, row in results.items():
@@ -400,9 +405,9 @@ def cmd_sweep_prefix(args) -> int:
             replace(run.model, k_prefix=k)
         except ValueError as err:
             raise ConfigError(f"sweep.k_list[{i}]: {err}") from None
-    base_cfg = _ensure_backbone(run, run.model)
-    arms = {k: replace(base_cfg, k_prefix=k) for k in sorted(set(run.sweep.k_list))}
-    results = _train_and_score(run, splits, arms, "k_prefix")
+    backbone = _ensure_backbone(run, run.model)
+    arms = {k: replace(run.model, k_prefix=k) for k in sorted(set(run.sweep.k_list))}
+    results = _train_and_score(run, splits, arms, "k_prefix", backbone)
     _write_csv(
         os.path.join(run.out, "prefix_sweep.csv"),
         ["k_prefix", "mse", "mae"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from papnf import tensor as tz
-from papnf.tensor import ShapeError, Tensor
+from papnf.tensor import Layer, ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def patchify(x_std: np.ndarray, cfg: PatchConfig) -> np.ndarray:
     return padded.reshape(*windows, m, p * c)
 
 
-class NumericalEncoder:
+class NumericalEncoder(Layer):
     """Two trainable affine encodings of one window.
 
     global path:  z = W @ flatten(x) + b              -> (1, d_n)
@@ -63,10 +63,10 @@ class NumericalEncoder:
     A stack of windows (B, L, C) gives (B, 1, d_n) and (B, M, d_n).
     """
 
+    name = "encoder"
+
     def __init__(self, lookback: int, channels: int, patch_len: int, d_n: int, rng: np.random.Generator):
         self.patch_cfg = PatchConfig(lookback, patch_len)
-        self.channels = channels
-        self.d_n = d_n
         flat_dim = lookback * channels
         patch_dim = patch_len * channels
         self.W = Tensor(rng.normal(size=(d_n, flat_dim)) / math.sqrt(flat_dim), requires_grad=True)
@@ -85,17 +85,11 @@ class NumericalEncoder:
         patches = patchify(x_std, self.patch_cfg)
         return tz.linear(Tensor(patches), self.W_patch, self.b_patch)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "encoder.W": self.W,
-            "encoder.b": self.b,
-            "encoder.W_patch": self.W_patch,
-            "encoder.b_patch": self.b_patch,
-        }
 
-
-class Reprogrammer:
+class Reprogrammer(Layer):
     """Affine map from numeric embedding width d_n to backbone width d."""
+
+    name = "reprogram"
 
     def __init__(self, d_n: int, d: int, rng: np.random.Generator):
         self.W_p = Tensor(rng.normal(size=(d, d_n)) / math.sqrt(d_n), requires_grad=True)
@@ -104,21 +98,17 @@ class Reprogrammer:
     def reprogram(self, z_rows: Tensor) -> Tensor:
         return tz.linear(z_rows, self.W_p, self.b_p)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"reprogram.W_p": self.W_p, "reprogram.b_p": self.b_p}
 
+class PrefixBank(Layer):
+    """K trainable rows prepended to the reprogrammed patch tokens; no weight at K=0."""
 
-class PrefixBank:
-    """K trainable rows prepended to the reprogrammed patch tokens."""
+    name = "prefix"
 
     def __init__(self, k: int, d: int, rng: np.random.Generator):
         if k < 0:
             raise ValueError(f"prefix length must be >= 0, got {k}")
         self.k = k
         self.P = Tensor(rng.normal(size=(k, d)) * 0.02, requires_grad=True) if k > 0 else None
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {} if self.P is None else {"prefix.P": self.P}
 
 
 def build_llm_input(prefix: PrefixBank, e_rep: Tensor) -> Tensor:

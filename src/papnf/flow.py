@@ -24,7 +24,7 @@ import numpy as np
 from papnf import tensor as tz
 from papnf.metrics import sorted_quantile
 from papnf.seeding import substream
-from papnf.tensor import ShapeError, Tensor
+from papnf.tensor import Layer, ShapeError, Tensor
 
 # Keeps w_hat.a strictly above -1 with comfortable headroom over the 1e-4
 # invertibility floor even after the epsilon-guarded division below.
@@ -35,8 +35,10 @@ _NORM_EPS = 1e-12
 SAMPLE_CHUNK = 8
 
 
-class FusionLayer:
+class FusionLayer(Layer):
     """h = W_h [z; c] + b_h, joining the global encoding and the context."""
+
+    name = "fusion"
 
     def __init__(self, d_n: int, d_c: int, d_h: int, rng: np.random.Generator):
         self.W_h = Tensor(rng.normal(size=(d_h, d_n + d_c)) / math.sqrt(d_n + d_c), requires_grad=True)
@@ -47,11 +49,8 @@ class FusionLayer:
             raise ShapeError(f"fuse expects row vectors, got {z.shape} and {c.shape}")
         return tz.linear(tz.concat_cols([z, c]), self.W_h, self.b_h)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"fusion.W_h": self.W_h, "fusion.b_h": self.b_h}
 
-
-class FlowLayer:
+class FlowLayer(Layer):
     """One planar step plus the hypernetwork that conditions it on h.
 
     The hypernet is a two-layer MLP whose final weight matrix starts at zero
@@ -68,6 +67,7 @@ class FlowLayer:
 
     def __init__(self, index: int, d_h: int, d_u: int, hidden: int, rng: np.random.Generator):
         self.index = index
+        self.name = f"flow.{index}"
         out_dim = 2 * d_u + 1
         self.U1 = Tensor(rng.normal(size=(hidden, d_h)) / math.sqrt(d_h), requires_grad=True)
         self.c1 = Tensor(np.zeros(hidden), requires_grad=True)
@@ -82,10 +82,6 @@ class FlowLayer:
         Summaries (B, 1, d_h) give one row per window, (B, 1, 2*d_u + 1).
         """
         return tz.linear(tz.linear(h, self.U1, self.c1).tanh(), self.U2, self.c2)
-
-    def parameters(self) -> dict[str, Tensor]:
-        p = f"flow.{self.index}"
-        return {f"{p}.U1": self.U1, f"{p}.c1": self.c1, f"{p}.U2": self.U2, f"{p}.c2": self.c2}
 
 
 def invert_planar(u_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -168,7 +164,7 @@ def flow_log_det(u0: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.n
     return total
 
 
-class ReconstructionHead:
+class ReconstructionHead(Layer):
     """Affine-tanh-affine map from [u_T; h] to the standardized horizon.
 
     Every latent row of a window shares its h, so G1's first affine map runs
@@ -177,6 +173,8 @@ class ReconstructionHead:
     one (hidden, d_u + d_h) weight. Latents (B, S, d_u) with summaries
     (B, 1, d_h) take a leading window axis.
     """
+
+    name = "recon"
 
     def __init__(self, d_u: int, d_h: int, hidden: int, out_dim: int, rng: np.random.Generator):
         in_dim = d_u + d_h
@@ -189,9 +187,6 @@ class ReconstructionHead:
         """(S, d_u) latents + (1, d_h) summary -> (S, H*C) standardized rows."""
         hidden = tz.linear_split(u_rows, h, self.G1, self.g1).tanh()
         return tz.linear(hidden, self.G2, self.g2)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"recon.G1": self.G1, "recon.g1": self.g1, "recon.G2": self.G2, "recon.g2": self.g2}
 
 
 @dataclass

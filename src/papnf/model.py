@@ -13,6 +13,7 @@ from papnf.backbone import (
     build_backbone,
     extract_context,
 )
+from papnf.checkpoint import check_weights
 from papnf.config import DictConfig
 from papnf.encoder import NumericalEncoder, PatchConfig, PrefixBank, Reprogrammer, build_llm_input
 from papnf.flow import FlowLayer, FusionLayer, ReconstructionHead, flow_forward
@@ -64,7 +65,7 @@ class ModelConfig(DictConfig):
 
     @property
     def n_patches(self) -> int:
-        return -(-self.lookback // self.patch_len)
+        return PatchConfig(self.lookback, self.patch_len).n_patches
 
     @property
     def n_tokens(self) -> int:
@@ -148,16 +149,9 @@ class PapNfModel:
 
     def parameters(self) -> dict[str, Tensor]:
         """Trainable tensors only; the frozen backbone never appears here."""
-        out: dict[str, Tensor] = {}
-        out.update(self.encoder.parameters())
-        out.update(self.reprogrammer.parameters())
-        out.update(self.prefix.parameters())
-        out.update(self.ctx_proj.parameters())
-        out.update(self.fusion.parameters())
-        for layer in self.flow_layers:
-            out.update(layer.parameters())
-        out.update(self.recon.parameters())
-        return out
+        layers = (self.encoder, self.reprogrammer, self.prefix, self.ctx_proj, self.fusion,
+                  *self.flow_layers, self.recon)
+        return {name: t for layer in layers for name, t in layer.parameters().items()}
 
     def census(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape for every trainable parameter."""
@@ -171,23 +165,12 @@ class PapNfModel:
         return out
 
     def load_weights(self, weights: dict[str, np.ndarray]) -> None:
-        """Assign stored values into trainable and backbone tensors by name."""
-        params = self.parameters()
+        """Assign stored values into trainable and backbone tensors by name, all or none."""
         backbone_tensors = {f"backbone.{n}": t for n, t in self.backbone.tensors().items()}
-        targets = {**params, **backbone_tensors}
-        missing = set(targets) - set(weights)
-        extra = set(weights) - set(targets)
-        if missing or extra:
-            raise ValueError(
-                f"weight set mismatch (missing {sorted(missing)[:4]}, unexpected {sorted(extra)[:4]})"
-            )
+        targets = {**self.parameters(), **backbone_tensors}
+        check_weights({name: t.shape for name, t in targets.items()}, weights, "model weights")
         for name, t in targets.items():
-            arr = np.asarray(weights[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(
-                    f"weight {name} has shape {arr.shape}, model expects {t.data.shape}"
-                )
-            t.data = arr.copy()
+            t.data = np.array(weights[name], dtype=np.float64)
 
 
 def ablation_variant(cfg: ModelConfig, arm: str) -> ModelConfig:

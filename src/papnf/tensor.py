@@ -63,6 +63,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "Tensor",
+    "Layer",
     "Tape",
     "no_grad",
     "add_rowvec",
@@ -249,6 +250,19 @@ class Tensor:
 
     def reshape(self, *shape) -> "Tensor":
         return reshape(self, shape if len(shape) > 1 else shape[0])
+
+
+class Layer:
+    """A model layer: every ``Tensor`` attribute of a layer is a weight.
+
+    ``parameters`` names each ``f"{name}.{attr}"``, in the order the attributes
+    were set, so checkpoint weight names follow the attribute names.
+    """
+
+    name: str
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {f"{self.name}.{k}": v for k, v in vars(self).items() if isinstance(v, Tensor)}
 
 
 class Tape:

@@ -107,22 +107,15 @@ class TrainConfig(TrainSection):
     seed: int = field(default=0, kw_only=True)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
+
+
 class Adam:
     """Adam with bias correction; moment buffers only for trainable tensors."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = {name: t for name, t in sorted(params.items()) if t.requires_grad}
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
@@ -136,23 +129,23 @@ class Adam:
         parameter gets a new array; whoever holds the old one keeps its values.
         """
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m, v = self.m[name], self.v[name]
-            buf = (1.0 - self.beta1) * g
-            m *= self.beta1
+            buf = (1.0 - ADAM_BETA1) * g
+            m *= ADAM_BETA1
             m += buf
             np.multiply(g, g, out=buf)
-            buf *= 1.0 - self.beta2
-            v *= self.beta2
+            buf *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += buf
             den = v / bc2
             np.sqrt(den, out=den)
-            den += self.eps
+            den += ADAM_EPS
             np.divide(m, bc1, out=buf)
             buf *= self.lr
             buf /= den

@@ -130,6 +130,14 @@ def test_weight_hash_is_stable_and_distinguishes_weights():
     c = bb.TransformerBackbone(tiny_arch(), seed=27)
     assert a.weight_hash() == b_.weight_hash()
     assert a.weight_hash() != c.weight_hash()
+    # a fresh backbone's draws, pinned: a change to their order or expressions shows here; the
+    # default widths scale by powers of two, where x / s and x * (1 / s) agree, so pin an odd one
+    assert bb.TransformerBackbone(bb.BackboneArch(), seed=5).weight_hash() == (
+        "3897e6547f606180bedae88900635185476cb2677d4e9c8f2cd0547638ab05da"
+    )
+    assert bb.TransformerBackbone(tiny_arch(d=6, ffn=12), seed=5).weight_hash() == (
+        "7d0bb6fe911bb6d974fae92cccd13b160e50e1f8b5ed3c686933f2eec02d0746"
+    )
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -196,6 +204,15 @@ def test_weights_of_the_wrong_shape_are_a_checkpoint_error():
     weights["layers.0.W1"] = weights["layers.0.W1"].T
     with pytest.raises(CheckpointError, match=r"wrong shape \[.layers.0.W1.\]"):
         bb.TransformerBackbone(tiny_arch(), weights=weights)
+    for name in ("pos", "ln_f_g", "layers.0.Wq", "layers.0.Wk", "layers.0.Wv"):
+        del weights[name]
+    weights["extra"] = np.zeros(1)
+    with pytest.raises(CheckpointError) as err:  # every name, none cut off
+        bb.TransformerBackbone(tiny_arch(), weights=weights)
+    assert str(err.value) == (
+        "backbone weights do not match (missing ['layers.0.Wk', 'layers.0.Wq', 'layers.0.Wv', "
+        "'ln_f_g', 'pos'], unexpected ['extra'], wrong shape ['layers.0.W1'])"
+    )
 
 
 def test_random_vs_checkpoint_weights_differ(tmp_path):

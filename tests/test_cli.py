@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import papnf
+from papnf import backbone as bb
 from papnf import cli, config
 from papnf.backbone import TransformerBackbone
 from papnf.checkpoint import read_container, write_container
@@ -455,6 +456,16 @@ class TestTrain:
             second / "training_log.csv"
         ).read_bytes()
 
+    def test_a_checkpoint_on_a_pretrained_backbone_does_not_depend_on_out(self, ws, tmp_path):
+        sets = ["--set", 'model.backbone_kind="frozen_checkpoint"', "--set", "pretrain.steps=2"]
+        first, second = tmp_path / "a", tmp_path / "b"
+        for out in (first, second):
+            assert run("train", "--config", ws["config"], "--out", str(out), *sets) == 0
+        for name in ("backbone.papnf", "checkpoint.papnf", "training_log.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        header = load_checkpoint(str(first / "checkpoint.papnf"))
+        assert header.model_config.backbone_checkpoint is None
+
 
 class TestEval:
     def test_writes_metrics_and_quantiles(self, ws, trained, tmp_path):
@@ -644,6 +655,20 @@ class TestAblate:
         assert set(census["full"]) == set(census["random_backbone"])
         assert set(census["full"]) == set(census["no_global_context"])
 
+    def test_a_frozen_checkpoint_backbone_is_read_once(self, ws, tmp_path, monkeypatch):
+        paths = []
+        real_load = bb.load_frozen_checkpoint
+
+        def counting_load(path, expected=None):
+            paths.append(path)
+            return real_load(path, expected)
+
+        monkeypatch.setattr(bb, "load_frozen_checkpoint", counting_load)
+        monkeypatch.setattr(cli, "load_frozen_checkpoint", counting_load, raising=False)
+        out = tmp_path / "a"
+        sets = ["--set", 'model.backbone_kind="frozen_checkpoint"', "--set", "pretrain.steps=2"]
+        assert run("ablate", "--config", ws["config"], "--out", str(out), *sets) == 0
+        assert paths == [str(out / "backbone.papnf")]  # not once per arm on it
 
     def test_splits_built_once_for_all_arms(self, ws, tmp_path, monkeypatch):
         calls = []
@@ -667,9 +692,9 @@ class TestAblate:
         configs = []
         real_train = cli._train_model
 
-        def counting_train(cfg, splits, model_cfg):
+        def counting_train(cfg, splits, model_cfg, backbone):
             configs.append(model_cfg)
-            return real_train(cfg, splits, model_cfg)
+            return real_train(cfg, splits, model_cfg, backbone)
 
         monkeypatch.setattr(cli, "_train_model", counting_train)
         sets = [arg for setting in settings for arg in ("--set", setting)]
@@ -735,7 +760,7 @@ class TestSweepPrefix:
         ],
     )
     def test_a_failing_k_is_named(self, ws, tmp_path, monkeypatch, capsys, error, code, message):
-        def failing_train(cfg, splits, model_cfg):
+        def failing_train(cfg, splits, model_cfg, backbone):
             raise error
 
         monkeypatch.setattr(cli, "_train_model", failing_train)

@@ -1,4 +1,5 @@
-"""Every name that a papnf module lists in ``__all__``, or that the benchmark traces, resolves."""
+"""Every name that a papnf module lists in ``__all__``, or that the benchmark traces, resolves;
+every weight of a model is named by exactly one layer."""
 
 import ast
 import importlib
@@ -8,6 +9,9 @@ import pkgutil
 import pytest
 
 import papnf
+from papnf.backbone import BackboneArch
+from papnf.model import ModelConfig, PapNfModel
+from papnf.tensor import Layer, Tensor
 
 MODULES = ["papnf"] + [f"papnf.{info.name}" for info in pkgutil.iter_modules(papnf.__path__)]
 EXPORTING = [name for name in MODULES if hasattr(importlib.import_module(name), "__all__")]
@@ -43,3 +47,21 @@ def test_every_traced_name_resolves(module, attr):
         assert meth in vars(getattr(mod, cls_name))  # Tracer.install reads the class's __dict__
     else:
         assert callable(getattr(mod, attr, None))
+
+
+def test_every_weight_holder_of_the_model_is_a_layer():
+    # parameters() and checkpoints name the weights through Layer.parameters: a weight held
+    # elsewhere would go unsaved, and two layers of one name would overwrite each other's
+    arch = BackboneArch(n_layers=1, n_heads=1, d=4, ffn_width=8, max_len=8)
+    cfg = ModelConfig(lookback=8, horizon=2, channels=2, patch_len=4, d_n=3, d_c=3, d_h=3,
+                      d_u=2, t_flow=2, k_prefix=1, recon_hidden=3, hyper_hidden=3, backbone=arch)
+    model = PapNfModel(cfg, seed=0)
+    layers = []
+    for attr, value in vars(model).items():
+        for obj in value if isinstance(value, list) else [value]:
+            held = [obj] if isinstance(obj, Tensor) else list(getattr(obj, "__dict__", {}).values())
+            if attr != "backbone" and any(isinstance(v, Tensor) for v in held):
+                assert isinstance(obj, Layer), attr
+                layers.append(obj)
+    assert len({layer.name for layer in layers}) == len(layers)
+    assert len(model.parameters()) == sum(len(layer.parameters()) for layer in layers)

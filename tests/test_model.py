@@ -7,6 +7,7 @@ import pytest
 
 from papnf import flow as F
 from papnf.backbone import BackboneArch, TransformerBackbone, extract_context
+from papnf.checkpoint import CheckpointError
 from papnf.data import make_windows
 from papnf.encoder import PrefixBank, build_llm_input
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
@@ -237,10 +238,38 @@ def test_weight_round_trip_through_dict():
 
 def test_load_weights_rejects_mismatch():
     model = PapNfModel(toy_config(), seed=20)
-    weights = model.all_weights()
-    weights.pop("prefix.P")
-    with pytest.raises(ValueError, match="missing"):
-        model.load_weights(weights)
+    before = model.all_weights()
+    weights = PapNfModel(toy_config(), seed=21).all_weights()
+    weights["recon.G2"] = weights["recon.G2"].T  # late in the write order
+    for missing in ([], ["prefix.P"]):
+        for name in missing:
+            weights.pop(name)
+        with pytest.raises(CheckpointError) as err:
+            model.load_weights(weights)
+        assert str(err.value) == (
+            f"model weights do not match (missing {missing}, unexpected [], wrong shape ['recon.G2'])"
+        )
+        after = model.all_weights()  # checked before any weight is written
+        assert after.keys() == before.keys()
+        for name, arr in before.items():
+            np.testing.assert_array_equal(after[name], arr, err_msg=name)
+
+
+def test_weight_names_are_pinned():
+    # names follow attribute names, so a renamed attribute would rename a checkpoint weight
+    layer = ["W1", "W2", "Wk", "Wo", "Wq", "Wv", "ln1_b", "ln1_g", "ln2_b", "ln2_g"]
+    flow = [f"flow.{t}.{n}" for t in (0, 1) for n in ("U1", "U2", "c1", "c2")]
+    assert sorted(PapNfModel(toy_config(), seed=0).all_weights()) == [
+        *(f"backbone.layers.0.{n}" for n in layer),
+        "backbone.ln_f_b", "backbone.ln_f_g", "backbone.pos",
+        "context.W_c", "context.b_c",
+        "encoder.W", "encoder.W_patch", "encoder.b", "encoder.b_patch",
+        *flow,
+        "fusion.W_h", "fusion.b_h",
+        "prefix.P",
+        "recon.G1", "recon.G2", "recon.g1", "recon.g2",
+        "reprogram.W_p", "reprogram.b_p",
+    ]
 
 
 def test_end_to_end_grad_check_small():
