@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from papnf import tensor as tz
-from papnf.checkpoint import CheckpointError, check_header, check_weights
+from papnf.checkpoint import CheckpointError, check_header, load_weights
 from papnf.checkpoint import read_container, write_container
 from papnf.config import DictConfig
 from papnf.seeding import substream
-from papnf.tensor import Layer, ShapeError, Tensor
+from papnf.tensor import Layer, ShapeError, Tensor, weight, zeros
 
 BACKBONE_KINDS = ("frozen_random", "frozen_checkpoint")
 _LAYER_PARAMS = ("Wq", "Wk", "Wv", "Wo", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "W1", "W2")
@@ -44,17 +44,17 @@ class BackboneArch(DictConfig):
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
 
 
-def _init(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """A fresh draw of one backbone weight; a matrix's fan-in is its first dimension."""
+def _draw(name: str):
+    """The draw of one backbone weight; a matrix's fan-in is its first dimension."""
     if name == "pos":
-        return rng.normal(size=shape) * 0.02
+        return lambda rng, shape: rng.normal(size=shape) * 0.02
     if name.endswith("_g"):
-        return np.ones(shape)
+        return lambda rng, shape: np.ones(shape)
     if name.endswith("_b"):
-        return np.zeros(shape)
+        return zeros
     if name.endswith(".W2"):
-        return rng.normal(size=shape) / math.sqrt(shape[0])
-    return rng.normal(size=shape) * (1.0 / math.sqrt(shape[0]))
+        return lambda rng, shape: rng.normal(size=shape) / math.sqrt(shape[0])
+    return lambda rng, shape: rng.normal(size=shape) * (1.0 / math.sqrt(shape[0]))
 
 
 class TransformerBackbone:
@@ -62,35 +62,21 @@ class TransformerBackbone:
 
     Construction freezes every parameter unless ``trainable`` is set (used
     only while pretraining); ``freeze`` flips a trainable instance back into
-    the frozen contract.
+    the frozen contract. ``seed=None`` leaves every weight unset, for the
+    load that follows in ``load_frozen_checkpoint`` or ``PapNfModel``.
     """
 
-    def __init__(
-        self,
-        arch: BackboneArch,
-        seed: int = 0,
-        trainable: bool = False,
-        weights: dict[str, np.ndarray] | None = None,
-    ):
-        self.arch = arch
-        expected = self._expected_shapes()
-        if weights is not None:
-            check_weights(expected, weights, "backbone weights")
-            arrays = {name: np.array(weights[name], dtype=np.float64) for name in expected}
-        else:
-            rng = substream(seed, "backbone")
-            arrays = {name: _init(name, shape, rng) for name, shape in expected.items()}
-        self.params = {name: Tensor(arr, requires_grad=trainable) for name, arr in arrays.items()}
-
-    def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Name -> shape of every weight, in the order a fresh backbone draws them."""
-        a = self.arch
+    def __init__(self, arch: BackboneArch, seed: int | None = 0, trainable: bool = False):
+        self.arch = a = arch
         square, vector = (a.d, a.d), (a.d,)
         layer = (square,) * 4 + (vector,) * 4 + ((a.d, a.ffn_width), (a.ffn_width, a.d))
-        shapes = {"pos": (a.max_len, a.d), "ln_f_g": vector, "ln_f_b": vector}
+        shapes = {"pos": (a.max_len, a.d), "ln_f_g": vector, "ln_f_b": vector}  # in draw order
         for i in range(a.n_layers):
             shapes.update({f"layers.{i}.{n}": s for n, s in zip(_LAYER_PARAMS, layer)})
-        return shapes
+        rng = None if seed is None else substream(seed, "backbone")
+        self.params = {name: weight(rng, shape, _draw(name)) for name, shape in shapes.items()}
+        if not trainable:
+            self.freeze()
 
     # -- contract helpers ---------------------------------------------------
 
@@ -170,7 +156,9 @@ def load_frozen_checkpoint(path: str, expected: BackboneArch | None = None) -> T
             f"{path}: architecture mismatch: checkpoint has {arch.to_dict()}, "
             f"config expects {expected.to_dict()}"
         )
-    return TransformerBackbone(arch, weights=weights)
+    backbone = TransformerBackbone(arch, seed=None)
+    load_weights(backbone.params, weights, f"{path}: backbone weights")
+    return backbone
 
 
 def build_backbone(
@@ -194,9 +182,9 @@ class ContextProjector(Layer):
 
     name = "context"
 
-    def __init__(self, d: int, d_c: int, rng: np.random.Generator):
-        self.W_c = Tensor(rng.normal(size=(d_c, d)) / math.sqrt(d), requires_grad=True)
-        self.b_c = Tensor(np.zeros(d_c), requires_grad=True)
+    def __init__(self, d: int, d_c: int, rng: np.random.Generator | None):
+        self.W_c = weight(rng, (d_c, d))
+        self.b_c = weight(rng, (d_c,), zeros)
 
 
 def extract_context(h_rows: Tensor, projector: ContextProjector) -> Tensor:

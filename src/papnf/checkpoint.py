@@ -54,15 +54,17 @@ def check_header(path: str, header: dict, cls):
         raise CheckpointError(f"{path}: bad header: {err}") from None
 
 
-def check_weights(expected: dict[str, tuple[int, ...]], weights: dict, what: str) -> None:
-    """Raise one CheckpointError naming each missing, unexpected and wrongly shaped weight."""
-    missing = sorted(expected.keys() - weights.keys())
-    extra = sorted(weights.keys() - expected.keys())
-    shapes = sorted(n for n in expected if n in weights and np.shape(weights[n]) != expected[n])
+def load_weights(targets: dict, weights: dict, what: str) -> None:
+    """Assign each weight to the tensor of its name, after one check that names every fault."""
+    missing = sorted(targets.keys() - weights.keys())
+    extra = sorted(weights.keys() - targets.keys())
+    shapes = sorted(n for n in targets if n in weights and np.shape(weights[n]) != targets[n].shape)
     if missing or extra or shapes:
         raise CheckpointError(
             f"{what} do not match (missing {missing}, unexpected {extra}, wrong shape {shapes})"
         )
+    for name, t in targets.items():
+        t.data = np.array(weights[name], dtype=np.float64)
 
 
 def write_container(path: str, header: dict, weights: dict[str, np.ndarray]) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from papnf import tensor as tz
-from papnf.tensor import Layer, ShapeError, Tensor
+from papnf.tensor import Layer, ShapeError, Tensor, weight, zeros
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,14 @@ class NumericalEncoder(Layer):
 
     name = "encoder"
 
-    def __init__(self, lookback: int, channels: int, patch_len: int, d_n: int, rng: np.random.Generator):
+    def __init__(
+        self, lookback: int, channels: int, patch_len: int, d_n: int, rng: np.random.Generator | None
+    ):
         self.patch_cfg = PatchConfig(lookback, patch_len)
-        flat_dim = lookback * channels
-        patch_dim = patch_len * channels
-        self.W = Tensor(rng.normal(size=(d_n, flat_dim)) / math.sqrt(flat_dim), requires_grad=True)
-        self.b = Tensor(np.zeros(d_n), requires_grad=True)
-        self.W_patch = Tensor(
-            rng.normal(size=(d_n, patch_dim)) / math.sqrt(patch_dim), requires_grad=True
-        )
-        self.b_patch = Tensor(np.zeros(d_n), requires_grad=True)
+        self.W = weight(rng, (d_n, lookback * channels))
+        self.b = weight(rng, (d_n,), zeros)
+        self.W_patch = weight(rng, (d_n, patch_len * channels))
+        self.b_patch = weight(rng, (d_n,), zeros)
 
     def encode_global(self, x_std: np.ndarray) -> Tensor:
         x = np.asarray(x_std, dtype=np.float64)
@@ -91,9 +89,9 @@ class Reprogrammer(Layer):
 
     name = "reprogram"
 
-    def __init__(self, d_n: int, d: int, rng: np.random.Generator):
-        self.W_p = Tensor(rng.normal(size=(d, d_n)) / math.sqrt(d_n), requires_grad=True)
-        self.b_p = Tensor(np.zeros(d), requires_grad=True)
+    def __init__(self, d_n: int, d: int, rng: np.random.Generator | None):
+        self.W_p = weight(rng, (d, d_n))
+        self.b_p = weight(rng, (d,), zeros)
 
     def reprogram(self, z_rows: Tensor) -> Tensor:
         return tz.linear(z_rows, self.W_p, self.b_p)
@@ -104,11 +102,11 @@ class PrefixBank(Layer):
 
     name = "prefix"
 
-    def __init__(self, k: int, d: int, rng: np.random.Generator):
+    def __init__(self, k: int, d: int, rng: np.random.Generator | None):
         if k < 0:
             raise ValueError(f"prefix length must be >= 0, got {k}")
         self.k = k
-        self.P = Tensor(rng.normal(size=(k, d)) * 0.02, requires_grad=True) if k > 0 else None
+        self.P = weight(rng, (k, d), lambda rng, shape: rng.normal(size=shape) * 0.02) if k else None
 
 
 def build_llm_input(prefix: PrefixBank, e_rep: Tensor) -> Tensor:

@@ -24,7 +24,7 @@ import numpy as np
 from papnf import tensor as tz
 from papnf.metrics import sorted_quantile
 from papnf.seeding import substream
-from papnf.tensor import Layer, ShapeError, Tensor
+from papnf.tensor import Layer, ShapeError, Tensor, weight, zeros
 
 # Keeps w_hat.a strictly above -1 with comfortable headroom over the 1e-4
 # invertibility floor even after the epsilon-guarded division below.
@@ -40,9 +40,9 @@ class FusionLayer(Layer):
 
     name = "fusion"
 
-    def __init__(self, d_n: int, d_c: int, d_h: int, rng: np.random.Generator):
-        self.W_h = Tensor(rng.normal(size=(d_h, d_n + d_c)) / math.sqrt(d_n + d_c), requires_grad=True)
-        self.b_h = Tensor(np.zeros(d_h), requires_grad=True)
+    def __init__(self, d_n: int, d_c: int, d_h: int, rng: np.random.Generator | None):
+        self.W_h = weight(rng, (d_h, d_n + d_c))
+        self.b_h = weight(rng, (d_h,), zeros)
 
     def fuse(self, z: Tensor, c: Tensor) -> Tensor:
         if z.shape[-2] != 1 or c.shape[-2] != 1:
@@ -65,16 +65,15 @@ class FlowLayer(Layer):
 
     A_BIAS_NORM = 0.3
 
-    def __init__(self, index: int, d_h: int, d_u: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, index: int, d_h: int, d_u: int, hidden: int, rng: np.random.Generator | None):
         self.index = index
         self.name = f"flow.{index}"
         out_dim = 2 * d_u + 1
-        self.U1 = Tensor(rng.normal(size=(hidden, d_h)) / math.sqrt(d_h), requires_grad=True)
-        self.c1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.U2 = Tensor(np.zeros((out_dim, hidden)), requires_grad=True)
-        c2 = np.zeros(out_dim)
-        c2[0:d_u] = self.A_BIAS_NORM / math.sqrt(d_u)
-        self.c2 = Tensor(c2, requires_grad=True)
+        self.U1 = weight(rng, (hidden, d_h))
+        self.c1 = weight(rng, (hidden,), zeros)
+        self.U2 = weight(rng, (out_dim, hidden), zeros)
+        offset = self.A_BIAS_NORM / math.sqrt(d_u)  # on a, the packed row's first d_u entries
+        self.c2 = weight(rng, (out_dim,), lambda rng, shape: (np.arange(out_dim) < d_u) * offset)
 
     def hyper_row(self, h: Tensor) -> Tensor:
         """Map h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b].
@@ -176,12 +175,11 @@ class ReconstructionHead(Layer):
 
     name = "recon"
 
-    def __init__(self, d_u: int, d_h: int, hidden: int, out_dim: int, rng: np.random.Generator):
-        in_dim = d_u + d_h
-        self.G1 = Tensor(rng.normal(size=(hidden, in_dim)) / math.sqrt(in_dim), requires_grad=True)
-        self.g1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.G2 = Tensor(rng.normal(size=(out_dim, hidden)) / math.sqrt(hidden), requires_grad=True)
-        self.g2 = Tensor(np.zeros(out_dim), requires_grad=True)
+    def __init__(self, d_u: int, d_h: int, hidden: int, out_dim: int, rng: np.random.Generator | None):
+        self.G1 = weight(rng, (hidden, d_u + d_h))
+        self.g1 = weight(rng, (hidden,), zeros)
+        self.G2 = weight(rng, (out_dim, hidden))
+        self.g2 = weight(rng, (out_dim,), zeros)
 
     def reconstruct(self, u_rows: Tensor, h: Tensor) -> Tensor:
         """(S, d_u) latents + (1, d_h) summary -> (S, H*C) standardized rows."""

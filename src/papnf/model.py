@@ -10,10 +10,11 @@ from papnf.backbone import (
     BACKBONE_KINDS,
     BackboneArch,
     ContextProjector,
+    TransformerBackbone,
     build_backbone,
     extract_context,
 )
-from papnf.checkpoint import check_weights
+from papnf.checkpoint import load_weights
 from papnf.config import DictConfig
 from papnf.encoder import NumericalEncoder, PatchConfig, PrefixBank, Reprogrammer, build_llm_input
 from papnf.flow import FlowLayer, FusionLayer, ReconstructionHead, flow_forward
@@ -84,39 +85,43 @@ class PapNfModel:
     The forward pass also takes a stack of windows, recording a graph or not:
     look-backs (B, L, C) and latents (B, S, d_u) give (B, S, H*C) rows, each
     window's bitwise those of its own pass, and so are its gradients.
+
+    The weights are drawn from ``seed``, on ``backbone`` or the one ``cfg``
+    names, or loaded from a stored set ``weights`` that holds the backbone's
+    too: a load draws nothing, reads no backbone file and checks every name.
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0, backbone=None):
+    def __init__(self, cfg: ModelConfig, seed: int = 0, backbone=None, weights=None):
+        if backbone is not None and weights is not None:
+            raise ValueError("stored weights hold the backbone's; pass backbone or weights")
         self.cfg = cfg
-        self.seed = seed
         d = cfg.backbone.d
+
+        def init(*label):  # a layer's seeded generator, or None to leave it for the load
+            return None if weights is not None else substream(seed, "init", *label)
+
         self.encoder = NumericalEncoder(
-            cfg.lookback, cfg.channels, cfg.patch_len, cfg.d_n, substream(seed, "init", "encoder")
+            cfg.lookback, cfg.channels, cfg.patch_len, cfg.d_n, init("encoder")
         )
-        self.reprogrammer = Reprogrammer(cfg.d_n, d, substream(seed, "init", "reprogram"))
-        self.prefix = PrefixBank(cfg.k_prefix, d, substream(seed, "init", "prefix"))
-        if backbone is not None:
-            self.backbone = backbone
-        else:
-            self.backbone = build_backbone(
-                cfg.backbone,
-                cfg.backbone_kind,
-                seed=derive_seed(seed, "backbone"),
-                checkpoint_path=cfg.backbone_checkpoint,
-            )
-        self.ctx_proj = ContextProjector(d, cfg.d_c, substream(seed, "init", "context"))
-        self.fusion = FusionLayer(cfg.d_n, cfg.d_c, cfg.d_h, substream(seed, "init", "fusion"))
+        self.reprogrammer = Reprogrammer(cfg.d_n, d, init("reprogram"))
+        self.prefix = PrefixBank(cfg.k_prefix, d, init("prefix"))
+        if weights is not None:
+            backbone = TransformerBackbone(cfg.backbone, seed=None)
+        elif backbone is None:
+            bb_seed = derive_seed(seed, "backbone")
+            backbone = build_backbone(cfg.backbone, cfg.backbone_kind, bb_seed, cfg.backbone_checkpoint)
+        self.backbone = backbone
+        self.ctx_proj = ContextProjector(d, cfg.d_c, init("context"))
+        self.fusion = FusionLayer(cfg.d_n, cfg.d_c, cfg.d_h, init("fusion"))
         self.flow_layers = [
-            FlowLayer(t, cfg.d_h, cfg.d_u, cfg.hyper_hidden, substream(seed, "init", "flow", t))
+            FlowLayer(t, cfg.d_h, cfg.d_u, cfg.hyper_hidden, init("flow", t))
             for t in range(cfg.t_flow)
         ]
         self.recon = ReconstructionHead(
-            cfg.d_u,
-            cfg.d_h,
-            cfg.recon_hidden,
-            cfg.horizon * cfg.channels,
-            substream(seed, "init", "recon"),
+            cfg.d_u, cfg.d_h, cfg.recon_hidden, cfg.horizon * cfg.channels, init("recon")
         )
+        if weights is not None:
+            self.load_weights(weights)
 
     # -- forward ------------------------------------------------------------
 
@@ -167,10 +172,7 @@ class PapNfModel:
     def load_weights(self, weights: dict[str, np.ndarray]) -> None:
         """Assign stored values into trainable and backbone tensors by name, all or none."""
         backbone_tensors = {f"backbone.{n}": t for n, t in self.backbone.tensors().items()}
-        targets = {**self.parameters(), **backbone_tensors}
-        check_weights({name: t.shape for name, t in targets.items()}, weights, "model weights")
-        for name, t in targets.items():
-            t.data = np.array(weights[name], dtype=np.float64)
+        load_weights({**self.parameters(), **backbone_tensors}, weights, "model weights")
 
 
 def ablation_variant(cfg: ModelConfig, arm: str) -> ModelConfig:

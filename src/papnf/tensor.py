@@ -256,13 +256,28 @@ class Layer:
     """A model layer: every ``Tensor`` attribute of a layer is a weight.
 
     ``parameters`` names each ``f"{name}.{attr}"``, in the order the attributes
-    were set, so checkpoint weight names follow the attribute names.
+    were set, so checkpoint weight names follow the attribute names. Each is
+    built by ``weight``, drawn in that order or, with no generator, left unset.
     """
 
     name: str
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.{k}": v for k, v in vars(self).items() if isinstance(v, Tensor)}
+
+
+def fan_in(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A normal draw over the square root of the fan-in, a matrix's second dimension."""
+    return rng.normal(size=shape) / math.sqrt(shape[1])
+
+
+def zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def weight(rng: np.random.Generator | None, shape: tuple[int, ...], draw=fan_in) -> Tensor:
+    """A trainable weight ``draw(rng, shape)``; without a generator, unset for a load to fill."""
+    return Tensor(np.empty(shape) if rng is None else draw(rng, shape), requires_grad=True)
 
 
 class Tape:

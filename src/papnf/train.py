@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from papnf.backbone import BackboneArch, TransformerBackbone
-from papnf.checkpoint import check_header, read_container, write_container
+from papnf.checkpoint import CheckpointError, check_header, read_container, write_container
 from papnf.config import DictConfig
 from papnf.flow import sample_windows
 from papnf.model import ModelConfig, PapNfModel
@@ -305,18 +305,14 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint | str) -> PapNfModel:
-    """Rebuild a model from a Checkpoint (or a path to one) with stored weights."""
-    if isinstance(ckpt, str):
-        ckpt = load_checkpoint(ckpt)
-    cfg = ckpt.model_config
-    seed = int(ckpt.rng_state.get("root_seed", 0))
-    # backbone weights are inlined; the original pretraining file is not needed
-    prefix = "backbone."
-    weights = {n[len(prefix):]: a for n, a in ckpt.weights.items() if n.startswith(prefix)}
-    backbone = TransformerBackbone(cfg.backbone, weights=weights)
-    model = PapNfModel(cfg, seed=seed, backbone=backbone)
-    model.load_weights(ckpt.weights)
-    return model
+    """The model a Checkpoint (or the file at a path) stores; a weight fault names the path."""
+    path = ckpt if isinstance(ckpt, str) else None
+    if path is not None:
+        ckpt = load_checkpoint(path)
+    try:
+        return PapNfModel(ckpt.model_config, weights=ckpt.weights)
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}" if path else str(err)) from None
 
 
 def _make_checkpoint(model, cfg, val, epoch, history, weights) -> Checkpoint:

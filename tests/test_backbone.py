@@ -199,19 +199,23 @@ def test_checkpoint_bad_arch_header_names_the_field(tmp_path, tamper, needle):
     assert needle in str(err.value)
 
 
-def test_weights_of_the_wrong_shape_are_a_checkpoint_error():
-    weights = bb.TransformerBackbone(tiny_arch(), seed=43).weights()
+def test_weights_of_the_wrong_shape_are_a_checkpoint_error(tmp_path):
+    path = str(tmp_path / "bb.papnf")
+    bb.TransformerBackbone(tiny_arch(), seed=43).save(path)
+    header, weights = read_container(path)
     weights["layers.0.W1"] = weights["layers.0.W1"].T
+    write_container(path, header, weights)
     with pytest.raises(CheckpointError, match=r"wrong shape \[.layers.0.W1.\]"):
-        bb.TransformerBackbone(tiny_arch(), weights=weights)
+        bb.load_frozen_checkpoint(path)
     for name in ("pos", "ln_f_g", "layers.0.Wq", "layers.0.Wk", "layers.0.Wv"):
         del weights[name]
     weights["extra"] = np.zeros(1)
+    write_container(path, header, weights)
     with pytest.raises(CheckpointError) as err:  # every name, none cut off
-        bb.TransformerBackbone(tiny_arch(), weights=weights)
+        bb.load_frozen_checkpoint(path)
     assert str(err.value) == (
-        "backbone weights do not match (missing ['layers.0.Wk', 'layers.0.Wq', 'layers.0.Wv', "
-        "'ln_f_g', 'pos'], unexpected ['extra'], wrong shape ['layers.0.W1'])"
+        f"{path}: backbone weights do not match (missing ['layers.0.Wk', 'layers.0.Wq', "
+        "'layers.0.Wv', 'ln_f_g', 'pos'], unexpected ['extra'], wrong shape ['layers.0.W1'])"
     )
 
 

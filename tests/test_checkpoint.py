@@ -1,4 +1,4 @@
-"""Checkpoint container: headers of both kinds, malformed weight records, byte-level fuzzing."""
+"""Checkpoint container: headers and weights of both kinds, malformed records, byte fuzzing."""
 
 import struct
 import zlib
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from papnf.backbone import BackboneArch, TransformerBackbone, load_frozen_checkpoint
 from papnf.checkpoint import MAGIC, CheckpointError, read_container, write_container
 from papnf.model import ModelConfig, PapNfModel
-from papnf.train import Checkpoint, load_checkpoint, save_checkpoint
+from papnf.train import Checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 
 HEADER = b'{"kind":"model"}'
 
@@ -106,27 +106,35 @@ def _save_model(path: str) -> None:
 
 
 @pytest.mark.parametrize(
-    "save, tamper, load, message",
+    "save, tamper, drop, load, message",
     [
-        (_save_backbone, {"version": 2}, load_frozen_checkpoint,
+        (_save_backbone, {"version": 2}, (), load_frozen_checkpoint,
          "unsupported checkpoint version 2"),
-        (_save_backbone, {"extra": 1}, load_frozen_checkpoint,
+        (_save_backbone, {"extra": 1}, (), load_frozen_checkpoint,
          "bad header: unknown config keys: extra"),
-        (_save_model, {}, load_frozen_checkpoint,
+        (_save_model, {}, (), load_frozen_checkpoint,
          "expected a backbone checkpoint, found kind 'model'"),
-        (_save_backbone, {}, load_checkpoint, "expected a model checkpoint, found kind 'backbone'"),
-        (_save_model, {"version": 2}, load_checkpoint, "unsupported checkpoint version 2"),
+        (_save_backbone, {}, (), load_checkpoint,
+         "expected a model checkpoint, found kind 'backbone'"),
+        (_save_model, {"version": 2}, (), load_checkpoint, "unsupported checkpoint version 2"),
+        (_save_backbone, {}, ("pos",), load_frozen_checkpoint,
+         "backbone weights do not match (missing ['pos'], unexpected [], wrong shape [])"),
+        # one check covers every weight: the backbone's fault does not hide the prefix's
+        (_save_model, {}, ("prefix.P", "backbone.pos"), model_from_checkpoint,
+         "model weights do not match (missing ['backbone.pos', 'prefix.P'], unexpected [], "
+         "wrong shape [])"),
     ],
     ids=["backbone-version-2", "backbone-unknown-key", "model-as-backbone", "backbone-as-model",
-         "model-version-2"],
+         "model-version-2", "backbone-weight-missing", "model-weights-missing"],
 )
 def test_one_header_check_reads_both_kinds_and_names_the_path(
-    tmp_path, save, tamper, load, message
+    tmp_path, save, tamper, drop, load, message
 ):
     path = str(tmp_path / "c.papnf")
     save(path)
     header, weights = read_container(path)
-    write_container(path, {**header, **tamper}, weights)
+    kept = {name: arr for name, arr in weights.items() if name not in drop}
+    write_container(path, {**header, **tamper}, kept)
     with pytest.raises(CheckpointError) as err:
         load(path)
     assert str(err.value) == f"{path}: {message}"

@@ -1,5 +1,6 @@
 """Assembled forecaster: shapes, ablation wiring, gradient routing."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -255,6 +256,13 @@ def test_load_weights_rejects_mismatch():
             np.testing.assert_array_equal(after[name], arr, err_msg=name)
 
 
+def test_stored_weights_bring_their_own_backbone():
+    # a load writes the stored backbone weights, so it must not write them into a shared backbone
+    model = PapNfModel(toy_config(), seed=22)
+    with pytest.raises(ValueError, match="pass backbone or weights"):
+        PapNfModel(toy_config(), backbone=model.backbone, weights=model.all_weights())
+
+
 def test_weight_names_are_pinned():
     # names follow attribute names, so a renamed attribute would rename a checkpoint weight
     layer = ["W1", "W2", "Wk", "Wo", "Wq", "Wv", "ln1_b", "ln1_g", "ln2_b", "ln2_g"]
@@ -270,6 +278,28 @@ def test_weight_names_are_pinned():
         "recon.G1", "recon.G2", "recon.g1", "recon.g2",
         "reprogram.W_p", "reprogram.b_p",
     ]
+
+
+@pytest.mark.parametrize(
+    "cfg, seed, digest",
+    [
+        (ModelConfig(96, 24, 1), 3,
+         "22473a6aa14f69d31174253195f593e63c3d1a79dd929836eab0838ebe205fb3"),
+        (ModelConfig(96, 24, 7), 3,
+         "85c2cf2afba5419b7a7624fb2ab4ab9ba9b56e413a6658b368b917c050c3ab5d"),
+        (ModelConfig(96, 24, 1, k_prefix=0, t_flow=0, backbone=BackboneArch(n_layers=0)), 4,
+         "e0e38134eb1209129aca02f7b23c2a1a2103c7691284f7eff4d4869197a1ed02"),
+    ],
+    ids=["c1", "c7", "bare"],
+)
+def test_seeded_weights_are_pinned(cfg, seed, digest):
+    # every weight's draw keeps its stream, its order and its expression, bit for bit
+    h = hashlib.sha256()
+    for name, arr in sorted(PapNfModel(cfg, seed=seed).all_weights().items()):
+        h.update(name.encode())
+        h.update(str(arr.shape).encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_end_to_end_grad_check_small():

@@ -561,6 +561,17 @@ class TestBatchedFit:
             assert not any(np.shares_memory(t.grad, g) for g in others), name
 
 
+def assert_same_weights(a: PapNfModel, b: PapNfModel) -> None:
+    wa, wb = a.all_weights(), b.all_weights()
+    assert wa.keys() == wb.keys()
+    for name, arr in wa.items():
+        assert np.array_equal(wb[name], arr), name
+
+
+def save_model(model: PapNfModel, path: str) -> None:
+    save_checkpoint(Checkpoint(model.cfg, model.all_weights(), {}, val_mse=1.0, best_epoch=0), path)
+
+
 class TestCheckpointRoundTrip:
     def _trained(self, tmp_path, kind="frozen_random"):
         cfg = tiny_config(backbone_kind=kind)
@@ -629,6 +640,36 @@ class TestCheckpointRoundTrip:
         (tmp_path / "backbone.papnf").unlink()  # inlined weights must suffice
         loaded = model_from_checkpoint(path)
         assert loaded.backbone.weight_hash() == model.backbone.weight_hash()
+
+    def test_a_load_draws_nothing(self, tmp_path, monkeypatch):
+        # stored weights hold the backbone's too, so a load needs no generator and no backbone file
+        backbone_path = str(tmp_path / "backbone.papnf")
+        TransformerBackbone(tiny_config().backbone, seed=13).save(backbone_path)
+        models = {}
+        for kind, backbone in (("frozen_random", None), ("frozen_checkpoint", backbone_path)):
+            cfg = tiny_config(backbone_kind=kind, backbone_checkpoint=backbone)
+            models[kind] = model = PapNfModel(cfg, seed=14)
+            save_model(model, str(tmp_path / f"{kind}.papnf"))
+        (tmp_path / "backbone.papnf").unlink()
+
+        def no_draw(*label):
+            raise AssertionError(f"a load drew substream{label}")
+
+        monkeypatch.setattr("papnf.model.substream", no_draw)
+        monkeypatch.setattr("papnf.backbone.substream", no_draw)
+        for kind, model in models.items():
+            assert_same_weights(model, model_from_checkpoint(str(tmp_path / f"{kind}.papnf")))
+
+    @pytest.mark.parametrize("horizon", [96, 192, 336, 720])
+    def test_the_papers_horizon_grid_at_lookback_512(self, tmp_path, horizon):
+        # K + 512/16 = 37 tokens fit the default max_len at each of the paper's horizons
+        cfg = ModelConfig(lookback=512, horizon=horizon, channels=7)
+        assert cfg.n_tokens == 37
+        model = PapNfModel(cfg, seed=15)
+        assert model.recon.G2.shape == (horizon * 7, cfg.recon_hidden)
+        path = str(tmp_path / "long.papnf")
+        save_model(model, path)
+        assert_same_weights(model, model_from_checkpoint(path))
 
 
 class TestPretraining:
