@@ -89,12 +89,6 @@ class TransformerBackbone:
     def frozen(self) -> bool:
         return not any(t.requires_grad for t in self.params.values())
 
-    def weights(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
-    def tensors(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def weight_hash(self) -> str:
         """SHA-256 over (name, shape, raw bytes) in sorted name order."""
         h = hashlib.sha256()
@@ -135,7 +129,8 @@ class TransformerBackbone:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path: str) -> None:
-        write_container(path, _Header(self.arch).to_dict(), self.weights())
+        weights = {name: t.data for name, t in self.params.items()}
+        write_container(path, _Header(self.arch).to_dict(), weights)
 
 
 @dataclass(frozen=True)
@@ -159,22 +154,6 @@ def load_frozen_checkpoint(path: str, expected: BackboneArch | None = None) -> T
     backbone = TransformerBackbone(arch, seed=None)
     load_weights(backbone.params, weights, f"{path}: backbone weights")
     return backbone
-
-
-def build_backbone(
-    arch: BackboneArch,
-    kind: str,
-    seed: int = 0,
-    checkpoint_path: str | None = None,
-):
-    """Construct the backbone named by ``kind``, one of BACKBONE_KINDS."""
-    if kind not in BACKBONE_KINDS:
-        raise ValueError(f"unsupported transformer kind {kind!r}")
-    if kind == "frozen_checkpoint":
-        if not checkpoint_path:
-            raise ValueError("frozen_checkpoint backbone needs a checkpoint path")
-        return load_frozen_checkpoint(checkpoint_path, expected=arch)
-    return TransformerBackbone(arch, seed=seed)
 
 
 class ContextProjector(Layer):

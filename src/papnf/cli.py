@@ -157,7 +157,7 @@ def resolve_config(args):
 
     Unknown keys are rejected first, before the dataset is parsed. Then the
     dataset is read: ``model.channels`` defaults to its channel count, and a
-    declared count that differs is a config error. Then one
+    declared ``int`` count that differs is a config error. Then one
     ``RunConfig.from_checked_dict`` checks the values. Without a usable
     ``dataset.path`` the series is None, and that call names the fault.
     """
@@ -176,12 +176,13 @@ def resolve_config(args):
             raise ConfigError(f"dataset file not found: {path}")
         series = load_csv(path)
         if isinstance(model, dict):  # a null channels count, like none, is the dataset's
-            if model.get("channels") not in (None, series.channels):
+            declared = model.get("channels")
+            if type(declared) is int and declared != series.channels:  # other types: the schema's
                 raise ConfigError(
-                    f"config declares {model['channels']} channels "
-                    f"but the dataset has {series.channels}"
+                    f"config declares {declared} channels but the dataset has {series.channels}"
                 )
-            model["channels"] = series.channels
+            if declared is None:
+                model["channels"] = series.channels
     return RunConfig.from_checked_dict(cfg), series
 
 

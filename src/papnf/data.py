@@ -206,32 +206,30 @@ class WindowSample:
         return self.scaler.standardize(self.y)
 
 
-def window_count(segment_len: int, lookback: int, horizon: int, stride: int = 1) -> int:
-    """Number of sliding windows: floor((T - L - H) / stride) + 1, or 0."""
+def window_count(segment_len: int, lookback: int, horizon: int) -> int:
+    """Number of windows sliding by one row: T - L - H + 1, or 0."""
     span = segment_len - lookback - horizon
     if span < 0:
         return 0
-    return span // stride + 1
+    return span + 1
 
 
 def make_windows(
     series: RawSeries | np.ndarray,
     lookback: int,
     horizon: int,
-    stride: int = 1,
 ) -> list[WindowSample]:
-    """Slide (lookback, horizon) windows over one contiguous segment."""
-    if lookback <= 0 or horizon <= 0 or stride <= 0:
-        raise ValueError("lookback, horizon and stride must be positive")
+    """Slide (lookback, horizon) windows, one row apart, over one contiguous segment."""
+    if lookback <= 0 or horizon <= 0:
+        raise ValueError("lookback and horizon must be positive")
     values = series.values if isinstance(series, RawSeries) else np.asarray(series, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError(f"segment must be (T, C), got shape {values.shape}")
-    n = window_count(values.shape[0], lookback, horizon, stride)
+    n = window_count(values.shape[0], lookback, horizon)
     windows = []
     for i in range(n):
-        start = i * stride
-        x = values[start : start + lookback].copy()
-        y = values[start + lookback : start + lookback + horizon].copy()
+        x = values[i : i + lookback].copy()
+        y = values[i + lookback : i + lookback + horizon].copy()
         windows.append(WindowSample(index=i, x=x, y=y, scaler=Scaler.fit(x)))
     return windows
 

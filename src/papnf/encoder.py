@@ -105,7 +105,6 @@ class PrefixBank(Layer):
     def __init__(self, k: int, d: int, rng: np.random.Generator | None):
         if k < 0:
             raise ValueError(f"prefix length must be >= 0, got {k}")
-        self.k = k
         self.P = weight(rng, (k, d), lambda rng, shape: rng.normal(size=shape) * 0.02) if k else None
 
 

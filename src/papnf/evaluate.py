@@ -73,13 +73,7 @@ def evaluate_split(
     if n_samples < 2:
         raise ValueError(f"evaluate_split needs n_samples >= 2, got {n_samples}")
     ensembles = sample_windows(windows, model, n_samples, seed, "sample")
-    report = build_report(
-        [e.samples for e in ensembles],
-        [w.y for w in windows],
-        [persistence(w) for w in windows],
-        levels=levels,
-    )
-    return report, ensembles
+    return _report(ensembles, windows, levels), ensembles
 
 
 def baseline_ensembles(
@@ -119,7 +113,11 @@ def baseline_report(
     levels: tuple[float, ...] = DEFAULT_LEVELS,
 ) -> MetricsReport:
     """MetricsReport for one baseline through the same aggregation pipeline."""
-    ensembles = baseline_ensembles(windows, name, n_samples, seed, period)
+    return _report(baseline_ensembles(windows, name, n_samples, seed, period), windows, levels)
+
+
+def _report(ensembles, windows, levels) -> MetricsReport:
+    """The split's report: each window's truth is ``w.y``; persistence picks the extreme points."""
     return build_report(
         [e.samples for e in ensembles],
         [w.y for w in windows],
@@ -227,7 +225,7 @@ def write_fan_chart_svg(path: str, window, ensemble, channel: int = 0) -> None:
     hist = window.x[-tail:, channel]
     truth = window.y[:, channel]
     levels = sorted(_BAND_STYLE, reverse=True)
-    alphas = [(1.0 - level) / 2.0 for level in levels]  # ForecastEnsemble.interval's bounds
+    alphas = [(1.0 - level) / 2.0 for level in levels]  # each central interval's lower level
     q = ensemble.quantiles([0.5, *alphas, *(1.0 - a for a in alphas)])[:, :, channel]
     med = q[0]
     bands = {level: (q[1 + i], q[1 + len(levels) + i]) for i, level in enumerate(levels)}

@@ -198,10 +198,6 @@ class ForecastEnsemble:
         if self.samples.ndim != 3 or self.samples.shape[0] < 1:
             raise ValueError(f"samples must be (S>=1, H, C), got {self.samples.shape}")
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
     def mean(self) -> np.ndarray:
         return self.samples.mean(axis=0)
 
@@ -212,16 +208,6 @@ class ForecastEnsemble:
         """
         ordered = np.sort(self.samples, axis=0)
         return np.stack([sorted_quantile(ordered, q) for q in levels])
-
-    def quantile(self, q: float) -> np.ndarray:
-        """Per-(step, channel) empirical quantile with linear interpolation."""
-        return self.quantiles((q,))[0]
-
-    def interval(self, level: float) -> tuple[np.ndarray, np.ndarray]:
-        """Central interval bounds at the given coverage level."""
-        alpha = (1.0 - level) / 2.0
-        lo, hi = self.quantiles((alpha, 1.0 - alpha))
-        return lo, hi
 
 
 def sample_chunk(windows, model, n_samples: int, rngs) -> list[ForecastEnsemble]:

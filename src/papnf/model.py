@@ -11,8 +11,8 @@ from papnf.backbone import (
     BackboneArch,
     ContextProjector,
     TransformerBackbone,
-    build_backbone,
     extract_context,
+    load_frozen_checkpoint,
 )
 from papnf.checkpoint import load_weights
 from papnf.config import DictConfig
@@ -107,9 +107,12 @@ class PapNfModel:
         self.prefix = PrefixBank(cfg.k_prefix, d, init("prefix"))
         if weights is not None:
             backbone = TransformerBackbone(cfg.backbone, seed=None)
+        elif backbone is None and cfg.backbone_kind == "frozen_checkpoint":
+            if not cfg.backbone_checkpoint:
+                raise ValueError("frozen_checkpoint backbone needs a checkpoint path")
+            backbone = load_frozen_checkpoint(cfg.backbone_checkpoint, expected=cfg.backbone)
         elif backbone is None:
-            bb_seed = derive_seed(seed, "backbone")
-            backbone = build_backbone(cfg.backbone, cfg.backbone_kind, bb_seed, cfg.backbone_checkpoint)
+            backbone = TransformerBackbone(cfg.backbone, seed=derive_seed(seed, "backbone"))
         self.backbone = backbone
         self.ctx_proj = ContextProjector(d, cfg.d_c, init("context"))
         self.fusion = FusionLayer(cfg.d_n, cfg.d_c, cfg.d_h, init("fusion"))
@@ -162,17 +165,18 @@ class PapNfModel:
         """Name -> shape for every trainable parameter."""
         return {name: tuple(t.shape) for name, t in sorted(self.parameters().items())}
 
+    def tensors(self) -> dict[str, Tensor]:
+        """Every model tensor by name: the trainable ones, then ``backbone.<name>`` ones."""
+        backbone = {f"backbone.{name}": t for name, t in self.backbone.params.items()}
+        return {**self.parameters(), **backbone}
+
     def all_weights(self) -> dict[str, np.ndarray]:
-        """Trainable weights plus inlined backbone weights, by name."""
-        out = {name: t.data.copy() for name, t in self.parameters().items()}
-        for name, arr in self.backbone.weights().items():
-            out[f"backbone.{name}"] = arr
-        return out
+        """A copy of every model tensor's values, by name."""
+        return {name: t.data.copy() for name, t in self.tensors().items()}
 
     def load_weights(self, weights: dict[str, np.ndarray]) -> None:
-        """Assign stored values into trainable and backbone tensors by name, all or none."""
-        backbone_tensors = {f"backbone.{n}": t for n, t in self.backbone.tensors().items()}
-        load_weights({**self.parameters(), **backbone_tensors}, weights, "model weights")
+        """Assign stored values into every model tensor by name, all or none."""
+        load_weights(self.tensors(), weights, "model weights")
 
 
 def ablation_variant(cfg: ModelConfig, arm: str) -> ModelConfig:

@@ -13,9 +13,9 @@ from papnf.seeding import substream
 ETT_CHANNELS = ("HUFL", "HULL", "MUFL", "MULL", "LUFL", "LULL", "OT")
 
 
-def _stamps(n: int, step_hours: float = 1.0) -> tuple[str, ...]:
+def _stamps(n: int) -> tuple[str, ...]:
     t0 = datetime(2016, 7, 1, 0, 0)
-    dt = timedelta(hours=step_hours)
+    dt = timedelta(hours=1)
     return tuple((t0 + i * dt).strftime("%Y-%m-%d %H:%M:%S") for i in range(n))
 
 
@@ -74,24 +74,6 @@ def ett_like(length: int, seed: int = 0) -> RawSeries:
     ot = ot + np.cumsum(rng.standard_normal(length) * 0.02)
     values = np.concatenate([stacked, ot[:, None]], axis=1)
     return RawSeries(_stamps(length), values, ETT_CHANNELS)
-
-
-def bimodal_regimes(
-    length: int,
-    lookback: int,
-    horizon: int,
-    gap: float = 4.0,
-    noise_std: float = 0.15,
-    seed: int = 0,
-) -> RawSeries:
-    """Alternating blocks at +-gap/2: the look-back level predicts the mode."""
-    rng = substream(seed, "bimodal")
-    block = lookback + horizon
-    n_blocks = length // block + 1
-    signs = rng.choice([-1.0, 1.0], size=n_blocks)
-    values = np.repeat(signs, block)[:length] * (gap / 2.0)
-    values = values + rng.standard_normal(length) * noise_std
-    return RawSeries(_stamps(length), values[:, None], ("ch0",))
 
 
 def write_csv(series: RawSeries, path: str) -> None:

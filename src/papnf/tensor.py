@@ -86,7 +86,6 @@ __all__ = [
     "pairwise_spread",
     "energy_score",
     "grad_check",
-    "zero_grads",
 ]
 
 
@@ -1030,11 +1029,6 @@ def energy_score(samples: Tensor, target: Tensor) -> Tensor:
 # -- utilities ----------------------------------------------------------------
 
 
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
 def grad_check(
     fn: Callable[..., Tensor],
     points: Tensor | Sequence[Tensor],
@@ -1055,7 +1049,8 @@ def grad_check(
     if isinstance(points, Tensor):
         points = [points]
     points = list(points)
-    zero_grads(points)
+    for p in points:
+        p.zero_grad()
     loss = fn(*points)
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise ShapeError("grad_check function must return a scalar Tensor")

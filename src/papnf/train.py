@@ -315,18 +315,6 @@ def model_from_checkpoint(ckpt: Checkpoint | str) -> PapNfModel:
         raise CheckpointError(f"{path}: {err}" if path else str(err)) from None
 
 
-def _make_checkpoint(model, cfg, val, epoch, history, weights) -> Checkpoint:
-    return Checkpoint(
-        model_config=model.cfg,
-        weights=weights,
-        rng_state={"root_seed": cfg.seed, "scheme": _RNG_SCHEME},
-        val_mse=val,
-        best_epoch=epoch,
-        train_config=cfg,
-        history=history,
-    )
-
-
 def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Checkpoint:
     """Train for cfg.epochs, keep the lowest-validation-MSE weights.
 
@@ -361,7 +349,15 @@ def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Chec
             best_epoch = epoch
             best_weights = model.all_weights()
     model.load_weights(best_weights)
-    return _make_checkpoint(model, cfg, best_val, best_epoch, history, best_weights)
+    return Checkpoint(
+        model_config=model.cfg,
+        weights=best_weights,
+        rng_state={"root_seed": cfg.seed, "scheme": _RNG_SCHEME},
+        val_mse=best_val,
+        best_epoch=best_epoch,
+        train_config=cfg,
+        history=history,
+    )
 
 
 # -- backbone pretraining ------------------------------------------------------------
@@ -419,10 +415,7 @@ def pretrain_backbone(cfg: PretrainConfig, path: str) -> PretrainResult:
     d = cfg.arch.d
     lift = Tensor(rng_lift.standard_normal((1, d)) / math.sqrt(d), requires_grad=True)
     readout = Tensor(rng_lift.standard_normal((d, 1)) / math.sqrt(d), requires_grad=True)
-    params = dict(backbone.tensors())
-    params["lift"] = lift
-    params["readout"] = readout
-    opt = Adam(params, cfg.learning_rate)
+    opt = Adam({**backbone.params, "lift": lift, "readout": readout}, cfg.learning_rate)
     data_rng = substream(cfg.seed, "pretrain-data")
     history: list[float] = []
     n = cfg.seq_len

@@ -431,11 +431,11 @@ def test_criterion_9_shape_protocol_invariants(crit4):
     mono_ok = True
     nested_ok = True
     for ens4 in crit4.ensembles:
-        qs = [ens4.quantile(q) for q in (0.05, 0.10, 0.50, 0.90, 0.95)]
+        qs = ens4.quantiles((0.05, 0.10, 0.50, 0.90, 0.95))
         for lo, hi in zip(qs, qs[1:]):
             mono_ok = mono_ok and bool(np.all(lo <= hi))
-        lo80, hi80 = ens4.interval(0.8)
-        lo95, hi95 = ens4.interval(0.95)
+        a80, a95 = (1.0 - 0.8) / 2.0, (1.0 - 0.95) / 2.0  # central interval levels
+        lo95, lo80, hi80, hi95 = ens4.quantiles((a95, a80, 1.0 - a80, 1.0 - a95))
         nested_ok = nested_ok and bool(np.all(lo95 <= lo80)) and bool(np.all(hi80 <= hi95))
     _verdict(
         9, "shape and protocol invariants",

@@ -7,6 +7,7 @@ import pytest
 
 from papnf import backbone as bb
 from papnf.checkpoint import CheckpointError, read_container, write_container
+from papnf.model import ModelConfig, PapNfModel
 from papnf.tensor import ShapeError, Tensor
 
 
@@ -219,19 +220,28 @@ def test_weights_of_the_wrong_shape_are_a_checkpoint_error(tmp_path):
     )
 
 
+def _checkpoint_model_config(path):
+    return ModelConfig(lookback=8, horizon=2, channels=1, patch_len=4, d_n=3, d_c=3, d_h=3,
+                       d_u=2, t_flow=1, k_prefix=1, recon_hidden=3, hyper_hidden=3,
+                       backbone=tiny_arch(), backbone_kind="frozen_checkpoint",
+                       backbone_checkpoint=path)
+
+
 def test_random_vs_checkpoint_weights_differ(tmp_path):
     pre = bb.TransformerBackbone(tiny_arch(), seed=40)
     path = str(tmp_path / "bb.ckpt")
     pre.save(path)
-    rand = bb.build_backbone(tiny_arch(), "frozen_random", seed=41)
-    loaded = bb.build_backbone(tiny_arch(), "frozen_checkpoint", checkpoint_path=path)
+    rand = bb.TransformerBackbone(tiny_arch(), seed=41)
+    loaded = PapNfModel(_checkpoint_model_config(path)).backbone
+    assert loaded.frozen and loaded.weight_hash() == pre.weight_hash()
     x = Tensor(np.random.default_rng(42).normal(size=(3, 4)))
     assert np.abs(rand.forward(x).data - loaded.forward(x).data).max() > 1e-6
 
 
-def test_build_backbone_rejects_an_unknown_kind():
-    with pytest.raises(ValueError, match="unsupported transformer kind 'bogus'"):
-        bb.build_backbone(tiny_arch(), "bogus")
+@pytest.mark.parametrize("path", [None, ""])
+def test_a_checkpoint_backbone_without_a_path_is_a_value_error(path):
+    with pytest.raises(ValueError, match="^frozen_checkpoint backbone needs a checkpoint path$"):
+        PapNfModel(_checkpoint_model_config(path))
 
 
 # -- context extraction ----------------------------------------------------------

@@ -154,13 +154,16 @@ class TestConfigHandling:
         path.write_text(json.dumps(cfg))
         assert run("train", "--config", str(path), "--out", str(tmp_path / "o")) == 2
 
-    def test_channel_mismatch_exits_2(self, ws, tmp_path):
+    def test_channel_mismatch_exits_2(self, ws, tmp_path, capsys):
         out = tmp_path / "o"
         code = run(
             "train", "--config", ws["config"], "--out", str(out),
             "--set", "model.channels=5",
         )
         assert code == 2
+        expected = "config error: config declares 5 channels but the dataset has 1\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
     def test_split_longer_than_series_exits_2(self, ws, tmp_path, capsys):
         data = tmp_path / "rows120.csv"
@@ -302,6 +305,9 @@ class TestConfigHandling:
             ("baseline", ["pretrain.seq_len=1"], "pretrain: seq_len 1 must be >= 2"),
             ("eval", ["split={}"], "missing config keys: split.train_len, split.val_len"),
             ("sample", ["sweep.k_list=[]"], "sweep: k_list must be non-empty"),
+            ("train", ["model.channels=true"], "model.channels: expected int, got True"),
+            ("train", ["model.channels=1.0"], "model.channels: expected int, got 1.0"),
+            ("train", ['model.channels="1"'], "model.channels: expected int, got '1'"),
         ],
     )
     def test_ill_typed_values_exit_2_naming_the_key(

@@ -125,7 +125,7 @@ def test_split_too_short_is_an_error():
 
 
 def test_window_count_example():
-    assert D.window_count(100, 24, 8, 1) == 69
+    assert D.window_count(100, 24, 8) == 69
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,24 +133,22 @@ def test_window_count_example():
     t=st.integers(1, 300),
     lookback=st.integers(1, 60),
     horizon=st.integers(1, 60),
-    stride=st.integers(1, 8),
 )
-def test_window_count_matches_enumeration(t, lookback, horizon, stride):
-    # brute-force enumeration of valid window start offsets
-    starts = [s for s in range(0, t, stride) if s + lookback + horizon <= t and s % stride == 0]
-    expected = len([s for s in range(0, max(t - lookback - horizon, -1) + 1, stride)])
-    if t - lookback - horizon < 0:
-        expected = 0
-    assert D.window_count(t, lookback, horizon, stride) == expected
-    series = np.zeros((t, 1))
-    assert len(D.make_windows(series, lookback, horizon, stride)) == expected
+def test_window_count_matches_enumeration(t, lookback, horizon):
+    # brute-force enumeration of valid window start offsets, one row apart
+    starts = [s for s in range(t) if s + lookback + horizon <= t]
+    assert D.window_count(t, lookback, horizon) == len(starts)
+    series = np.arange(float(t))[:, None]
+    wins = D.make_windows(series, lookback, horizon)
+    assert [int(w.x[0, 0]) for w in wins] == starts
 
 
 def test_windows_cover_expected_slices():
     values = np.arange(20.0)[:, None]
-    wins = D.make_windows(values, lookback=4, horizon=2, stride=3)
-    assert len(wins) == D.window_count(20, 4, 2, 3)
-    w = wins[1]
+    wins = D.make_windows(values, lookback=4, horizon=2)
+    assert len(wins) == D.window_count(20, 4, 2) == 15
+    w = wins[3]
+    assert w.index == 3
     np.testing.assert_array_equal(w.x[:, 0], [3, 4, 5, 6])
     np.testing.assert_array_equal(w.y[:, 0], [7, 8])
 
@@ -201,9 +199,3 @@ def test_windows_digest_is_order_sensitive():
     wins = D.make_windows(values, 5, 2)
     assert D.windows_digest(wins) == D.windows_digest(list(wins))
     assert D.windows_digest(wins) != D.windows_digest(wins[::-1])
-
-
-def test_bimodal_regimes_levels():
-    series = synthetic.bimodal_regimes(240, lookback=8, horizon=4, gap=4.0, seed=6)
-    assert set(np.sign(np.round(series.values[:, 0]))) <= {-1.0, 0.0, 1.0}
-    assert series.values.std() > 1.0

@@ -103,8 +103,8 @@ class TestEvaluateSplit:
         model, windows = small_setup
         _, ensembles = evaluate_split(model, windows, n_samples=12, seed=3)
         for ens in ensembles:
-            lo80, hi80 = ens.interval(0.8)
-            lo95, hi95 = ens.interval(0.95)
+            a80, a95 = (1.0 - 0.8) / 2.0, (1.0 - 0.95) / 2.0  # central interval levels
+            lo95, lo80, hi80, hi95 = ens.quantiles((a95, a80, 1.0 - a80, 1.0 - a95))
             assert np.all(lo95 <= lo80) and np.all(hi80 <= hi95)
 
     def test_sampling_records_no_graph(self, small_setup):
@@ -189,7 +189,7 @@ class TestCsvArtifacts:
         write_quantiles_csv(str(path), windows, ensembles)
         rows = list(csv.reader(io.StringIO(path.read_text())))
         first = rows[1]
-        want = float(ensembles[0].quantile(0.05)[0, 0])
+        want = float(ensembles[0].quantiles((0.05,))[0, 0, 0])
         assert float(first[3]) == want  # repr round-trip is exact
 
     def test_ensemble_csv_layout(self, small_setup, tmp_path):
@@ -359,13 +359,14 @@ class TestWriterParity:
         _, windows = small_setup
         for ens in _synthetic_ensembles(windows, 50, seed=3):
             for q in (0.0, 0.025, 0.5, 0.975, 1.0):
-                assert ens.quantile(q).tobytes() == np.quantile(ens.samples, q, axis=0).tobytes()
+                want = np.quantile(ens.samples, q, axis=0)
+                assert ens.quantiles((q,))[0].tobytes() == want.tobytes()
             alpha = (1.0 - 0.9) / 2.0
-            lo, hi = ens.interval(0.9)
+            lo, hi = ens.quantiles((alpha, 1.0 - alpha))
             assert lo.tobytes() == np.quantile(ens.samples, alpha, axis=0).tobytes()
             assert hi.tobytes() == np.quantile(ens.samples, 1.0 - alpha, axis=0).tobytes()
         with pytest.raises(ValueError):
-            ens.quantile(1.5)
+            ens.quantiles((1.5,))
 
 
 class TestSampleForecasts:

@@ -1,5 +1,6 @@
 """Every name that a papnf module lists in ``__all__``, or that the benchmark traces, resolves;
-every weight of a model is named by exactly one layer."""
+every name a papnf module imports is used; every weight of a model is named by exactly one
+layer."""
 
 import ast
 import importlib
@@ -47,6 +48,23 @@ def test_every_traced_name_resolves(module, attr):
         assert meth in vars(getattr(mod, cls_name))  # Tracer.install reads the class's __dict__
     else:
         assert callable(getattr(mod, attr, None))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used_or_exported(module):
+    # no linter runs here, so an import a deletion leaves behind is caught by this scan
+    path = importlib.import_module(module).__file__
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(module), "__all__", ()))
+    assert sorted(imported - used - exported) == []
 
 
 def test_every_weight_holder_of_the_model_is_a_layer():

@@ -307,19 +307,20 @@ def test_reconstruction_head_shapes_and_grads():
 def test_ensemble_quantiles_are_monotone():
     rng = np.random.default_rng(21)
     ens = F.ForecastEnsemble(0, rng.normal(size=(40, 6, 2)))
-    q = [ens.quantile(lvl) for lvl in (0.05, 0.25, 0.5, 0.75, 0.95)]
+    q = ens.quantiles((0.05, 0.25, 0.5, 0.75, 0.95))
     for lo, hi in zip(q, q[1:]):
         assert (lo <= hi + 1e-12).all()
-    med = ens.quantile(0.5)
+    med = q[2]
     assert (med >= ens.samples.min(axis=0)).all() and (med <= ens.samples.max(axis=0)).all()
 
 
 def test_ensemble_interval_bounds():
     rng = np.random.default_rng(22)
     ens = F.ForecastEnsemble(0, rng.normal(size=(100, 4, 1)))
-    lo, hi = ens.interval(0.9)
-    np.testing.assert_allclose(lo, ens.quantile(0.05), atol=0)
-    np.testing.assert_allclose(hi, ens.quantile(0.95), atol=0)
+    alpha = (1.0 - 0.9) / 2.0  # the central 90% interval's lower level
+    lo, hi = ens.quantiles((alpha, 1.0 - alpha))
+    np.testing.assert_allclose(lo, ens.quantiles((0.05,))[0], atol=0)
+    np.testing.assert_allclose(hi, ens.quantiles((0.95,))[0], atol=0)
 
 
 def test_ensemble_requires_samples():

@@ -136,7 +136,7 @@ def test_no_pap_arm_drops_prefix_and_bypasses_backbone():
     # nothing for the ablated model
     w = toy_window(cfg)
     _, c1, _ = ablated.condition(w.x_std)
-    for t in ablated.backbone.tensors().values():
+    for t in ablated.backbone.params.values():
         t.data = t.data + 100.0
     _, c2, _ = ablated.condition(w.x_std)
     np.testing.assert_array_equal(c1.data, c2.data)
@@ -195,7 +195,7 @@ def test_gradient_census_after_one_backward():
     (err * err).sum().backward()
     for name, t in model.parameters().items():
         assert t.grad is not None, f"no gradient reached {name}"
-    for name, t in model.backbone.tensors().items():
+    for name, t in model.backbone.params.items():
         assert t.grad is None, f"frozen backbone tensor {name} got a gradient"
 
 

@@ -371,7 +371,7 @@ class TestFit:
         le(pred, target).backward()
         for name, p in model.parameters().items():
             assert p.grad is not None, f"trainable {name} missing gradient"
-        for name, t in model.backbone.tensors().items():
+        for name, t in model.backbone.params.items():
             assert t.grad is None, f"frozen {name} received gradient"
 
     def test_frozen_backbone_hash_unchanged_by_training(self):
@@ -551,7 +551,8 @@ class TestBatchedFit:
         tc = TrainConfig(model=cfg, seed=5, train_samples=3)
         params = model.parameters()
         for step in range(2):  # the second backward runs after zero_grad, as in fit
-            tz.zero_grads(params.values())
+            for t in params.values():
+                t.zero_grad()
             train_mod._batch_loss(model, windows, tc, step).backward()
         held = [t.data for t in params.values()] + [w.x_std for w in windows]
         for name, t in params.items():
@@ -719,7 +720,7 @@ class TestPretraining:
         d, n = cfg.arch.d, cfg.seq_len
         lift = Tensor(rng_lift.standard_normal((1, d)) / math.sqrt(d), requires_grad=True)
         readout = Tensor(rng_lift.standard_normal((d, 1)) / math.sqrt(d), requires_grad=True)
-        opt = Adam({**backbone.tensors(), "lift": lift, "readout": readout}, cfg.learning_rate)
+        opt = Adam({**backbone.params, "lift": lift, "readout": readout}, cfg.learning_rate)
         data_rng = substream(cfg.seed, "pretrain-data")
         history = []
         for _ in range(cfg.steps):
