@@ -4,6 +4,9 @@ A small pre-norm, causal, decoder-style transformer stands in for the large
 language model whose token space the numerical tokens are reprogrammed into.
 Its parameters never require gradients outside of pretraining; gradients still
 flow THROUGH it into the prefix and the reprogramming layer.
+
+The whole stack runs as one graph node, ``tz.transformer``, over each
+layer's weights in ``_LAYER_PARAMS`` order, listed once at construction.
 """
 
 from __future__ import annotations
@@ -75,6 +78,10 @@ class TransformerBackbone:
             shapes.update({f"layers.{i}.{n}": s for n, s in zip(_LAYER_PARAMS, layer)})
         rng = None if seed is None else substream(seed, "backbone")
         self.params = {name: weight(rng, shape, _draw(name)) for name, shape in shapes.items()}
+        # a load assigns .data into these same tensors, so the lists stay valid
+        self.blocks = [
+            tuple(self.params[f"layers.{i}.{n}"] for n in _LAYER_PARAMS) for i in range(a.n_layers)
+        ]
         if not trainable:
             self.freeze()
 
@@ -114,17 +121,8 @@ class TransformerBackbone:
             raise ShapeError(f"sequence length {n} exceeds max_len {a.max_len}")
         if a.n_layers == 0:
             return x
-        p = self.params
-        h = x + p["pos"][0:n, :]
-        for i in range(a.n_layers):
-            layer = {name: p[f"layers.{i}.{name}"] for name in _LAYER_PARAMS}
-            att_in = tz.layernorm_affine(h, layer["ln1_g"], layer["ln1_b"])
-            h = h + tz.causal_attention(
-                att_in, layer["Wq"], layer["Wk"], layer["Wv"], layer["Wo"], a.n_heads
-            )
-            ff_in = tz.layernorm_affine(h, layer["ln2_g"], layer["ln2_b"])
-            h = h + (ff_in @ layer["W1"]).tanh() @ layer["W2"]
-        return tz.layernorm_affine(h, p["ln_f_g"], p["ln_f_b"])
+        final = (self.params["ln_f_g"], self.params["ln_f_b"])
+        return tz.transformer(x, self.params["pos"], self.blocks, final, a.n_heads)
 
     # -- persistence ----------------------------------------------------------
 
@@ -142,11 +140,11 @@ class _Header(DictConfig):
     kind: str = "backbone"
 
 
-def load_frozen_checkpoint(path: str, expected: BackboneArch | None = None) -> TransformerBackbone:
-    """Load a pretrained backbone and freeze it; validates the arch header."""
+def load_frozen_checkpoint(path: str, expected: BackboneArch) -> TransformerBackbone:
+    """Load a pretrained backbone and freeze it; its arch header must be ``expected``."""
     header, weights = read_container(path)
     arch = check_header(path, header, _Header).arch
-    if expected is not None and arch != expected:
+    if arch != expected:
         raise CheckpointError(
             f"{path}: architecture mismatch: checkpoint has {arch.to_dict()}, "
             f"config expects {expected.to_dict()}"

@@ -103,8 +103,6 @@ class PrefixBank(Layer):
     name = "prefix"
 
     def __init__(self, k: int, d: int, rng: np.random.Generator | None):
-        if k < 0:
-            raise ValueError(f"prefix length must be >= 0, got {k}")
         self.P = weight(rng, (k, d), lambda rng, shape: rng.normal(size=shape) * 0.02) if k else None
 
 

@@ -7,11 +7,14 @@ reconstruction head that emits the standardized forecast.
 
 Each planar map u' = u + w_hat * tanh(a.u + b) stays invertible because w is
 reparameterized so that w_hat.a = -1 + PLANAR_MARGIN + softplus(w.a) > -1.
-There is one flow path: ``flow_forward`` chains the ``tz.planar_step`` op,
-and the diagnostics ``flow_invert`` and ``flow_log_det``, which never enter a
-training loss, read each layer's ``hyper_row`` under ``no_grad`` and unpack
-it with the op's own ``tz.planar_unpack``. All three take latent rows
-(S, d_u), or (B, S, d_u) with one h row per window.
+There is one flow path: ``flow_forward`` chains each layer's ``step``, one
+graph node (``tz.planar_layer``) for its hypernet and its planar map. The
+diagnostics ``flow_invert`` and ``flow_log_det``, which never enter a
+training loss, read each layer's ``hyper_row``, the same ``tz.hypernet``
+the op computes theta with, and unpack it with the op's own
+``tz.planar_unpack``. All three take latent rows (S, d_u), or (B, S, d_u)
+with one h row per window. The reconstruction head is one graph node too
+(``tz.mlp_split``).
 """
 
 from __future__ import annotations
@@ -76,15 +79,21 @@ class FlowLayer(Layer):
         self.c2 = weight(rng, (out_dim,), lambda rng, shape: (np.arange(out_dim) < d_u) * offset)
 
     def hyper_row(self, h: Tensor) -> Tensor:
-        """Map h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b].
+        """Map h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b], recording no graph.
 
         Summaries (B, 1, d_h) give one row per window, (B, 1, 2*d_u + 1).
+        The row is the one ``step`` computes, through the same ``tz.hypernet``.
         """
-        return tz.linear(tz.linear(h, self.U1, self.c1).tanh(), self.U2, self.c2)
+        return Tensor(tz.hypernet(h.data, self.U1, self.c1, self.U2, self.c2)[1])
+
+    def step(self, u_rows: Tensor, h: Tensor) -> Tensor:
+        """Latents (S, d_u) through the planar map h conditions, as one graph node."""
+        weights = (self.U1, self.c1, self.U2, self.c2)
+        return tz.planar_layer(u_rows, h, *weights, PLANAR_MARGIN, _NORM_EPS)
 
 
 def invert_planar(u_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The latents u that ``tz.planar_step`` maps to u_prime under theta.
+    """The latents u that the planar step maps to u_prime under theta.
 
     theta is the packed (1, 2d + 1) row [a | w | b] for rows u_prime (S, d),
     or (B, 1, 2d + 1) for (B, S, d). With s = a.u, the forward map implies
@@ -128,15 +137,13 @@ def flow_forward(u_rows: Tensor, h: Tensor, layers: list[FlowLayer]) -> Tensor:
     """Push (S, d_u) latents through every planar layer conditioned on h."""
     out = u_rows
     for layer in layers:
-        out = tz.planar_step(out, layer.hyper_row(h), PLANAR_MARGIN, _NORM_EPS)
+        out = layer.step(out, h)
     return out
 
 
 def _hyper_rows(h: np.ndarray, layers: list[FlowLayer]) -> list[np.ndarray]:
-    """Every layer's packed row at a numpy h, recording no graph."""
-    with tz.no_grad():
-        h = Tensor(h)
-        return [layer.hyper_row(h).data for layer in layers]
+    """Every layer's packed row at a numpy h."""
+    return [layer.hyper_row(Tensor(h)).data for layer in layers]
 
 
 def flow_invert(u_final: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
@@ -166,10 +173,10 @@ def flow_log_det(u0: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.n
 class ReconstructionHead(Layer):
     """Affine-tanh-affine map from [u_T; h] to the standardized horizon.
 
-    Every latent row of a window shares its h, so G1's first affine map runs
-    as ``tz.linear_split``: h's columns of G1, plus g1, make one bias row per
-    window, added to each latent row's product with the u columns. G1 stays
-    one (hidden, d_u + d_h) weight. Latents (B, S, d_u) with summaries
+    The whole head is one graph node, ``tz.mlp_split``. Every latent row of
+    a window shares its h, so h's columns of G1, plus g1, make one bias row
+    per window, added to each latent row's product with the u columns. G1
+    stays one (hidden, d_u + d_h) weight. Latents (B, S, d_u) with summaries
     (B, 1, d_h) take a leading window axis.
     """
 
@@ -183,8 +190,7 @@ class ReconstructionHead(Layer):
 
     def reconstruct(self, u_rows: Tensor, h: Tensor) -> Tensor:
         """(S, d_u) latents + (1, d_h) summary -> (S, H*C) standardized rows."""
-        hidden = tz.linear_split(u_rows, h, self.G1, self.g1).tanh()
-        return tz.linear(hidden, self.G2, self.g2)
+        return tz.mlp_split(u_rows, h, self.G1, self.g1, self.G2, self.g2)
 
 
 @dataclass

@@ -7,23 +7,26 @@ is restricted to scalar-vs-tensor so shape bugs surface as errors instead of
 silently stretched arrays.
 
 Per-node Python overhead, not arithmetic, dominates the model's small graphs,
-so its layers run as fused ops: one graph node each, with a hand-written
-backward that skips the gradient of any operand with requires_grad=False
-(``matmul`` skips them too):
+so each of its layers runs as one fused op: one graph node, with a
+hand-written backward that skips the gradient of any operand with
+requires_grad=False (``matmul`` skips them too):
 
 * ``linear``: ``x @ W.T + b``;
-* ``linear_split``: ``linear`` of ``[u | h]`` rows that share one h, with
-  h's product computed once as a bias row;
-* ``layernorm_affine``: row layer norm, then scale and shift;
-* ``causal_attention``: multi-head causal self-attention, all heads at once
-  on (heads, n, d_head) arrays;
-* ``planar_step``: one planar-flow map from a packed ``[a | w | b]`` row,
-  with the invertibility reparameterization folded in;
+* ``transformer``: the whole pre-norm causal transformer, positions, layer
+  norms, attention and tanh MLP of every block, and the final layer norm;
+* ``planar_layer``: a planar-flow step whose packed ``[a | w | b]`` row a
+  tanh MLP (``hypernet``) computes from a summary row, with the
+  invertibility reparameterization folded in;
+* ``mlp_split``: affine, tanh, affine of ``[u | h]`` rows that share one h,
+  with h's product computed once as a bias row;
 * ``energy_score``: the fair energy score of an ensemble.
 
-Each fused op does the arithmetic of the unfused composition of elementary
-ops it replaces, in the same order; the tests keep those compositions as
-references and require agreement within 1e-12.
+They compose numpy kernels, one forward and one backward per sublayer. The
+layer-by-layer ops the model ran before, ``layernorm_affine``,
+``causal_attention``, ``planar_step`` and ``linear_split``, run the same
+kernels and stay only as the tests' references: a fused op must match their
+chain bitwise, values and gradients, and each of them must match the
+composition of elementary ops it replaced within 1e-12.
 
 Sampling and training run several windows per pass. The ops the model's
 forward pass and its losses use accept a leading window axis, (B, rows,
@@ -34,14 +37,16 @@ one 2-D GEMM), so each window's values are bitwise those of its own 2-D pass.
 
 In backward, an operand that a node may share across windows takes its
 gradient as rows for one reduction: a weight (the W of ``linear`` and
-``linear_split``, the right operand of ``matmul``, the four weights of
-``causal_attention``) as the row blocks of ``left.T @ right``, and any other
-operand (a bias, a layer-norm gain, an addend or factor broadcast over the
-windows or a scalar, a leaf written through a slice) as gradient rows of its
-size, to be summed. During ``Tape.replay_backward`` an op only records a
-leaf's rows; after the last node, each leaf takes one reduction over all its
-rows, concatenated in creation order into one C-contiguous matrix: the
-product for a weight, the row sum for the rest. A non-leaf operand, whose
+``mlp_split``, the right operand of ``matmul``, the matrices of
+``transformer`` and ``planar_layer``) as the row blocks of
+``left.T @ right``, and any other operand (a bias, a layer-norm gain, an
+addend or factor broadcast over the windows or a scalar, a leaf written
+through a slice, the positions, which ``transformer`` sums over windows
+itself) as gradient rows of its size, to be summed. During
+``Tape.replay_backward`` an op only records a leaf's rows; after the last
+node, each leaf takes one reduction over all its rows, concatenated in
+creation order into one C-contiguous matrix: the product for a weight, the
+row sum for the rest. A non-leaf operand, whose
 own closure must see its whole gradient, and a closure run outside a replay
 reduce at once. A batch's (B, r, m) node and B per-window graphs built in
 batch order and replayed in one backward hand the reduction the same rows,
@@ -61,6 +66,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "LN_EPS",
     "ShapeError",
     "Tensor",
     "Layer",
@@ -77,6 +83,10 @@ __all__ = [
     "softmax_rows",
     "layernorm_rows",
     "linear",
+    "transformer",
+    "hypernet",
+    "planar_layer",
+    "mlp_split",
     "linear_split",
     "layernorm_affine",
     "causal_attention",
@@ -96,6 +106,9 @@ class ShapeError(ValueError):
 # Monotone creation counter; ordering backward replay by it reproduces the
 # exact reverse of forward execution order.
 _CREATION_COUNTER = itertools.count()
+
+# The variance floor of every layer norm.
+LN_EPS = 1e-5
 
 # Whether ops record graph nodes; ``no_grad`` clears it for a block.
 _grad_enabled = True
@@ -430,12 +443,12 @@ def _reduce(t: Tensor, lefts: list[np.ndarray] | None, blocks: list[np.ndarray])
 
     The rows, in the blocks' order, make one matrix R, and the lefts' rows
     make L: t takes ``L.T @ R`` if it is a weight and R's row sum otherwise.
-    A row sum reads one C-contiguous block in place, and one row is its own sum.
+    One row is its own sum.
     """
     if lefts is not None:
         t._add_grad(_c_rows(lefts).T @ _c_rows(blocks))
         return
-    rows = blocks[0] if len(blocks) == 1 and blocks[0].flags.c_contiguous else _c_rows(blocks)
+    rows = _c_rows(blocks)
     if len(rows) == 1:
         t.accumulate_grad(rows.reshape(t.shape))
     else:
@@ -443,13 +456,16 @@ def _reduce(t: Tensor, lefts: list[np.ndarray] | None, blocks: list[np.ndarray])
 
 
 def _c_rows(blocks: list[np.ndarray]) -> np.ndarray:
-    """The blocks reshaped to rows and concatenated, as a fresh C-contiguous matrix.
+    """The blocks reshaped to rows and concatenated, as one C-contiguous matrix.
 
     The same rows thus reach numpy and BLAS in the same layout, whether they
     came as one (B, r, n) block or as B (r, n) ones, and whatever the layout
     of the arrays they came in (``np.concatenate`` alone keeps an F-ordered
-    block's layout).
+    block's layout). A lone C-contiguous block already has that layout, and
+    is read in place as its 2-D view.
     """
+    if len(blocks) == 1 and blocks[0].flags.c_contiguous:
+        return blocks[0].reshape(-1, blocks[0].shape[-1])
     rows = [b.reshape(-1, b.shape[-1]) for b in blocks]
     out = np.empty((sum(len(r) for r in rows), rows[0].shape[1]))
     return np.concatenate(rows, out=out)
@@ -696,13 +712,13 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by the maximum for stability."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_last_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Input gradient of ``_softmax_last`` with output ``s`` and output gradient ``g``."""
-    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+    return s * (g - np.add.reduce(g * s, axis=-1, keepdims=True))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -713,181 +729,116 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def _normalize_rows(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xhat, 1/std): each row shifted to zero mean and scaled to unit variance."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return (x - mu) * inv, inv
+def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, 1/std): each row shifted to zero mean and scaled to unit variance.
+
+    The mean and the variance are those of numpy's ``mean`` and ``var``, each
+    ``add.reduce / n``, with the mean subtracted once.
+    """
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n + LN_EPS)
+    return centred * inv, inv
 
 
 def _normalize_rows_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Input gradient of ``_normalize_rows`` given the gradient ``g`` on xhat."""
-    gm = g.mean(axis=-1, keepdims=True)
-    gx = (g * xhat).mean(axis=-1, keepdims=True)
+    n = g.shape[-1]
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+    gx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / n
     return inv * (g - gm - xhat * gx)
 
 
-def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm_rows(x: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance (no affine part)."""
     _require_2d(x, "layernorm_rows")
-    xhat, inv = _normalize_rows(x.data, eps)
+    xhat, inv = _normalize_rows(x.data)
     out = _make(xhat, (x,), lambda: x._add_grad(_normalize_rows_grad(out.grad, xhat, inv)))
     return out
 
 
-# -- fused layer ops ----------------------------------------------------------------
+# -- layer kernels --------------------------------------------------------------------
+#
+# Each sublayer as a numpy forward, which returns its output and what its
+# backward reads, and a backward (``*_grad``), which takes the output's
+# gradient, records the weights' rows and returns the input's gradient. The
+# fused ops below compose them.
 
 
-def _require_rowvec(v: Tensor, n: int, op: str) -> None:
-    if v.data.ndim != 1 or v.shape[0] != n:
-        raise ShapeError(f"{op}: expected a vector of length {n}, got shape {v.shape}")
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ W.T + b``."""
+    y = x @ W.T
+    y += b
+    return y
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ W.T + b`` of (r, k) rows by an (m, k) weight and a length-m bias."""
-    x = _as_tensor(x)
-    _require_2d(x, "linear", windows=True)
-    _require_2d(W, "linear")
-    if x.shape[-1] != W.shape[1]:
-        raise ShapeError(f"linear: rows of width {x.shape[-1]} for a weight of shape {W.shape}")
-    _require_rowvec(b, W.shape[0], "linear bias")
-
-    def _bw():
-        g = out.grad
-        if x.requires_grad:
-            x._add_grad(g @ W.data)
-        _accumulate_rows(W, x.data, left=g)
-        _accumulate_rows(b, g)
-
-    y = x.data @ W.data.T
-    y += b.data
-    out = _make(y, (x, W, b), _bw)
-    return out
-
-
-def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """``linear(concat_cols([u, repeat_rows(h, S)]), W, b)``, h's term once.
-
-    u is (S, d_u) rows and h one (1, d_h) row; W (m, d_u + d_h) splits into
-    the columns that multiply u and those that multiply h. The bias row
-    ``h @ W_h.T + b`` is computed once and added to every row of
-    ``u @ W_u.T``, so h's product is not repeated S times. Latents
-    (B, S, d_u) take rows h (B, 1, d_h), one per window. Backward takes
-    h's gradient from the row sum of the output gradient, and W's from the
-    ``[u | h]`` rows, the product ``linear`` takes.
-    """
-    u = _as_tensor(u)
-    _require_2d(u, "linear_split", windows=True)
-    _require_2d(h, "linear_split", windows=True)
-    _require_2d(W, "linear_split")
-    if h.shape[-2] != 1:
-        raise ShapeError(f"linear_split: h must be a single row, got {h.shape}")
-    if h.shape[:-2] != u.shape[:-2]:
-        raise ShapeError(f"linear_split: window axes differ for u {u.shape} and h {h.shape}")
-    d_u = u.shape[-1]
-    if d_u + h.shape[-1] != W.shape[1]:
-        raise ShapeError(
-            f"linear_split: widths {d_u} + {h.shape[-1]} for a weight of shape {W.shape}"
-        )
-    _require_rowvec(b, W.shape[0], "linear_split bias")
-    W_u, W_h = W.data[:, :d_u], W.data[:, d_u:]
-
-    def _bw():
-        g = out.grad
-        if u.requires_grad:
-            u._add_grad(g @ W_u)
-        if h.requires_grad:
-            h._add_grad(g.sum(axis=-2, keepdims=True) @ W_h)  # through the bias row
-        if W.requires_grad:
-            # one product over the [u | h] rows, as in linear: cheaper at
-            # training's S than an outer product for h's columns plus a
-            # concatenation of the two blocks
-            h_rows = np.broadcast_to(h.data, (*u.shape[:-1], h.shape[-1]))
-            x = np.concatenate([u.data, h_rows], axis=-1)
-            _accumulate_rows(W, x, left=g)
-        _accumulate_rows(b, g)
-
-    row = h.data @ W_h.T
-    row += b.data
-    y = u.data @ W_u.T
-    y += row
-    out = _make(y, (u, h, W, b), _bw)
-    return out
-
-
-def layernorm_affine(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
-    """``layernorm_rows(x)`` scaled by the length-n vector g and shifted by b."""
-    _require_2d(x, "layernorm_affine", windows=True)
-    _require_rowvec(g, x.shape[-1], "layernorm_affine gain")
-    _require_rowvec(b, x.shape[-1], "layernorm_affine bias")
-    xhat, inv = _normalize_rows(x.data, eps)
-
-    def _bw():
-        gy = out.grad
-        if x.requires_grad:
-            x._add_grad(_normalize_rows_grad(gy * g.data[None, :], xhat, inv))
-        if g.requires_grad:
-            _accumulate_rows(g, gy * xhat)
-        _accumulate_rows(b, gy)
-
+def _layernorm(x: np.ndarray, g: Tensor, b: Tensor) -> tuple[np.ndarray, tuple]:
+    """Row layer norm of x scaled by g and shifted by b: (y, what backward reads)."""
+    xhat, inv = _normalize_rows(x)
     y = xhat * g.data
     y += b.data
-    out = _make(y, (x, g, b), _bw)
-    return out
+    return y, (xhat, inv)
 
 
-def causal_attention(
-    x: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, n_heads: int
-) -> Tensor:
-    """Multi-head causal self-attention of (n, d) rows, as one graph node.
+def _layernorm_grad(gy: np.ndarray, g: Tensor, b: Tensor, saved: tuple) -> np.ndarray:
+    xhat, inv = saved
+    if g.requires_grad:
+        _accumulate_rows(g, gy * xhat)
+    _accumulate_rows(b, gy)
+    return _normalize_rows_grad(gy * g.data, xhat, inv)
 
-    Q, K, V = x @ Wq, x @ Wk, x @ Wv, each (d, d); head h owns columns
-    [h*d_head, (h+1)*d_head). Row i of head h is softmax over j <= i of
-    q_i . k_j / sqrt(d_head), applied to the rows of v; later positions get a
-    -1e9 additive mask. The heads' outputs, concatenated along columns, are
-    mapped by Wo. All heads run together on (heads, n, d_head) arrays.
+
+_MASKS: dict[int, np.ndarray] = {}
+
+
+def _causal_mask(n: int) -> np.ndarray:
+    """The read-only (n, n) additive mask: -1e9 above the diagonal, one per length."""
+    mask = _MASKS.get(n)
+    if mask is None:
+        mask = _MASKS[n] = np.triu(np.full((n, n), -1e9), k=1)
+        mask.flags.writeable = False
+    return mask
+
+
+def _split_heads(m: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., n, d) -> contiguous (..., heads, n, d_head)."""
+    return np.ascontiguousarray(m.reshape(*m.shape[:-1], n_heads, -1).swapaxes(-3, -2))
+
+
+def _merge_heads(m: np.ndarray) -> np.ndarray:
+    """(..., heads, n, d_head) -> (..., n, d)."""
+    return m.swapaxes(-3, -2).reshape(*m.shape[:-3], m.shape[-2], -1)
+
+
+def _attention(x: np.ndarray, Wq, Wk, Wv, Wo, n_heads: int) -> tuple[np.ndarray, tuple]:
+    """Multi-head causal self-attention of (..., n, d) rows: (y, what backward reads).
+
+    Q, K, V = x @ Wq, x @ Wk, x @ Wv; head h owns columns [h*d_head,
+    (h+1)*d_head). Row i of head h is softmax over j <= i of q_i . k_j /
+    sqrt(d_head), applied to the rows of v. The heads' outputs, concatenated
+    along columns, are mapped by Wo. All heads run together on (heads, n,
+    d_head) arrays.
     """
-    _require_2d(x, "causal_attention", windows=True)
-    *windows, n, d = x.shape
-    if n_heads < 1 or d % n_heads != 0:
-        raise ShapeError(f"causal_attention: width {d} does not split into {n_heads} heads")
-    for W in (Wq, Wk, Wv, Wo):
-        if W.shape != (d, d):
-            raise ShapeError(f"causal_attention: weight {W.shape} for rows of width {d}")
-    d_head = d // n_heads
-    scale = 1.0 / math.sqrt(d_head)
+    q, k, v = (_split_heads(x @ W.data, n_heads) for W in (Wq, Wk, Wv))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+    p = _softmax_last(scores + _causal_mask(x.shape[-2]))
+    heads = _merge_heads(p @ v)
+    return heads @ Wo.data, (x, q, k, v, p, heads)
 
-    def split(m):  # (..., n, d) -> contiguous (..., heads, n, d_head)
-        return np.ascontiguousarray(m.reshape(*windows, n, n_heads, d_head).swapaxes(-3, -2))
 
-    def merge(m):  # (..., heads, n, d_head) -> (..., n, d)
-        return m.swapaxes(-3, -2).reshape(*windows, n, d)
-
-    q = split(x.data @ Wq.data)
-    k = split(x.data @ Wk.data)
-    v = split(x.data @ Wv.data)
-    mask = np.triu(np.full((n, n), -1e9), k=1)
-    p = _softmax_last((q @ k.swapaxes(-1, -2)) * scale + mask)
-    heads = merge(p @ v)
-
-    def _bw():
-        g = out.grad
-        _accumulate_rows(Wo, g, left=heads)
-        g_heads = split(g @ Wo.data.T)
-        g_scores = _softmax_last_grad(g_heads @ v.swapaxes(-1, -2), p) * scale
-        grads = (
-            (Wq, merge(g_scores @ k)),
-            (Wk, merge(g_scores.swapaxes(-1, -2) @ q)),
-            (Wv, merge(p.swapaxes(-1, -2) @ g_heads)),
-        )
-        if x.requires_grad:
-            x._add_grad(sum(gm @ W.data.T for W, gm in grads))
-        for W, gm in grads:
-            _accumulate_rows(W, gm, left=x.data)
-
-    out = _make(heads @ Wo.data, (x, Wq, Wk, Wv, Wo), _bw)
-    return out
+def _attention_grad(g: np.ndarray, Wq, Wk, Wv, Wo, saved: tuple) -> np.ndarray:
+    x, q, k, v, p, heads = saved
+    _accumulate_rows(Wo, g, left=heads)
+    g_heads = _split_heads(g @ Wo.data.T, q.shape[-3])
+    g_scores = _softmax_last_grad(g_heads @ v.swapaxes(-1, -2), p) * (1.0 / math.sqrt(q.shape[-1]))
+    grads = (
+        (Wq, _merge_heads(g_scores @ k)),
+        (Wk, _merge_heads(g_scores.swapaxes(-1, -2) @ q)),
+        (Wv, _merge_heads(p.swapaxes(-1, -2) @ g_heads)),
+    )
+    for W, gm in grads:
+        _accumulate_rows(W, gm, left=x)
+    return sum(gm @ W.data.T for W, gm in grads)
 
 
 class PlanarParams(NamedTuple):
@@ -916,7 +867,7 @@ def planar_unpack(theta: np.ndarray, margin: float, norm_eps: float) -> PlanarPa
 
     wa = w.a, m = softplus(wa) + margin - 1, r = 1 / (|a|^2 + norm_eps),
     coef = (m - wa) r and w_hat = w + coef a, so that w_hat.a > -1.
-    ``planar_step`` and the flow's inverse and log-det all unpack here.
+    ``planar_layer`` and the flow's inverse and log-det all unpack here.
     """
     d = (theta.shape[-1] - 1) // 2
     # contiguous copies, as the unfused slices were, so every product sees
@@ -926,9 +877,266 @@ def planar_unpack(theta: np.ndarray, margin: float, norm_eps: float) -> PlanarPa
     b = theta[..., 2 * d :].copy()
     wa = w @ a.swapaxes(-1, -2)  # (..., 1, 1)
     m = _softplus(wa) + (margin - 1.0)
-    r = 1.0 / ((a * a).sum(axis=-1, keepdims=True) + norm_eps)
+    r = 1.0 / (np.add.reduce(a * a, axis=-1, keepdims=True) + norm_eps)
     coef = (m - wa) * r
     return PlanarParams(a, w, b, wa, m, r, coef, w + coef * a)
+
+
+def _planar(u: np.ndarray, theta: np.ndarray, margin: float, norm_eps: float):
+    """u + tanh(u . a + b) w_hat for the packed row(s) theta: (y, what backward reads)."""
+    params = planar_unpack(theta, margin, norm_eps)
+    gate = np.tanh(u @ params.a.swapaxes(-1, -2) + params.b)  # (..., S, 1)
+    return u + gate @ params.w_hat, (u, params, gate)
+
+
+def _planar_grad(g: np.ndarray, saved: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(u's gradient, theta's gradient)."""
+    u, (a, w, b, wa, m, r, coef, w_hat), gate = saved
+    g_pre = (g @ w_hat.swapaxes(-1, -2)) * (1.0 - gate * gate)  # (..., S, 1)
+    g_w_hat = gate.swapaxes(-1, -2) @ g  # (..., 1, d)
+    g_coef = np.add.reduce(g_w_hat * a, axis=(-2, -1), keepdims=True)
+    g_num = g_coef * r  # gradient on m - w.a
+    g_wa = g_num / (1.0 + np.exp(-wa)) - g_num  # through softplus(w.a) and -w.a
+    g_norm2 = -g_coef * (m - wa) * r * r
+    g_a = g_pre.swapaxes(-1, -2) @ u + coef * g_w_hat + (2.0 * g_norm2) * a + g_wa * w
+    g_w = g_w_hat + g_wa * a
+    g_b = np.add.reduce(g_pre, axis=(-2, -1), keepdims=True)
+    return g + g_pre @ a, np.concatenate([g_a, g_w, g_b], axis=-1)
+
+
+def _linear_split(u: np.ndarray, h: np.ndarray, W: Tensor, b: Tensor) -> np.ndarray:
+    """``[u | h] @ W.T + b`` of latent rows u and one row h: h's product once, as a bias row."""
+    d_u = u.shape[-1]
+    y = u @ W.data[:, :d_u].T
+    y += _affine(h, W.data[:, d_u:], b.data)
+    return y
+
+
+def _linear_split_grad(g: np.ndarray, u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> None:
+    """Adds u's and h's gradients and records W's and b's rows.
+
+    h takes the row sum of g, through its bias row; W takes the product over
+    the ``[u | h]`` rows, as in ``linear``: cheaper at training's S than an
+    outer product for h's columns plus a concatenation of the two blocks.
+    """
+    d_u = u.shape[-1]
+    if u.requires_grad:
+        u._add_grad(g @ W.data[:, :d_u])
+    if h.requires_grad:
+        h._add_grad(np.add.reduce(g, axis=-2, keepdims=True) @ W.data[:, d_u:])
+    if W.requires_grad:
+        h_rows = np.broadcast_to(h.data, (*u.shape[:-1], h.shape[-1]))
+        _accumulate_rows(W, np.concatenate([u.data, h_rows], axis=-1), left=g)
+    _accumulate_rows(b, g)
+
+
+def _tanh_affine_grad(g: np.ndarray, t: np.ndarray, W: Tensor, b: Tensor) -> np.ndarray:
+    """The gradient on the pre-activation of ``tanh(pre) @ W.T + b``, t = tanh(pre)."""
+    _accumulate_rows(W, t, left=g)
+    _accumulate_rows(b, g)
+    return (g @ W.data) * (1.0 - t * t)
+
+
+# -- fused layer ops ----------------------------------------------------------------
+
+
+def _require_rowvec(v: Tensor, n: int, op: str) -> None:
+    if v.data.ndim != 1 or v.shape[0] != n:
+        raise ShapeError(f"{op}: expected a vector of length {n}, got shape {v.shape}")
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ W.T + b`` of (r, k) rows by an (m, k) weight and a length-m bias."""
+    x = _as_tensor(x)
+    _require_2d(x, "linear", windows=True)
+    _require_2d(W, "linear")
+    if x.shape[-1] != W.shape[1]:
+        raise ShapeError(f"linear: rows of width {x.shape[-1]} for a weight of shape {W.shape}")
+    _require_rowvec(b, W.shape[0], "linear bias")
+
+    def _bw():
+        g = out.grad
+        if x.requires_grad:
+            x._add_grad(g @ W.data)
+        _accumulate_rows(W, x.data, left=g)
+        _accumulate_rows(b, g)
+
+    out = _make(_affine(x.data, W.data, b.data), (x, W, b), _bw)
+    return out
+
+
+def transformer(x: Tensor, pos: Tensor, blocks: Sequence[tuple[Tensor, ...]],
+                final: tuple[Tensor, Tensor], n_heads: int) -> Tensor:
+    """A pre-norm causal transformer over (n, d) rows, as one graph node.
+
+    h = x + pos[:n]; then each block (Wq, Wk, Wv, Wo, ln1_g, ln1_b, ln2_g,
+    ln2_b, W1, W2) adds ``_attention`` of h's first affine layer norm, then
+    tanh(LN2(h) @ W1) @ W2; ``final`` (g, b) is the last layer norm. A stack
+    (B, n, d) runs as one pass, pos broadcast over it. Backward adds each
+    residual branch's gradient to the stream's as the replay of the
+    layer-by-layer chain does, and pos takes the window sum of its rows.
+    """
+    n = x.shape[-2]
+    h = x.data + pos.data[:n]
+    saved = []
+    for Wq, Wk, Wv, Wo, g1, b1, g2, b2, W1, W2 in blocks:
+        att_in, ln1 = _layernorm(h, g1, b1)
+        att, att_saved = _attention(att_in, Wq, Wk, Wv, Wo, n_heads)
+        h = h + att
+        ff_in, ln2 = _layernorm(h, g2, b2)
+        t = np.tanh(ff_in @ W1.data)
+        h = h + t @ W2.data
+        saved.append((ln1, att_saved, ln2, ff_in, t))
+    y, ln_f = _layernorm(h, *final)
+
+    def _bw():
+        g_h = _layernorm_grad(out.grad, *final, ln_f)
+        for (Wq, Wk, Wv, Wo, g1, b1, g2, b2, W1, W2), (ln1, att_saved, ln2, ff_in, t) in zip(
+            reversed(blocks), reversed(saved)
+        ):
+            _accumulate_rows(W2, g_h, left=t)
+            g_ff = (g_h @ W2.data.T) * (1.0 - t * t)
+            _accumulate_rows(W1, g_ff, left=ff_in)
+            g_h = g_h + _layernorm_grad(g_ff @ W1.data.T, g2, b2, ln2)
+            g_att_in = _attention_grad(g_h, Wq, Wk, Wv, Wo, att_saved)
+            g_h = g_h + _layernorm_grad(g_att_in, g1, b1, ln1)
+        if pos.requires_grad:
+            windows = g_h.reshape(-1, *g_h.shape[-2:])
+            g_pos = np.zeros_like(pos.data)
+            g_pos[:n] = windows[0] if len(windows) == 1 else np.add.reduce(windows, axis=0)
+            _accumulate_rows(pos, g_pos)
+        _accumulate_rows(x, g_h)
+
+    out = _make(y, (x, pos, *(w for block in blocks for w in block), *final), _bw)
+    return out
+
+
+def hypernet(h: np.ndarray, U1: Tensor, c1: Tensor, U2: Tensor, c2: Tensor):
+    """(tanh rows, output rows) of ``tanh(h @ U1.T + c1) @ U2.T + c2`` at numpy rows h.
+
+    Records no graph: ``planar_layer`` computes its theta here, and so do
+    the flow's diagnostics.
+    """
+    t = np.tanh(_affine(h, U1.data, c1.data))
+    return t, _affine(t, U2.data, c2.data)
+
+
+def _require_theta(u: Tensor, theta_shape: tuple[int, ...], op: str) -> None:
+    if theta_shape != (*u.shape[:-2], 1, 2 * u.shape[-1] + 1):
+        raise ShapeError(f"{op}: parameter row {theta_shape} for latents {u.shape}")
+
+
+def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: Tensor,
+                 margin: float, norm_eps: float) -> Tensor:
+    """A planar step whose row theta a hypernet computes from h, as one graph node.
+
+    ``planar_step(u, theta, margin, norm_eps)`` with theta the ``hypernet``
+    row of h (1, d_h); latents (B, S, d) take summaries (B, 1, d_h).
+    """
+    _require_2d(u, "planar_layer", windows=True)
+    t, theta = hypernet(h.data, U1, c1, U2, c2)
+    _require_theta(u, theta.shape, "planar_layer")
+    y, saved = _planar(u.data, theta, margin, norm_eps)
+
+    def _bw():
+        g_u, g_theta = _planar_grad(out.grad, saved)
+        if u.requires_grad:
+            u._add_grad(g_u)
+        g_pre = _tanh_affine_grad(g_theta, t, U2, c2)
+        if h.requires_grad:
+            h._add_grad(g_pre @ U1.data)
+        _accumulate_rows(U1, h.data, left=g_pre)
+        _accumulate_rows(c1, g_pre)
+
+    out = _make(y, (u, h, U1, c1, U2, c2), _bw)
+    return out
+
+
+def _require_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor, op: str) -> None:
+    _require_2d(u, op, windows=True)
+    _require_2d(h, op, windows=True)
+    _require_2d(W, op)
+    if h.shape[-2] != 1:
+        raise ShapeError(f"{op}: h must be a single row, got {h.shape}")
+    if h.shape[:-2] != u.shape[:-2]:
+        raise ShapeError(f"{op}: window axes differ for u {u.shape} and h {h.shape}")
+    if u.shape[-1] + h.shape[-1] != W.shape[1]:
+        raise ShapeError(
+            f"{op}: widths {u.shape[-1]} + {h.shape[-1]} for a weight of shape {W.shape}"
+        )
+    _require_rowvec(b, W.shape[0], f"{op} bias")
+
+
+def mlp_split(u: Tensor, h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(tanh(linear_split(u, h, W1, b1)), W2, b2)``, as one graph node."""
+    _require_split(u, h, W1, b1, "mlp_split")
+    t = np.tanh(_linear_split(u.data, h.data, W1, b1))
+
+    def _bw():
+        _linear_split_grad(_tanh_affine_grad(out.grad, t, W2, b2), u, h, W1, b1)
+
+    out = _make(_affine(t, W2.data, b2.data), (u, h, W1, b1, W2, b2), _bw)
+    return out
+
+
+# -- the layer-by-layer ops ---------------------------------------------------------
+#
+# The model ran these before its layers were fused; no program path runs them
+# now. The tests keep them as the references that the fused ops must match
+# bitwise, gradients included.
+
+
+def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """``linear(concat_cols([u, repeat_rows(h, S)]), W, b)``, h's term once.
+
+    u is (S, d_u) rows and h one (1, d_h) row; W (m, d_u + d_h) splits into
+    the columns that multiply u and those that multiply h. The bias row
+    ``h @ W_h.T + b`` is computed once and added to every row of
+    ``u @ W_u.T``. Latents (B, S, d_u) take rows h (B, 1, d_h), one per window.
+    """
+    u = _as_tensor(u)
+    _require_split(u, h, W, b, "linear_split")
+    out = _make(_linear_split(u.data, h.data, W, b), (u, h, W, b),
+                lambda: _linear_split_grad(out.grad, u, h, W, b))
+    return out
+
+
+def layernorm_affine(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
+    """``layernorm_rows(x)`` scaled by the length-n vector g and shifted by b."""
+    _require_2d(x, "layernorm_affine", windows=True)
+    _require_rowvec(g, x.shape[-1], "layernorm_affine gain")
+    _require_rowvec(b, x.shape[-1], "layernorm_affine bias")
+    y, saved = _layernorm(x.data, g, b)
+
+    def _bw():
+        g_x = _layernorm_grad(out.grad, g, b, saved)
+        if x.requires_grad:
+            x._add_grad(g_x)
+
+    out = _make(y, (x, g, b), _bw)
+    return out
+
+
+def causal_attention(
+    x: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, n_heads: int
+) -> Tensor:
+    """Multi-head causal self-attention (``_attention``) of (n, d) rows, as one graph node."""
+    _require_2d(x, "causal_attention", windows=True)
+    d = x.shape[-1]
+    if n_heads < 1 or d % n_heads != 0:
+        raise ShapeError(f"causal_attention: width {d} does not split into {n_heads} heads")
+    for W in (Wq, Wk, Wv, Wo):
+        if W.shape != (d, d):
+            raise ShapeError(f"causal_attention: weight {W.shape} for rows of width {d}")
+    y, saved = _attention(x.data, Wq, Wk, Wv, Wo, n_heads)
+
+    def _bw():
+        g_x = _attention_grad(out.grad, Wq, Wk, Wv, Wo, saved)
+        if x.requires_grad:
+            x._add_grad(g_x)
+
+    out = _make(y, (x, Wq, Wk, Wv, Wo), _bw)
+    return out
 
 
 def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Tensor:
@@ -940,30 +1148,16 @@ def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Ten
     so w_hat.a > -1 and the map is invertible.
     """
     _require_2d(u, "planar_step", windows=True)
-    d = u.shape[-1]
-    if theta.shape != (*u.shape[:-2], 1, 2 * d + 1):
-        raise ShapeError(f"planar_step: parameter row {theta.shape} for latents {u.shape}")
-    a, w, b, wa, m, r, coef, w_hat = planar_unpack(theta.data, margin, norm_eps)
-    gate = np.tanh(u.data @ a.swapaxes(-1, -2) + b)  # (..., S, 1)
+    _require_theta(u, theta.shape, "planar_step")
+    y, saved = _planar(u.data, theta.data, margin, norm_eps)
 
     def _bw():
-        g = out.grad
-        g_pre = (g @ w_hat.swapaxes(-1, -2)) * (1.0 - gate * gate)  # (..., S, 1)
+        g_u, g_theta = _planar_grad(out.grad, saved)
         if u.requires_grad:
-            u._add_grad(g + g_pre @ a)
-        if not theta.requires_grad:
-            return
-        g_w_hat = gate.swapaxes(-1, -2) @ g  # (..., 1, d)
-        g_coef = (g_w_hat * a).sum(axis=(-2, -1), keepdims=True)
-        g_num = g_coef * r  # gradient on m - w.a
-        g_wa = g_num / (1.0 + np.exp(-wa)) - g_num  # through softplus(w.a) and -w.a
-        g_norm2 = -g_coef * (m - wa) * r * r
-        g_a = g_pre.swapaxes(-1, -2) @ u.data + coef * g_w_hat + (2.0 * g_norm2) * a + g_wa * w
-        g_w = g_w_hat + g_wa * a
-        g_b = g_pre.sum(axis=(-2, -1), keepdims=True)
-        theta._add_grad(np.concatenate([g_a, g_w, g_b], axis=-1))
+            u._add_grad(g_u)
+        theta._add_grad(g_theta)
 
-    out = _make(u.data + gate @ w_hat, (u, theta), _bw)
+    out = _make(y, (u, theta), _bw)
     return out
 
 

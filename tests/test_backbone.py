@@ -145,7 +145,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     backbone = bb.TransformerBackbone(tiny_arch(n_layers=2, n_heads=2, d=8), seed=28)
     path = str(tmp_path / "bb.ckpt")
     backbone.save(path)
-    loaded = bb.load_frozen_checkpoint(path)
+    loaded = bb.load_frozen_checkpoint(path, expected=backbone.arch)
     assert loaded.frozen
     assert loaded.weight_hash() == backbone.weight_hash()
     x = np.random.default_rng(29).normal(size=(4, 8))
@@ -170,14 +170,14 @@ def test_checkpoint_crc_detects_corruption(tmp_path):
     blob[-20] ^= 0xFF  # flip a body byte
     open(path, "wb").write(bytes(blob))
     with pytest.raises(CheckpointError, match="CRC"):
-        bb.load_frozen_checkpoint(path)
+        bb.load_frozen_checkpoint(path, expected=backbone.arch)
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = str(tmp_path / "junk.ckpt")
     open(path, "wb").write(b"NOTPAPNF" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
-        bb.load_frozen_checkpoint(path)
+        bb.load_frozen_checkpoint(path, expected=tiny_arch())
 
 
 @pytest.mark.parametrize(
@@ -196,7 +196,7 @@ def test_checkpoint_bad_arch_header_names_the_field(tmp_path, tamper, needle):
     tamper(header)
     write_container(path, header, weights)
     with pytest.raises(CheckpointError, match="bad header") as err:
-        bb.load_frozen_checkpoint(path)
+        bb.load_frozen_checkpoint(path, expected=tiny_arch())
     assert needle in str(err.value)
 
 
@@ -207,13 +207,13 @@ def test_weights_of_the_wrong_shape_are_a_checkpoint_error(tmp_path):
     weights["layers.0.W1"] = weights["layers.0.W1"].T
     write_container(path, header, weights)
     with pytest.raises(CheckpointError, match=r"wrong shape \[.layers.0.W1.\]"):
-        bb.load_frozen_checkpoint(path)
+        bb.load_frozen_checkpoint(path, expected=tiny_arch())
     for name in ("pos", "ln_f_g", "layers.0.Wq", "layers.0.Wk", "layers.0.Wv"):
         del weights[name]
     weights["extra"] = np.zeros(1)
     write_container(path, header, weights)
     with pytest.raises(CheckpointError) as err:  # every name, none cut off
-        bb.load_frozen_checkpoint(path)
+        bb.load_frozen_checkpoint(path, expected=tiny_arch())
     assert str(err.value) == (
         f"{path}: backbone weights do not match (missing ['layers.0.Wk', 'layers.0.Wq', "
         "'layers.0.Wv', 'ln_f_g', 'pos'], unexpected ['extra'], wrong shape ['layers.0.W1'])"

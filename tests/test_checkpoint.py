@@ -96,6 +96,10 @@ def _save_backbone(path: str) -> None:
     TransformerBackbone(ARCH).save(path)
 
 
+def load_backbone(path: str) -> TransformerBackbone:
+    return load_frozen_checkpoint(path, expected=ARCH)
+
+
 def _save_model(path: str) -> None:
     cfg = ModelConfig(
         lookback=8, horizon=2, channels=1, patch_len=4, d_n=4, d_c=4, d_h=4, d_u=2, t_flow=1,
@@ -108,16 +112,16 @@ def _save_model(path: str) -> None:
 @pytest.mark.parametrize(
     "save, tamper, drop, load, message",
     [
-        (_save_backbone, {"version": 2}, (), load_frozen_checkpoint,
+        (_save_backbone, {"version": 2}, (), load_backbone,
          "unsupported checkpoint version 2"),
-        (_save_backbone, {"extra": 1}, (), load_frozen_checkpoint,
+        (_save_backbone, {"extra": 1}, (), load_backbone,
          "bad header: unknown config keys: extra"),
-        (_save_model, {}, (), load_frozen_checkpoint,
+        (_save_model, {}, (), load_backbone,
          "expected a backbone checkpoint, found kind 'model'"),
         (_save_backbone, {}, (), load_checkpoint,
          "expected a model checkpoint, found kind 'backbone'"),
         (_save_model, {"version": 2}, (), load_checkpoint, "unsupported checkpoint version 2"),
-        (_save_backbone, {}, ("pos",), load_frozen_checkpoint,
+        (_save_backbone, {}, ("pos",), load_backbone,
          "backbone weights do not match (missing ['pos'], unexpected [], wrong shape [])"),
         # one check covers every weight: the backbone's fault does not hide the prefix's
         (_save_model, {}, ("prefix.P", "backbone.pos"), model_from_checkpoint,

@@ -665,7 +665,7 @@ class TestAblate:
         paths = []
         real_load = bb.load_frozen_checkpoint
 
-        def counting_load(path, expected=None):
+        def counting_load(path, expected):
             paths.append(path)
             return real_load(path, expected)
 

@@ -536,6 +536,23 @@ def _window_axis_cases(rng):
         ),
         "sum": (lambda x: x.sum(), [_arr(rng, B, n, d)], []),
         "slice": (lambda x: x[1:4, 0:3], [_arr(rng, B, n, d)], []),
+        "transformer": (
+            lambda x, pos, *w: tz.transformer(x, pos, [tuple(w[:10])], tuple(w[10:]), n_heads=2),
+            [_arr(rng, B, n, d)],
+            [_arr(rng, 7, d)] + [_arr(rng, d, d) for _ in range(4)]
+            + [_arr(rng, d) for _ in range(4)] + [_arr(rng, d, 6), _arr(rng, 6, d)]
+            + [_arr(rng, d), _arr(rng, d)],
+        ),
+        "planar_layer": (  # h first: the hypernet's weights read its rows
+            lambda h, u, *w: tz.planar_layer(u, h, *w, PLANAR_MARGIN, _NORM_EPS),
+            [_arr(rng, B, 1, 3), _arr(rng, B, 7, d)],
+            [_arr(rng, 5, 3), _arr(rng, 5), _arr(rng, 2 * d + 1, 5), _arr(rng, 2 * d + 1)],
+        ),
+        "mlp_split": (
+            tz.mlp_split,
+            [_arr(rng, B, 7, d), _arr(rng, B, 1, 3)],
+            [_arr(rng, 5, d + 3), _arr(rng, 5), _arr(rng, 6, 5), _arr(rng, 6)],
+        ),
     }
 
 
@@ -615,9 +632,12 @@ def test_each_shared_operand_takes_one_stacked_gradient_per_node(name, monkeypat
     out = op(x, *[Tensor(s, requires_grad=True) for s in stacked[1:]], *shared_t)
     _backward_from(out, np.random.default_rng(3).normal(size=out.shape))
     broadcast = name in ("concat_rows", "positional_add")  # out.grad's rows, handed over
+    summed = shared_t[0] if name == "transformer" else None  # pos: summed over windows in the op
     for t in shared_t:
         if broadcast:
             assert reductions[id(t)] == [("sum", 1, B)]
+        elif t is summed:
+            assert reductions[id(t)] == [("sum", 1, 1)]
         elif t.data.ndim == 2:  # a weight
             assert reductions[id(t)] == [("product", 1, B * x.shape[-2])]
         else:

@@ -14,7 +14,7 @@ from papnf.encoder import PrefixBank, build_llm_input
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import substream
 from papnf.tensor import ShapeError, Tape, Tensor, grad_check
-from papnf.train import loss_energy
+from papnf.train import TrainConfig, _batch_loss, loss_energy
 
 
 def toy_config(**over) -> ModelConfig:
@@ -325,8 +325,9 @@ def test_end_to_end_grad_check_small():
 
 
 def test_window_loss_graph_uses_one_node_per_fused_layer():
-    # one window's energy loss under the default config; each attention layer
-    # and each planar step is a single node (the unfused graph had 248)
+    # one window's energy loss under the default config: the backbone, each
+    # flow layer (hypernet plus planar step) and the recon head are a single
+    # node each (the layer-by-layer graph had 46 nodes, the unfused one 248)
     cfg = ModelConfig(lookback=96, horizon=24, channels=1)
     model = PapNfModel(cfg, seed=26)
     rng = substream(27, "window")
@@ -336,20 +337,33 @@ def test_window_loss_graph_uses_one_node_per_fused_layer():
     loss = loss_energy(model.forward_samples(w.x_std, u0), Tensor(w.y_std.reshape(1, -1)))
     nodes = Tape.from_root(loss).nodes
     kinds = Counter(_kind(node) for node in nodes)
-    assert kinds["causal_attention"] == cfg.backbone.n_layers
-    assert kinds["planar_step"] == cfg.t_flow
-    # the recon head is linear(tanh(linear_split(u, h))): h's term once, so
-    # no repeat_rows; the one concat_cols left is the fusion's [z; c]
-    head = _consumer(nodes, model.recon.G2)
-    hidden = head._parents[0]
-    first = hidden._parents[0]
-    assert [_kind(n) for n in (head, hidden, first)] == ["linear", "tanh", "linear_split"]
-    assert first is _consumer(nodes, model.recon.G1)
-    assert kinds["linear_split"] == 1
+    assert kinds["transformer"] == 1
+    assert _kind(_consumer(nodes, model.backbone.params["layers.1.W2"])) == "transformer"
+    assert kinds["planar_layer"] == cfg.t_flow
+    for layer in model.flow_layers:
+        assert _kind(_consumer(nodes, layer.U1)) == "planar_layer"
+    # the recon head takes h's term once, so no repeat_rows; the one
+    # concat_cols left is the fusion's [z; c]
+    assert kinds["mlp_split"] == 1
+    assert _consumer(nodes, model.recon.G1) is _consumer(nodes, model.recon.G2)
     assert kinds["repeat_rows"] == 0
     assert kinds["concat_cols"] == 1
     assert _kind(_consumer(nodes, model.fusion.W_h)._parents[0]) == "concat_cols"
-    assert len(nodes) == 46
+    assert len(nodes) == 15
+
+
+def test_an_eight_window_training_batch_is_a_seventeen_node_graph():
+    # fit's batch graph: one window's 15 nodes, run over the window axis, plus
+    # the in-order sum of the window losses and its 1/B scale
+    cfg = ModelConfig(lookback=96, horizon=24, channels=1)
+    model = PapNfModel(cfg, seed=26)
+    values = substream(27, "batch").normal(size=(cfg.lookback + cfg.horizon + 7, 1))
+    windows = make_windows(values, cfg.lookback, cfg.horizon)
+    assert len(windows) == 8
+    loss = _batch_loss(model, windows, TrainConfig(model=cfg), epoch=0)
+    kinds = Counter(_kind(node) for node in Tape.from_root(loss).nodes)
+    assert kinds["transformer"] == 1 and kinds["planar_layer"] == cfg.t_flow
+    assert sum(kinds.values()) == 17
 
 
 def _kind(node):
