@@ -21,12 +21,7 @@ requires_grad=False (``matmul`` skips them too):
   with h's product computed once as a bias row;
 * ``energy_score``: the fair energy score of an ensemble.
 
-They compose numpy kernels, one forward and one backward per sublayer. The
-layer-by-layer ops the model ran before, ``layernorm_affine``,
-``causal_attention``, ``planar_step`` and ``linear_split``, run the same
-kernels and stay only as the tests' references: a fused op must match their
-chain bitwise, values and gradients, and each of them must match the
-composition of elementary ops it replaced within 1e-12.
+They compose numpy kernels, one forward and one backward per sublayer.
 
 Sampling and training run several windows per pass. The ops the model's
 forward pass and its losses use accept a leading window axis, (B, rows,
@@ -39,8 +34,8 @@ In backward, an operand that a node may share across windows takes its
 gradient as rows for one reduction: a weight (the W of ``linear`` and
 ``mlp_split``, the right operand of ``matmul``, the matrices of
 ``transformer`` and ``planar_layer``) as the row blocks of
-``left.T @ right``, and any other operand (a bias, a layer-norm gain, an
-addend or factor broadcast over the windows or a scalar, a leaf written
+``left.T @ right``, and any other operand (a bias, a layer-norm gain, a 2-D
+part that a concat repeats over the windows, a scalar, a leaf written
 through a slice, the positions, which ``transformer`` sums over windows
 itself) as gradient rows of its size, to be summed. During
 ``Tape.replay_backward`` an op only records a leaf's rows; after the last
@@ -51,7 +46,7 @@ own closure must see its whole gradient, and a closure run outside a replay
 reduce at once. A batch's (B, r, m) node and B per-window graphs built in
 batch order and replayed in one backward hand the reduction the same rows,
 for a leaf that each window's graph hands to one such node once, as it is
-(a leaf reached through another op first, as in ``tanh(P) + x``, is not
+(a leaf reached through another op first, as in ``P * P + x``, is not
 covered). Every model weight is such a leaf, so a batch's gradients are
 bitwise those of one backward over its per-window graphs.
 """
@@ -72,27 +67,19 @@ __all__ = [
     "Layer",
     "Tape",
     "no_grad",
-    "add_rowvec",
-    "mul_rowvec",
     "repeat_rows",
     "mean_rows",
     "sum_in_order",
     "concat_rows",
     "concat_cols",
     "matmul",
-    "softmax_rows",
-    "layernorm_rows",
     "linear",
     "transformer",
     "hypernet",
     "planar_layer",
     "mlp_split",
-    "linear_split",
-    "layernorm_affine",
-    "causal_attention",
     "PlanarParams",
     "planar_unpack",
-    "planar_step",
     "pairwise_spread",
     "energy_score",
     "grad_check",
@@ -165,10 +152,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
@@ -234,34 +217,14 @@ class Tensor:
     def __rmul__(self, other):
         return _binary_elementwise(_as_tensor(other), self, "mul")
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, key) -> "Tensor":
         return _slice(self, key)
 
-    # -- elementwise methods ------------------------------------------------
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
-
-    def softplus(self) -> "Tensor":
-        return softplus(self)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
-
-    def reciprocal(self) -> "Tensor":
-        return reciprocal(self)
-
     def sum(self) -> "Tensor":
         return tensor_sum(self)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 class Layer:
@@ -383,7 +346,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], No
 def _binary_elementwise(a, b, op: str) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.shape != b.shape and a.size != 1 and b.size != 1 and not _over_windows(a, b):
+    if a.shape != b.shape and a.size != 1 and b.size != 1:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ and neither is a scalar")
     if op == "add":
         data = a.data + b.data
@@ -403,12 +366,6 @@ def _binary_elementwise(a, b, op: str) -> Tensor:
 
     out = _make(data, (a, b), _bw)
     return out
-
-
-def _over_windows(a: Tensor, b: Tensor) -> bool:
-    """A (B, r, n) operand against an (r, n) one."""
-    big, small = (a, b) if a.data.ndim == 3 else (b, a)
-    return big.data.ndim == 3 and big.shape[1:] == small.shape
 
 
 def _accumulate_rows(t: Tensor, rows: np.ndarray, left: np.ndarray | None = None) -> None:
@@ -471,42 +428,6 @@ def _c_rows(blocks: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(rows, out=out)
 
 
-# -- unary elementwise ops ----------------------------------------------------
-
-
-def neg(x: Tensor) -> Tensor:
-    out = _make(-x.data, (x,), lambda: x._add_grad(-out.grad))
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = _make(y, (x,), lambda: x._add_grad(out.grad * (1.0 - y * y)))
-    return out
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) computed without overflow for large |x|."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def softplus(x: Tensor) -> Tensor:
-    y = _softplus(x.data)
-    out = _make(y, (x,), lambda: x._add_grad(out.grad * (1.0 / (1.0 + np.exp(-x.data)))))
-    return out
-
-
-def absolute(x: Tensor) -> Tensor:
-    out = _make(np.abs(x.data), (x,), lambda: x._add_grad(out.grad * np.sign(x.data)))
-    return out
-
-
-def reciprocal(x: Tensor) -> Tensor:
-    y = 1.0 / x.data
-    out = _make(y, (x,), lambda: x._add_grad(out.grad * (-y * y)))
-    return out
-
-
 # -- matmul and structural ops ------------------------------------------------
 
 
@@ -532,22 +453,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate_rows(b, g, left=a.data)
 
     out = _make(a.data @ b.data, (a, b), _bw)
-    return out
-
-
-def transpose(x: Tensor) -> Tensor:
-    _require_2d(x, "transpose")
-    out = _make(x.data.T, (x,), lambda: x.accumulate_grad(out.grad.T))
-    return out
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    if isinstance(shape, int):
-        shape = (shape,)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = _make(x.data.reshape(shape), (x,), lambda: x.accumulate_grad(out.grad.reshape(x.shape)))
     return out
 
 
@@ -668,36 +573,6 @@ def sum_in_order(x: Tensor) -> Tensor:
     return out
 
 
-def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an (r, n) matrix."""
-    _require_2d(m, "add_rowvec")
-    v = _as_tensor(v)
-    if v.data.ndim != 1 or v.shape[0] != m.shape[1]:
-        raise ShapeError(f"add_rowvec: vector {v.shape} does not match row width of {m.shape}")
-
-    def _bw():
-        m.accumulate_grad(out.grad)
-        _accumulate_rows(v, out.grad)
-
-    out = _make(m.data + v.data[None, :], (m, v), _bw)
-    return out
-
-
-def mul_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Scale every row of an (r, n) matrix elementwise by a length-n vector."""
-    _require_2d(m, "mul_rowvec")
-    v = _as_tensor(v)
-    if v.data.ndim != 1 or v.shape[0] != m.shape[1]:
-        raise ShapeError(f"mul_rowvec: vector {v.shape} does not match row width of {m.shape}")
-
-    def _bw():
-        m._add_grad(out.grad * v.data[None, :])
-        _accumulate_rows(v, out.grad * m.data)
-
-    out = _make(m.data * v.data[None, :], (m, v), _bw)
-    return out
-
-
 def repeat_rows(v: Tensor, n: int) -> Tensor:
     """Tile a (1, c) row vector into an (n, c) matrix."""
     _require_2d(v, "repeat_rows", windows=True)
@@ -710,6 +585,14 @@ def repeat_rows(v: Tensor, n: int) -> Tensor:
     return out
 
 
+# -- layer kernels --------------------------------------------------------------------
+#
+# Each sublayer as a numpy forward, which returns its output and what its
+# backward reads, and a backward (``*_grad``), which takes the output's
+# gradient, records the weights' rows and returns the input's gradient. The
+# fused ops below compose them.
+
+
 def _softmax_last(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by the maximum for stability."""
     e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
@@ -719,14 +602,6 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
 def _softmax_last_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Input gradient of ``_softmax_last`` with output ``s`` and output gradient ``g``."""
     return s * (g - np.add.reduce(g * s, axis=-1, keepdims=True))
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor; each output row sums to one."""
-    _require_2d(x, "softmax_rows")
-    s = _softmax_last(x.data)
-    out = _make(s, (x,), lambda: x._add_grad(_softmax_last_grad(out.grad, s)))
-    return out
 
 
 def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -747,22 +622,6 @@ def _normalize_rows_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np
     gm = np.add.reduce(g, axis=-1, keepdims=True) / n
     gx = np.add.reduce(g * xhat, axis=-1, keepdims=True) / n
     return inv * (g - gm - xhat * gx)
-
-
-def layernorm_rows(x: Tensor) -> Tensor:
-    """Normalize each row to zero mean / unit variance (no affine part)."""
-    _require_2d(x, "layernorm_rows")
-    xhat, inv = _normalize_rows(x.data)
-    out = _make(xhat, (x,), lambda: x._add_grad(_normalize_rows_grad(out.grad, xhat, inv)))
-    return out
-
-
-# -- layer kernels --------------------------------------------------------------------
-#
-# Each sublayer as a numpy forward, which returns its output and what its
-# backward reads, and a backward (``*_grad``), which takes the output's
-# gradient, records the weights' rows and returns the input's gradient. The
-# fused ops below compose them.
 
 
 def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -841,6 +700,11 @@ def _attention_grad(g: np.ndarray, Wq, Wk, Wv, Wo, saved: tuple) -> np.ndarray:
     return sum(gm @ W.data.T for W, gm in grads)
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) computed without overflow for large |x|."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 class PlanarParams(NamedTuple):
     """A packed planar row, unpacked: (1, d) rows a, w, w_hat and (1, 1) scalars.
 
@@ -870,8 +734,7 @@ def planar_unpack(theta: np.ndarray, margin: float, norm_eps: float) -> PlanarPa
     ``planar_layer`` and the flow's inverse and log-det all unpack here.
     """
     d = (theta.shape[-1] - 1) // 2
-    # contiguous copies, as the unfused slices were, so every product sees
-    # the same operands as the reference chain
+    # contiguous copies, which fix the layout (and so the bits) of the products below
     a = theta[..., 0:d].copy()
     w = theta[..., d : 2 * d].copy()
     b = theta[..., 2 * d :].copy()
@@ -973,8 +836,8 @@ def transformer(x: Tensor, pos: Tensor, blocks: Sequence[tuple[Tensor, ...]],
     ln2_b, W1, W2) adds ``_attention`` of h's first affine layer norm, then
     tanh(LN2(h) @ W1) @ W2; ``final`` (g, b) is the last layer norm. A stack
     (B, n, d) runs as one pass, pos broadcast over it. Backward adds each
-    residual branch's gradient to the stream's as the replay of the
-    layer-by-layer chain does, and pos takes the window sum of its rows.
+    residual branch's gradient to the stream's, and pos takes the window sum
+    of its rows.
     """
     n = x.shape[-2]
     h = x.data + pos.data[:n]
@@ -1030,8 +893,10 @@ def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: T
                  margin: float, norm_eps: float) -> Tensor:
     """A planar step whose row theta a hypernet computes from h, as one graph node.
 
-    ``planar_step(u, theta, margin, norm_eps)`` with theta the ``hypernet``
-    row of h (1, d_h); latents (B, S, d) take summaries (B, 1, d_h).
+    Each latent row of u (S, d) maps to u + tanh(u . a + b) w_hat, where
+    [a | w | b] is the ``hypernet`` row theta of h (1, d_h) and w_hat comes
+    from ``planar_unpack``, so w_hat.a > -1 and the map is invertible.
+    Latents (B, S, d) take summaries (B, 1, d_h), one per window.
     """
     _require_2d(u, "planar_layer", windows=True)
     t, theta = hypernet(h.data, U1, c1, U2, c2)
@@ -1068,7 +933,10 @@ def _require_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor, op: str) -> None:
 
 
 def mlp_split(u: Tensor, h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
-    """``linear(tanh(linear_split(u, h, W1, b1)), W2, b2)``, as one graph node."""
+    """``tanh([u | h] @ W1.T + b1) @ W2.T + b2`` of latent rows u and one row h, as one node.
+
+    h's product with W1 runs once per window, as a bias row (``_linear_split``).
+    """
     _require_split(u, h, W1, b1, "mlp_split")
     t = np.tanh(_linear_split(u.data, h.data, W1, b1))
 
@@ -1076,88 +944,6 @@ def mlp_split(u: Tensor, h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tens
         _linear_split_grad(_tanh_affine_grad(out.grad, t, W2, b2), u, h, W1, b1)
 
     out = _make(_affine(t, W2.data, b2.data), (u, h, W1, b1, W2, b2), _bw)
-    return out
-
-
-# -- the layer-by-layer ops ---------------------------------------------------------
-#
-# The model ran these before its layers were fused; no program path runs them
-# now. The tests keep them as the references that the fused ops must match
-# bitwise, gradients included.
-
-
-def linear_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """``linear(concat_cols([u, repeat_rows(h, S)]), W, b)``, h's term once.
-
-    u is (S, d_u) rows and h one (1, d_h) row; W (m, d_u + d_h) splits into
-    the columns that multiply u and those that multiply h. The bias row
-    ``h @ W_h.T + b`` is computed once and added to every row of
-    ``u @ W_u.T``. Latents (B, S, d_u) take rows h (B, 1, d_h), one per window.
-    """
-    u = _as_tensor(u)
-    _require_split(u, h, W, b, "linear_split")
-    out = _make(_linear_split(u.data, h.data, W, b), (u, h, W, b),
-                lambda: _linear_split_grad(out.grad, u, h, W, b))
-    return out
-
-
-def layernorm_affine(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    """``layernorm_rows(x)`` scaled by the length-n vector g and shifted by b."""
-    _require_2d(x, "layernorm_affine", windows=True)
-    _require_rowvec(g, x.shape[-1], "layernorm_affine gain")
-    _require_rowvec(b, x.shape[-1], "layernorm_affine bias")
-    y, saved = _layernorm(x.data, g, b)
-
-    def _bw():
-        g_x = _layernorm_grad(out.grad, g, b, saved)
-        if x.requires_grad:
-            x._add_grad(g_x)
-
-    out = _make(y, (x, g, b), _bw)
-    return out
-
-
-def causal_attention(
-    x: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor, n_heads: int
-) -> Tensor:
-    """Multi-head causal self-attention (``_attention``) of (n, d) rows, as one graph node."""
-    _require_2d(x, "causal_attention", windows=True)
-    d = x.shape[-1]
-    if n_heads < 1 or d % n_heads != 0:
-        raise ShapeError(f"causal_attention: width {d} does not split into {n_heads} heads")
-    for W in (Wq, Wk, Wv, Wo):
-        if W.shape != (d, d):
-            raise ShapeError(f"causal_attention: weight {W.shape} for rows of width {d}")
-    y, saved = _attention(x.data, Wq, Wk, Wv, Wo, n_heads)
-
-    def _bw():
-        g_x = _attention_grad(out.grad, Wq, Wk, Wv, Wo, saved)
-        if x.requires_grad:
-            x._add_grad(g_x)
-
-    out = _make(y, (x, Wq, Wk, Wv, Wo), _bw)
-    return out
-
-
-def planar_step(u: Tensor, theta: Tensor, margin: float, norm_eps: float) -> Tensor:
-    """One invertible planar map on each latent row of u (S, d), as one graph node.
-
-    ``theta`` is the packed (1, 2d + 1) row [a | w | b]; latents (B, S, d)
-    take (B, 1, 2d + 1) rows, one per window. The map is
-    u' = u + tanh(u . a + b) w_hat, with w_hat from ``planar_unpack``,
-    so w_hat.a > -1 and the map is invertible.
-    """
-    _require_2d(u, "planar_step", windows=True)
-    _require_theta(u, theta.shape, "planar_step")
-    y, saved = _planar(u.data, theta.data, margin, norm_eps)
-
-    def _bw():
-        g_u, g_theta = _planar_grad(out.grad, saved)
-        if u.requires_grad:
-            u._add_grad(g_u)
-        theta._add_grad(g_theta)
-
-    out = _make(y, (u, theta), _bw)
     return out
 
 

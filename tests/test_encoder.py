@@ -103,8 +103,9 @@ def test_token_count_is_prefix_plus_patches(k, lookback, patch_len):
 def test_gradients_reach_prefix_and_reprogramming():
     e, r, p = make_parts(seed=4)
     x = np.random.default_rng(5).normal(size=(24, 2))
-    token_loss = enc.build_llm_input(p, r.reprogram(e.encode_patches(x))).tanh().sum()
-    loss = token_loss + e.encode_global(x).tanh().sum()
+    tokens = enc.build_llm_input(p, r.reprogram(e.encode_patches(x)))
+    z = e.encode_global(x)
+    loss = (tokens * tokens).sum() + (z * z).sum()
     loss.backward()
     for name, t in {**e.parameters(), **r.parameters(), **p.parameters()}.items():
         assert t.grad is not None, name
@@ -116,7 +117,8 @@ def test_encoder_path_grad_check():
     x = np.random.default_rng(7).normal(size=(8, 1))
 
     def fn(*params):
-        return enc.build_llm_input(p, r.reprogram(e.encode_patches(x))).tanh().sum()
+        tokens = enc.build_llm_input(p, r.reprogram(e.encode_patches(x)))
+        return (tokens * tokens).sum()
 
     params = list({**e.parameters(), **r.parameters(), **p.parameters()}.values())
     assert grad_check(fn, params) < 1e-5

@@ -499,27 +499,8 @@ def _arr(rng, *shape):
 def _window_axis_cases(rng):
     """name -> (op, window-stacked operands, shared 2-D operands)."""
     d, n = 4, 5
-    theta = _arr(rng, B, 1, 2 * d + 1)
     return {
         "linear": (tz.linear, [_arr(rng, B, n, 6)], [_arr(rng, d, 6), _arr(rng, d)]),
-        "linear_split": (
-            tz.linear_split,
-            [_arr(rng, B, 7, d), _arr(rng, B, 1, 3)],
-            [_arr(rng, 5, d + 3), _arr(rng, 5)],
-        ),
-        "layernorm_affine": (
-            tz.layernorm_affine, [_arr(rng, B, n, d)], [_arr(rng, d), _arr(rng, d)]
-        ),
-        "causal_attention": (
-            lambda x, *W: tz.causal_attention(x, *W, n_heads=2),
-            [_arr(rng, B, n, d)],
-            [_arr(rng, d, d) for _ in range(4)],
-        ),
-        "planar_step": (
-            lambda u, th: tz.planar_step(u, th, PLANAR_MARGIN, _NORM_EPS),
-            [_arr(rng, B, 7, d), theta],
-            [],
-        ),
         "matmul": (tz.matmul, [_arr(rng, B, n, d)], [_arr(rng, d, 6)]),
         "concat_rows": (
             lambda x, p: tz.concat_rows([p, x]), [_arr(rng, B, n, d)], [_arr(rng, 2, d)]
@@ -529,7 +510,6 @@ def _window_axis_cases(rng):
         ),
         "mean_rows": (tz.mean_rows, [_arr(rng, B, n, d)], []),
         "repeat_rows": (lambda v: tz.repeat_rows(v, 6), [_arr(rng, B, 1, d)], []),
-        "positional_add": (lambda x, pos: x + pos, [_arr(rng, B, n, d)], [_arr(rng, n, d)]),
         "energy_score": (tz.energy_score, [_arr(rng, B, 7, d), _arr(rng, B, 1, d)], []),
         "loss_reconstruction": (
             loss_reconstruction, [_arr(rng, B, 7, d), _arr(rng, B, 1, d)], []
@@ -615,7 +595,7 @@ SHARED_CASES = [n for n in CASES if _window_axis_cases(np.random.default_rng(0))
 def test_each_shared_operand_takes_one_stacked_gradient_per_node(name, monkeypatch):
     # each shared operand takes exactly one reduction per backward, over one
     # block of all B windows' rows: a weight one product over B*r rows, a bias
-    # or gain one sum over B*r rows, a broadcast addend one sum over B rows
+    # or gain one sum over B*r rows, a concatenated 2-D part one sum over B rows
     reductions = {}
     real = tz._reduce
 
@@ -631,7 +611,7 @@ def test_each_shared_operand_takes_one_stacked_gradient_per_node(name, monkeypat
     x = Tensor(stacked[0], requires_grad=True)
     out = op(x, *[Tensor(s, requires_grad=True) for s in stacked[1:]], *shared_t)
     _backward_from(out, np.random.default_rng(3).normal(size=out.shape))
-    broadcast = name in ("concat_rows", "positional_add")  # out.grad's rows, handed over
+    broadcast = name == "concat_rows"  # out.grad's rows, handed over
     summed = shared_t[0] if name == "transformer" else None  # pos: summed over windows in the op
     for t in shared_t:
         if broadcast:

@@ -22,7 +22,7 @@ def make_layers(t_flow=3, d_h=6, d_u=4, hidden=5, seed=0, randomize=True):
 
 
 def packed(a, w, b):
-    """The packed (1, 2d + 1) row [a | w | b] that ``tz.planar_step`` takes."""
+    """The packed (1, 2d + 1) row [a | w | b] of a planar map."""
     return np.concatenate([np.ravel(a), np.ravel(w), [b]])[None, :]
 
 
@@ -31,8 +31,17 @@ def unpack(theta):
 
 
 def step(u, theta):
-    """``tz.planar_step`` on numpy latent rows (S, d)."""
-    return tz.planar_step(Tensor(u), Tensor(theta), F.PLANAR_MARGIN, F._NORM_EPS).data
+    """The planar map u + tanh(u.a + b) w_hat on latent rows u (S, d), or (B, S, d).
+
+    w_hat = w + (m - w.a) a / (|a|^2 + eps) with m = softplus(w.a) + margin - 1,
+    for theta the packed row [a | w | b], or (B, 1, 2d + 1) rows.
+    """
+    d = u.shape[-1]
+    a, w, b = theta[..., :d], theta[..., d : 2 * d], theta[..., 2 * d :]
+    wa = np.sum(w * a, axis=-1, keepdims=True)
+    m = np.logaddexp(0.0, wa) + F.PLANAR_MARGIN - 1.0
+    w_hat = w + (m - wa) / (np.sum(a * a, axis=-1, keepdims=True) + F._NORM_EPS) * a
+    return u + np.tanh(np.sum(u * a, axis=-1, keepdims=True) + b) * w_hat
 
 
 def forward(u, h, layers):
@@ -130,7 +139,8 @@ def test_gradients_reach_every_flow_parameter_at_default_init():
 
     def run_backward():
         u0 = Tensor(np.random.default_rng(5).normal(size=(3, 4)))
-        F.flow_forward(u0, h, layers).abs().sum().backward()
+        out = F.flow_forward(u0, h, layers)
+        (out * out).sum().backward()
 
     run_backward()
     for layer in layers:
@@ -272,7 +282,8 @@ def test_flow_path_grad_check():
     h_in = np.random.default_rng(17).normal(size=(1, 4))
 
     def fn(*params):
-        return F.flow_forward(Tensor(u0), Tensor(h_in, requires_grad=True), layers).tanh().sum()
+        out = F.flow_forward(Tensor(u0), Tensor(h_in, requires_grad=True), layers)
+        return (out * out).sum()
 
     params = [p for layer in layers for p in layer.parameters().values()]
     assert grad_check(fn, params) < 1e-5

@@ -22,13 +22,25 @@ rest on the test run's thread count.
 the build, to ``DIR/digests.json``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from papnf.backbone import BackboneArch
+from papnf.cli import main
+from papnf.data import make_windows
+from papnf.evaluate import evaluate_split
+from papnf.model import ModelConfig, PapNfModel
+from papnf.seeding import derive_seed
+from papnf.synthetic import ar1_seasonal, ett_like, write_csv
+from papnf.train import PretrainConfig, TrainConfig, fit, pretrain_backbone
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 LOOKBACK, HORIZON = 96, 24
@@ -67,18 +79,10 @@ def _json_sha(value) -> str:
 
 
 def _arrays_sha(arrays) -> str:
-    import numpy as np
-
     return _sha(*(f"{a.shape}".encode() + np.ascontiguousarray(a).tobytes() for a in arrays))
 
 
 def _model_digests(values, channels: int) -> dict:
-    from papnf.data import make_windows
-    from papnf.evaluate import evaluate_split
-    from papnf.model import ModelConfig, PapNfModel
-    from papnf.seeding import derive_seed
-    from papnf.train import TrainConfig, fit
-
     bounds = [0]
     for n in WINDOWS:
         bounds.append(bounds[-1] + LOOKBACK + HORIZON - 1 + n)
@@ -104,9 +108,6 @@ def _model_digests(values, channels: int) -> dict:
 
 
 def _pretrain_digests(out: str) -> dict:
-    from papnf.backbone import BackboneArch
-    from papnf.train import PretrainConfig, pretrain_backbone
-
     arch = BackboneArch(n_layers=2, n_heads=4, d=8, ffn_width=12, max_len=8)
     path = os.path.join(out, "pretrained.papnf")
     result = pretrain_backbone(PretrainConfig(steps=12, batch=3, seq_len=8, arch=arch), path)
@@ -115,12 +116,6 @@ def _pretrain_digests(out: str) -> dict:
 
 
 def _cli_digests(out: str) -> dict:
-    import contextlib
-    import io
-
-    from papnf.cli import main
-    from papnf.synthetic import ar1_seasonal, write_csv
-
     data = os.path.join(out, "data.csv")
     write_csv(ar1_seasonal(86, period=8, seed=5), data)
     config = {
@@ -155,10 +150,6 @@ def _cli_digests(out: str) -> dict:
 
 def compute(out: str) -> dict:
     """Every digest, and the numpy and BLAS build that computed them."""
-    import numpy as np
-
-    from papnf.synthetic import ett_like
-
     values = ett_like(3 * (LOOKBACK + HORIZON - 1) + sum(WINDOWS), seed=11).values
     digests = {
         **_model_digests(values[:, -1:], 1),
@@ -167,8 +158,8 @@ def compute(out: str) -> dict:
         **_cli_digests(out),
     }
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    kernel = blas.get("openblas configuration", "")
-    build = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']} ({kernel})"}
+    config = blas.get("openblas configuration", "")
+    build = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']} ({config})"}
     return {"digests": digests, "build": build}
 
 
