@@ -10,7 +10,10 @@ parent passes this module with the literals unchanged. Pinned here:
   report JSON;
 * a 12-step ``pretrain_backbone`` file and its loss history;
 * the CLI ``train`` and ``eval --window 0 --svg`` artifacts of one small
-  config, each file whose bytes embed no path.
+  config, each file whose bytes embed no path;
+* the flow diagnostics ``flow_invert`` and ``flow_log_det`` on (4, 50, d_u)
+  latents, one h row per window, through hypernets moved off their
+  near-identity init.
 
 The digests hold for one numpy and OpenBLAS build on one CPU kernel. A
 dependency change re-pins them in a commit of its own that names the new
@@ -37,8 +40,9 @@ from papnf.backbone import BackboneArch
 from papnf.cli import main
 from papnf.data import make_windows
 from papnf.evaluate import evaluate_split
+from papnf.flow import flow_invert, flow_log_det
 from papnf.model import ModelConfig, PapNfModel
-from papnf.seeding import derive_seed
+from papnf.seeding import derive_seed, substream
 from papnf.synthetic import ar1_seasonal, ett_like, write_csv
 from papnf.train import PretrainConfig, TrainConfig, fit, pretrain_backbone
 
@@ -63,6 +67,8 @@ GOLDEN = {
     "cli_eval/metrics.json": "9b32a2c1023a2e2d878d2563c118f9ced98fd6d8e63920d78c7d0a4d40e4ea8b",
     "cli_eval/quantiles.csv": "1544f09a6080b5cf4912d6dbd5656afbff0a978ada8c76698ee11b6a22473b7f",
     "cli_eval/fan_window_0.svg": "2f016e0a388b8b24b47a0454aa18fb0dd9e750f84ee959fad7dfa0c638ece5cc",
+    "flow_invert": "b045306485ad5d5fba02d277b366f0795c528f865be0901535a4fbc446b28768",
+    "flow_log_det": "526494cdf07121d4bf572906ac87304951a4a218ad89dcaaac9127e837b7299b",
 }
 
 
@@ -148,6 +154,21 @@ def _cli_digests(out: str) -> dict:
     return digests
 
 
+def _flow_digests() -> dict:
+    cfg = ModelConfig(LOOKBACK, HORIZON, 1)
+    layers = PapNfModel(cfg, seed=derive_seed(0, "init")).flow_layers
+    rng = substream(0, "golden", "flow")
+    for layer in layers:  # final hypernet layers that make every step move its latents
+        layer.U2.data = rng.normal(size=layer.U2.shape) * 0.5
+        layer.c2.data = rng.normal(size=layer.c2.shape) * 0.5
+    h = rng.normal(size=(4, 1, cfg.d_h))
+    u = rng.normal(size=(4, 50, cfg.d_u))
+    return {
+        "flow_invert": _arrays_sha([flow_invert(u, h, layers)]),
+        "flow_log_det": _arrays_sha([flow_log_det(u, h, layers)]),
+    }
+
+
 def compute(out: str) -> dict:
     """Every digest, and the numpy and BLAS build that computed them."""
     values = ett_like(3 * (LOOKBACK + HORIZON - 1) + sum(WINDOWS), seed=11).values
@@ -156,6 +177,7 @@ def compute(out: str) -> dict:
         **_model_digests(values, 7),
         **_pretrain_digests(out),
         **_cli_digests(out),
+        **_flow_digests(),
     }
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     config = blas.get("openblas configuration", "")
