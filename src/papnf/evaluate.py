@@ -110,10 +110,10 @@ def baseline_report(
     n_samples: int = 100,
     seed: int = 0,
     period: int | None = None,
-    levels: tuple[float, ...] = DEFAULT_LEVELS,
 ) -> MetricsReport:
-    """MetricsReport for one baseline through the same aggregation pipeline."""
-    return _report(baseline_ensembles(windows, name, n_samples, seed, period), windows, levels)
+    """MetricsReport for one baseline, at the default levels, through the same pipeline."""
+    ensembles = baseline_ensembles(windows, name, n_samples, seed, period)
+    return _report(ensembles, windows, DEFAULT_LEVELS)
 
 
 def _report(ensembles, windows, levels) -> MetricsReport:

@@ -6,15 +6,15 @@ fused summary h; the transported latent plus h feed an affine-tanh-affine
 reconstruction head that emits the standardized forecast.
 
 Each planar map u' = u + w_hat * tanh(a.u + b) stays invertible because w is
-reparameterized so that w_hat.a = -1 + PLANAR_MARGIN + softplus(w.a) > -1.
+reparameterized so that w_hat.a = -1 + tz.PLANAR_MARGIN + softplus(w.a) > -1.
 There is one flow path: ``flow_forward`` chains each layer's ``step``, one
 graph node (``tz.planar_layer``) for its hypernet and its planar map. The
 diagnostics ``flow_invert`` and ``flow_log_det``, which never enter a
-training loss, read each layer's ``hyper_row``, the same ``tz.hypernet``
-the op computes theta with, and unpack it with the op's own
-``tz.planar_unpack``. All three take latent rows (S, d_u), or (B, S, d_u)
-with one h row per window. The reconstruction head is one graph node too
-(``tz.mlp_split``).
+training loss, take each layer's row from ``theta``, the op's own
+``tz.hypernet``, and run the op's own ``tz.planar_map`` (log-det) and
+``tz.planar_unpack`` (inverse). All three take latent rows (S, d_u), or
+(B, S, d_u) with one h row per window. The reconstruction head is one
+graph node too (``tz.mlp_split``).
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ from papnf.metrics import sorted_quantile
 from papnf.seeding import substream
 from papnf.tensor import Layer, ShapeError, Tensor, weight, zeros
 
-# Keeps w_hat.a strictly above -1 with comfortable headroom over the 1e-4
-# invertibility floor even after the epsilon-guarded division below.
-PLANAR_MARGIN = 1e-3
-_NORM_EPS = 1e-12
 # Windows per forward pass when sampling a split: enough to spread the
 # per-op Python cost, small enough that a chunk's arrays stay a few MB.
 SAMPLE_CHUNK = 8
@@ -78,18 +74,17 @@ class FlowLayer(Layer):
         offset = self.A_BIAS_NORM / math.sqrt(d_u)  # on a, the packed row's first d_u entries
         self.c2 = weight(rng, (out_dim,), lambda rng, shape: (np.arange(out_dim) < d_u) * offset)
 
-    def hyper_row(self, h: Tensor) -> Tensor:
-        """Map h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b], recording no graph.
+    def theta(self, h: np.ndarray) -> np.ndarray:
+        """Map a numpy h (1, d_h) to the packed (1, 2*d_u + 1) row [a | w | b].
 
         Summaries (B, 1, d_h) give one row per window, (B, 1, 2*d_u + 1).
         The row is the one ``step`` computes, through the same ``tz.hypernet``.
         """
-        return Tensor(tz.hypernet(h.data, self.U1, self.c1, self.U2, self.c2)[1])
+        return tz.hypernet(np.asarray(h, dtype=np.float64), self.U1, self.c1, self.U2, self.c2)[1]
 
     def step(self, u_rows: Tensor, h: Tensor) -> Tensor:
         """Latents (S, d_u) through the planar map h conditions, as one graph node."""
-        weights = (self.U1, self.c1, self.U2, self.c2)
-        return tz.planar_layer(u_rows, h, *weights, PLANAR_MARGIN, _NORM_EPS)
+        return tz.planar_layer(u_rows, h, self.U1, self.c1, self.U2, self.c2)
 
 
 def invert_planar(u_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -106,7 +101,7 @@ def invert_planar(u_prime: np.ndarray, theta: np.ndarray) -> np.ndarray:
     iterations without tightening the bracket. A row is frozen once its
     bracket is below 1e-15 relative or holds no representable midpoint.
     """
-    p = tz.planar_unpack(np.asarray(theta, dtype=np.float64), PLANAR_MARGIN, _NORM_EPS)
+    p = tz.planar_unpack(np.asarray(theta, dtype=np.float64))
     u_prime = np.asarray(u_prime, dtype=np.float64)
     target = u_prime @ p.a.swapaxes(-1, -2)  # (..., S, 1)
     wa_hat, b = p.wa_hat, p.b
@@ -141,16 +136,11 @@ def flow_forward(u_rows: Tensor, h: Tensor, layers: list[FlowLayer]) -> Tensor:
     return out
 
 
-def _hyper_rows(h: np.ndarray, layers: list[FlowLayer]) -> list[np.ndarray]:
-    """Every layer's packed row at a numpy h."""
-    return [layer.hyper_row(Tensor(h)).data for layer in layers]
-
-
 def flow_invert(u_final: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.ndarray:
     """The latents u0 that ``flow_forward`` maps to u_final, row by row."""
     out = u_final
-    for theta in reversed(_hyper_rows(h, layers)):
-        out = invert_planar(out, theta)
+    for layer in reversed(layers):
+        out = invert_planar(out, layer.theta(h))
     return out
 
 
@@ -158,15 +148,13 @@ def flow_log_det(u0: np.ndarray, h: np.ndarray, layers: list[FlowLayer]) -> np.n
     """Diagnostic only: log |det J| of the full flow at each latent row.
 
     Latents (S, d_u) give shape (S,), and (B, S, d_u) give (B, S). Each
-    planar map contributes log |1 + (1 - tanh^2(a.u + b)) w_hat.a|.
+    planar map contributes log |1 + (1 - gate^2) w_hat.a|, gate from ``tz.planar_map``.
     """
     u = np.asarray(u0, dtype=np.float64)
     total = np.zeros(u.shape[:-1])
-    for theta in _hyper_rows(h, layers):
-        p = tz.planar_unpack(theta, PLANAR_MARGIN, _NORM_EPS)
-        t = np.tanh(u @ p.a.swapaxes(-1, -2) + p.b)  # (..., S, 1): the op's gate
-        total += np.log(np.abs(1.0 + (1.0 - t * t) * p.wa_hat))[..., 0]
-        u = u + t @ p.w_hat
+    for layer in layers:
+        u, (_, p, gate) = tz.planar_map(u, layer.theta(h))
+        total += np.log(np.abs(1.0 + (1.0 - gate * gate) * p.wa_hat))[..., 0]
     return total
 
 

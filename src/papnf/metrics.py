@@ -1,10 +1,11 @@
-"""Forecast metrics: empirical CRPS, the split report, baselines.
+"""Forecast metrics: the split report and the baselines it is read against.
 
 Everything here is plain numpy on destandardized values. ``build_report`` is
 the one split-level scorer: the point forecast of an ensemble is its mean,
-and the probabilistic scores use the empirical energy form of CRPS computed
-per (step, channel) and aggregated over the split, beside interval coverage
-and coverage of the points hardest for a baseline.
+and the probabilistic scores use the empirical energy form of CRPS (spread
+over S^2; training's fair form is ``tensor.energy_score``) per (step,
+channel), aggregated over the split, beside interval coverage and coverage
+of the points hardest for a baseline.
 
 Each window's (S, H, C) ensemble is sorted once along the samples. That
 sorted block feeds the CRPS spread term (``pairwise_spread``) and, through
@@ -23,7 +24,6 @@ from papnf.checkpoint import canonical_json
 from papnf.tensor import pairwise_spread
 
 __all__ = [
-    "crps_empirical",
     "sorted_quantile",
     "persistence",
     "seasonal_naive",
@@ -32,22 +32,6 @@ __all__ = [
     "build_report",
     "coverage_label",
 ]
-
-
-def crps_empirical(samples: np.ndarray, y: float, fair: bool = False) -> float:
-    """Energy-form CRPS of a scalar ensemble against one observation.
-
-    crps = mean|X - y| - (1/(2 S^2)) sum_ij |X_i - X_j|; the ``fair`` variant
-    divides the spread term by S(S-1) instead of S^2, making the estimator
-    unbiased in the ensemble size.
-    """
-    samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-    s = samples.size
-    if s < 2:
-        raise ValueError("crps_empirical needs at least two samples")
-    term1 = float(np.mean(np.abs(samples - y)))
-    denom = s * (s - 1) if fair else s * s
-    return term1 - float(pairwise_spread(np.sort(samples)[:, None])[0]) / denom
 
 
 def sorted_quantile(sorted_samples: np.ndarray, q: float) -> np.ndarray:

@@ -80,6 +80,7 @@ __all__ = [
     "mlp_split",
     "PlanarParams",
     "planar_unpack",
+    "planar_map",
     "pairwise_spread",
     "energy_score",
     "grad_check",
@@ -726,12 +727,19 @@ class PlanarParams(NamedTuple):
         return self.w_hat @ self.a.swapaxes(-1, -2)
 
 
-def planar_unpack(theta: np.ndarray, margin: float, norm_eps: float) -> PlanarParams:
+# Keeps w_hat.a strictly above -1 with comfortable headroom over the 1e-4
+# invertibility floor even after the epsilon-guarded division below.
+PLANAR_MARGIN = 1e-3
+_NORM_EPS = 1e-12
+
+
+def planar_unpack(theta: np.ndarray) -> PlanarParams:
     """Split the packed row(s) [a | w | b] and reparameterize w for invertibility.
 
-    wa = w.a, m = softplus(wa) + margin - 1, r = 1 / (|a|^2 + norm_eps),
+    wa = w.a, m = softplus(wa) + PLANAR_MARGIN - 1, r = 1 / (|a|^2 + _NORM_EPS),
     coef = (m - wa) r and w_hat = w + coef a, so that w_hat.a > -1.
-    ``planar_layer`` and the flow's inverse and log-det all unpack here.
+    ``planar_map`` (so ``planar_layer`` and the flow's log-det) and the
+    flow's inverse unpack here.
     """
     d = (theta.shape[-1] - 1) // 2
     # contiguous copies, which fix the layout (and so the bits) of the products below
@@ -739,15 +747,18 @@ def planar_unpack(theta: np.ndarray, margin: float, norm_eps: float) -> PlanarPa
     w = theta[..., d : 2 * d].copy()
     b = theta[..., 2 * d :].copy()
     wa = w @ a.swapaxes(-1, -2)  # (..., 1, 1)
-    m = _softplus(wa) + (margin - 1.0)
-    r = 1.0 / (np.add.reduce(a * a, axis=-1, keepdims=True) + norm_eps)
+    m = _softplus(wa) + (PLANAR_MARGIN - 1.0)
+    r = 1.0 / (np.add.reduce(a * a, axis=-1, keepdims=True) + _NORM_EPS)
     coef = (m - wa) * r
     return PlanarParams(a, w, b, wa, m, r, coef, w + coef * a)
 
 
-def _planar(u: np.ndarray, theta: np.ndarray, margin: float, norm_eps: float):
-    """u + tanh(u . a + b) w_hat for the packed row(s) theta: (y, what backward reads)."""
-    params = planar_unpack(theta, margin, norm_eps)
+def planar_map(u: np.ndarray, theta: np.ndarray):
+    """u + tanh(u . a + b) w_hat for the packed row(s) theta: (y, (u, params, gate)).
+
+    The tuple is what ``planar_layer``'s backward and the flow's log-det read.
+    """
+    params = planar_unpack(theta)
     gate = np.tanh(u @ params.a.swapaxes(-1, -2) + params.b)  # (..., S, 1)
     return u + gate @ params.w_hat, (u, params, gate)
 
@@ -889,8 +900,7 @@ def _require_theta(u: Tensor, theta_shape: tuple[int, ...], op: str) -> None:
         raise ShapeError(f"{op}: parameter row {theta_shape} for latents {u.shape}")
 
 
-def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: Tensor,
-                 margin: float, norm_eps: float) -> Tensor:
+def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: Tensor) -> Tensor:
     """A planar step whose row theta a hypernet computes from h, as one graph node.
 
     Each latent row of u (S, d) maps to u + tanh(u . a + b) w_hat, where
@@ -901,7 +911,7 @@ def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: T
     _require_2d(u, "planar_layer", windows=True)
     t, theta = hypernet(h.data, U1, c1, U2, c2)
     _require_theta(u, theta.shape, "planar_layer")
-    y, saved = _planar(u.data, theta, margin, norm_eps)
+    y, saved = planar_map(u.data, theta)
 
     def _bw():
         g_u, g_theta = _planar_grad(out.grad, saved)

@@ -304,15 +304,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     )
 
 
-def model_from_checkpoint(ckpt: Checkpoint | str) -> PapNfModel:
-    """The model a Checkpoint (or the file at a path) stores; a weight fault names the path."""
-    path = ckpt if isinstance(ckpt, str) else None
-    if path is not None:
-        ckpt = load_checkpoint(path)
+def model_from_checkpoint(path: str) -> PapNfModel:
+    """The model the checkpoint file at path stores; a weight fault names the path."""
+    ckpt = load_checkpoint(path)
     try:
         return PapNfModel(ckpt.model_config, weights=ckpt.weights)
     except CheckpointError as err:
-        raise CheckpointError(f"{path}: {err}" if path else str(err)) from None
+        raise CheckpointError(f"{path}: {err}") from None
 
 
 def fit(model: PapNfModel, train_windows, val_windows, cfg: TrainConfig) -> Checkpoint:

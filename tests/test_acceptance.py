@@ -20,8 +20,8 @@ from papnf.cli import main as cli_main
 from papnf.data import SplitSpec, load_csv, make_windows, split_series
 from papnf.encoder import PrefixBank, build_llm_input
 from papnf.evaluate import baseline_report, evaluate_split
-from papnf.flow import _NORM_EPS, PLANAR_MARGIN, FlowLayer, invert_planar, sample_forecasts
-from papnf.metrics import crps_empirical
+from papnf.flow import FlowLayer, invert_planar, sample_forecasts
+from papnf.metrics import build_report
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
 from papnf.synthetic import ar1_seasonal, ett_like, write_csv
@@ -182,7 +182,7 @@ def _op_cases(rng):
         ("transformer_frozen",
          probed((4, 6), lambda x: transformer(x, frozen_pos, *frozen_block)), [t(4, 6)]),
         ("planar_layer",
-         probed((3, 4), lambda u, h, *w: tz.planar_layer(u, h, *w, PLANAR_MARGIN, _NORM_EPS)),
+         probed((3, 4), tz.planar_layer),
          [t(3, 4), t(1, 5), t(6, 5), t(6), t(9, 6), t(9)]),
         ("mlp_split", probed((3, 5), tz.mlp_split),
          [t(3, 2), t(1, 2), t(4, 4), t(4), t(5, 4), t(5)]),
@@ -243,11 +243,11 @@ def test_criterion_2_flow_invertibility():
         pairs = [(rng.normal(size=d_h), rng.normal(size=d_u)) for _ in range(1000)]
         h = np.stack([pair[0] for pair in pairs])[:, None, :]
         u = np.stack([pair[1] for pair in pairs])[:, None, :]
+        theta = layer.theta(h)
         with tz.no_grad():
-            theta = layer.hyper_row(Tensor(h))
             u_prime = layer.step(Tensor(u), Tensor(h)).data
-        worst_wa = min(worst_wa, tz.planar_unpack(theta.data, PLANAR_MARGIN, _NORM_EPS).wa_hat.min())
-        u_back = invert_planar(u_prime, theta.data)
+        worst_wa = min(worst_wa, tz.planar_unpack(theta).wa_hat.min())
+        u_back = invert_planar(u_prime, theta)
         worst_rec = max(worst_rec, float(np.max(np.abs(u_back - u))))
     elapsed = time.time() - t0
     ok = worst_wa >= -1.0 + 1e-4 and worst_rec <= 1e-8 and elapsed < 30.0
@@ -269,16 +269,22 @@ def test_criterion_3_crps_oracle():
         pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / math.sqrt(math.pi))
 
+    def estimates(samples, y):  # the report's CRPS (spread over S^2), training's fair score
+        report = build_report([samples.reshape(-1, 1, 1)], [np.array([[y]])])
+        fair = tz.energy_score(Tensor(samples.reshape(-1, 1)), Tensor(np.array([[y]])))
+        return report.crps_mean, fair.item()
+
     closed = crps_gaussian(0.0, 0.0, 1.0)
     constant_ok = abs(closed - 0.2337) < 5e-5
     samples = substream(0, "acceptance", "crps").standard_normal(10_000)
-    est = crps_empirical(samples, 0.0)
-    mc_ok = abs(est - closed) <= 0.01
-    pair = crps_empirical(np.array([0.0, 2.0]), 1.0)
-    pair_ok = pair == 0.5
+    est = estimates(samples, 0.0)
+    mc_ok = all(abs(e - closed) <= 0.01 for e in est)
+    pair = estimates(np.array([0.0, 2.0]), 1.0)
+    pair_ok = pair == (0.5, 0.0)
     _verdict(
         3, "CRPS estimator oracle", constant_ok and mc_ok and pair_ok,
-        f"closed {closed:.5f}, estimate {est:.5f}, fixture {pair}",
+        f"closed {closed:.5f}, report {est[0]:.5f}, fair {est[1]:.5f}, "
+        f"fixture report {pair[0]} fair {pair[1]}",
     )
 
 

@@ -22,15 +22,8 @@ from papnf.evaluate import (
     write_fan_chart_svg,
     write_quantiles_csv,
 )
-from papnf.flow import (
-    _NORM_EPS,
-    PLANAR_MARGIN,
-    SAMPLE_CHUNK,
-    ForecastEnsemble,
-    sample_chunk,
-    sample_forecasts,
-)
-from papnf.metrics import crps_empirical
+from papnf.flow import SAMPLE_CHUNK, ForecastEnsemble, sample_chunk, sample_forecasts
+from papnf.metrics import build_report
 from papnf.model import ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import substream
 from papnf.synthetic import ar1_seasonal
@@ -144,8 +137,10 @@ class TestBaselines:
         assert report.crps_mean == pytest.approx(report.mae, abs=1e-12)
 
     def test_point_mass_crps_identity_holds_per_point(self):
-        # two identical rows: spread term vanishes, energy form reduces to MAE
-        assert crps_empirical(np.array([3.0, 3.0]), 1.0) == pytest.approx(2.0, abs=1e-15)
+        # two identical rows: the spread vanishes, so the report's and the fair CRPS are the MAE
+        ens, y = np.full((2, 1, 1), 3.0), np.array([[1.0]])
+        assert build_report([ens], [y]).crps_mean == 2.0
+        assert tz.energy_score(Tensor(ens[:, 0]), Tensor(y)).item() == 2.0
 
     def test_gaussian_residual_is_seeded(self):
         windows = self._windows()
@@ -524,7 +519,7 @@ def _window_axis_cases(rng):
             + [_arr(rng, d), _arr(rng, d)],
         ),
         "planar_layer": (  # h first: the hypernet's weights read its rows
-            lambda h, u, *w: tz.planar_layer(u, h, *w, PLANAR_MARGIN, _NORM_EPS),
+            lambda h, u, *w: tz.planar_layer(u, h, *w),
             [_arr(rng, B, 1, 3), _arr(rng, B, 7, d)],
             [_arr(rng, 5, 3), _arr(rng, 5), _arr(rng, 2 * d + 1, 5), _arr(rng, 2 * d + 1)],
         ),

@@ -26,10 +26,6 @@ def packed(a, w, b):
     return np.concatenate([np.ravel(a), np.ravel(w), [b]])[None, :]
 
 
-def unpack(theta):
-    return tz.planar_unpack(theta, F.PLANAR_MARGIN, F._NORM_EPS)
-
-
 def step(u, theta):
     """The planar map u + tanh(u.a + b) w_hat on latent rows u (S, d), or (B, S, d).
 
@@ -39,8 +35,8 @@ def step(u, theta):
     d = u.shape[-1]
     a, w, b = theta[..., :d], theta[..., d : 2 * d], theta[..., 2 * d :]
     wa = np.sum(w * a, axis=-1, keepdims=True)
-    m = np.logaddexp(0.0, wa) + F.PLANAR_MARGIN - 1.0
-    w_hat = w + (m - wa) / (np.sum(a * a, axis=-1, keepdims=True) + F._NORM_EPS) * a
+    m = np.logaddexp(0.0, wa) + tz.PLANAR_MARGIN - 1.0
+    w_hat = w + (m - wa) / (np.sum(a * a, axis=-1, keepdims=True) + tz._NORM_EPS) * a
     return u + np.tanh(np.sum(u * a, axis=-1, keepdims=True) + b) * w_hat
 
 
@@ -48,11 +44,6 @@ def forward(u, h, layers):
     """``flow_forward`` on numpy latents and h, recording no graph."""
     with tz.no_grad():
         return F.flow_forward(Tensor(u), Tensor(h), layers).data
-
-
-def hyper(layer, h):
-    with tz.no_grad():
-        return layer.hyper_row(Tensor(h)).data
 
 
 # -- reparameterization ----------------------------------------------------------
@@ -64,13 +55,13 @@ def test_reparameterized_dot_product_respects_floor(seed, scale):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=5) * scale
     w = rng.normal(size=5) * scale
-    assert unpack(packed(a, w, 0.0)).wa_hat.item() >= -1.0 + 1e-4
+    assert tz.planar_unpack(packed(a, w, 0.0)).wa_hat.item() >= -1.0 + 1e-4
 
 
 def test_reparameterization_handles_anti_aligned_vectors():
     a = np.array([3.0, 0.0])
     w = -10.0 * a  # w.a = -90, far past where softplus alone underflows 1e-4
-    assert unpack(packed(a, w, 0.0)).wa_hat.item() >= -1.0 + 1e-4
+    assert tz.planar_unpack(packed(a, w, 0.0)).wa_hat.item() >= -1.0 + 1e-4
 
 
 def test_zero_hypernet_output_leaves_latent_unchanged():
@@ -113,8 +104,8 @@ def test_flow_is_exact_identity_with_zeroed_hypernet():
 def test_freshly_built_flow_is_near_identity():
     # per-step displacement is bounded by ||w_hat||, which the bias init keeps small
     layers = make_layers(t_flow=1, randomize=False)
-    theta = hyper(layers[0], np.random.default_rng(1).normal(size=(1, 6)))
-    p = unpack(theta)
+    theta = layers[0].theta(np.random.default_rng(1).normal(size=(1, 6)))
+    p = tz.planar_unpack(theta)
     assert p.b.item() == 0.0
     w_hat_norm = np.linalg.norm(p.w_hat)
     assert w_hat_norm < 1.1
@@ -125,9 +116,9 @@ def test_freshly_built_flow_is_near_identity():
 
 def test_latents_orthogonal_to_gate_direction_pass_through_at_init():
     layers = make_layers(t_flow=1, randomize=False)
-    theta = hyper(layers[0], np.random.default_rng(3).normal(size=(1, 6)))
+    theta = layers[0].theta(np.random.default_rng(3).normal(size=(1, 6)))
     u = np.array([[1.0, -1.0, 2.0, -2.0]])  # a is constant across entries, so a.u = 0
-    assert abs((u @ unpack(theta).a.T).item()) < 1e-12
+    assert abs((u @ tz.planar_unpack(theta).a.T).item()) < 1e-12
     np.testing.assert_allclose(step(u, theta), u, atol=1e-12)
 
 

@@ -17,8 +17,7 @@ import pytest
 
 from papnf import tensor as tz
 from papnf.backbone import BackboneArch, TransformerBackbone
-from papnf.flow import _NORM_EPS, PLANAR_MARGIN
-from papnf.tensor import Tensor
+from papnf.tensor import _NORM_EPS, PLANAR_MARGIN, Tensor
 
 TOL = 1e-12
 
@@ -209,10 +208,6 @@ def test_backbone_forward_matches_unfused_composition(trainable):
 # -- flow layer -------------------------------------------------------------------------
 
 
-def planar_layer(u, h, U1, c1, U2, c2):
-    return tz.planar_layer(u, h, U1, c1, U2, c2, PLANAR_MARGIN, _NORM_EPS)
-
-
 @pytest.mark.parametrize("latent_grad", [False, True], ids=["first_layer", "later_layer"])
 def test_planar_layer_matches_the_planar_map(latent_grad):
     rng = np.random.default_rng(6)
@@ -221,7 +216,7 @@ def test_planar_layer_matches_the_planar_map(latent_grad):
     h = _tensor(rng, 1, d_h)
     weights = [_tensor(rng, hidden, d_h), _tensor(rng, hidden),  # U2, c2 off their zero init
                _tensor(rng, 2 * d_u + 1, hidden, scale=0.7), _tensor(rng, 2 * d_u + 1, scale=0.5)]
-    assert_matches_reference(planar_layer, planar_layer_ref, [u, h, *weights])
+    assert_matches_reference(tz.planar_layer, planar_layer_ref, [u, h, *weights])
 
 
 def test_planar_layer_matches_the_planar_map_when_reparameterization_bites():
@@ -234,7 +229,7 @@ def test_planar_layer_matches_the_planar_map_when_reparameterization_bites():
     U1, c1 = _tensor(rng, 3, 2, grad=False), _tensor(rng, 3, grad=False)
     U2 = Tensor(np.zeros((2 * d + 1, 3)))
     operands = [_tensor(rng, 5, d), _tensor(rng, 1, 2, grad=False), U1, c1, U2, c2]
-    assert_matches_reference(planar_layer, planar_layer_ref, operands)
+    assert_matches_reference(tz.planar_layer, planar_layer_ref, operands)
 
 
 def test_planar_step_rejects_a_mismatched_parameter_row():
@@ -242,14 +237,14 @@ def test_planar_step_rejects_a_mismatched_parameter_row():
     rng = np.random.default_rng(8)
     weights = [_tensor(rng, 5, 6), _tensor(rng, 5), _tensor(rng, 9, 5), _tensor(rng, 9)]
     with pytest.raises(tz.ShapeError, match="parameter row"):
-        planar_layer(_tensor(rng, 3, 3), _tensor(rng, 1, 6), *weights)
+        tz.planar_layer(_tensor(rng, 3, 3), _tensor(rng, 1, 6), *weights)
 
 
 def test_flow_layer_node_rejects_a_summary_of_other_windows():
     rng = np.random.default_rng(16)
     weights = [_tensor(rng, 5, 6), _tensor(rng, 5), _tensor(rng, 9, 5), _tensor(rng, 9)]
     with pytest.raises(tz.ShapeError, match="parameter row"):
-        planar_layer(_tensor(rng, 2, 3, 4), _tensor(rng, 1, 6), *weights)
+        tz.planar_layer(_tensor(rng, 2, 3, 4), _tensor(rng, 1, 6), *weights)
     with pytest.raises(tz.ShapeError, match="window axes"):
         tz.mlp_split(_tensor(rng, 2, 3, 4), _tensor(rng, 1, 6), _tensor(rng, 5, 10),
                      _tensor(rng, 5), _tensor(rng, 2, 5), _tensor(rng, 2))

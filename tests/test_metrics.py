@@ -13,14 +13,13 @@ from papnf.metrics import (
     EXTREME_SHARE,
     MetricsReport,
     build_report,
-    crps_empirical,
     gaussian_residual,
     persistence,
     seasonal_naive,
     sorted_quantile,
 )
 from papnf.synthetic import ar1_seasonal
-from papnf.tensor import _rank_coefficients
+from papnf.tensor import Tensor, _rank_coefficients, energy_score
 
 
 def crps_gaussian(mu: float, sigma: float, y: float) -> float:
@@ -50,24 +49,35 @@ def report_extreme(ensembles, targets, baseline_preds):
     return build_report(ensembles, targets, baseline_preds, levels=()).extreme_coverage_90
 
 
-class TestCrps:
+def report_crps(samples, y) -> float:
+    """The split report's CRPS of one scalar ensemble: its spread over S^2."""
+    return build_report([np.reshape(samples, (-1, 1, 1))], [np.array([[y]])]).crps_mean
+
+
+def fair_crps(samples, y) -> float:
+    """Training's fair energy score of one scalar ensemble: its spread over S(S-1)."""
+    return energy_score(Tensor(np.reshape(samples, (-1, 1))), Tensor(np.array([[y]]))).item()
+
+
+class TestCrps:  # the program's two estimators: the report's and training's fair one
     def test_standard_normal_matches_closed_form(self):
         # spec oracle: CRPS of N(0,1) at 0 is about 0.2337
         assert abs(crps_gaussian(0.0, 1.0, 0.0) - 0.2337) < 5e-5
         rng = np.random.default_rng(7)
         samples = rng.standard_normal(4000)
-        est = crps_empirical(samples, 0.0, fair=True)
-        assert abs(est - 0.2337) < 0.01
+        for estimator in (report_crps, fair_crps):
+            assert abs(estimator(samples, 0.0) - 0.2337) < 0.01
 
     def test_two_point_ensemble_exact_half(self):
-        assert crps_empirical(np.array([0.0, 2.0]), 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert report_crps(np.array([0.0, 2.0]), 1.0) == 0.5
+        assert fair_crps(np.array([0.0, 2.0]), 1.0) == 0.0  # 1 - |0 - 2| / (2 * 1)
 
     def test_matches_bruteforce_double_loop(self):
         rng = np.random.default_rng(3)
-        for fair in (False, True):
+        for estimator, fair in ((report_crps, False), (fair_crps, True)):
             samples = rng.normal(size=17)
             y = float(rng.normal())
-            assert crps_empirical(samples, y, fair=fair) == pytest.approx(
+            assert estimator(samples, y) == pytest.approx(
                 crps_bruteforce(samples, y, fair=fair), abs=1e-12
             )
 
@@ -75,7 +85,7 @@ class TestCrps:
         rng = np.random.default_rng(5)
         ens = rng.normal(size=(9, 4, 3))
         y = rng.normal(size=(4, 3))
-        scalar = np.array([[crps_empirical(ens[:, i, j], y[i, j]) for j in range(3)]
+        scalar = np.array([[crps_bruteforce(ens[:, i, j], y[i, j]) for j in range(3)]
                            for i in range(4)])
         rep = build_report([ens], [y])
         np.testing.assert_allclose(rep.per_horizon_crps, scalar.mean(axis=1), rtol=0, atol=1e-12)
@@ -86,15 +96,17 @@ class TestCrps:
 
     def test_degenerate_ensemble_reduces_to_mae(self):
         ens = np.full((6,), 2.5)
-        assert crps_empirical(ens, 4.0) == pytest.approx(1.5, abs=1e-15)
+        for estimator in (report_crps, fair_crps):
+            assert estimator(ens, 4.0) == pytest.approx(1.5, abs=1e-15)
 
     def test_shift_and_scale_equivariance(self):
         rng = np.random.default_rng(11)
         samples = rng.normal(size=25)
         y = 0.3
-        base = crps_empirical(samples, y)
-        assert crps_empirical(samples + 5.0, y + 5.0) == pytest.approx(base, abs=1e-12)
-        assert crps_empirical(samples * 3.0, y * 3.0) == pytest.approx(3.0 * base, abs=1e-12)
+        for estimator in (report_crps, fair_crps):
+            base = estimator(samples, y)
+            assert estimator(samples + 5.0, y + 5.0) == pytest.approx(base, abs=1e-12)
+            assert estimator(samples * 3.0, y * 3.0) == pytest.approx(3.0 * base, abs=1e-12)
 
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -102,11 +114,11 @@ class TestCrps:
         rng = np.random.default_rng(seed)
         samples = rng.normal(size=s)
         y = float(rng.normal())
-        assert crps_empirical(samples, y) >= -1e-12
+        assert report_crps(samples, y) >= -1e-12
 
     def test_rejects_tiny_ensembles(self):
-        with pytest.raises(ValueError):
-            crps_empirical(np.array([1.0]), 0.0)
+        with pytest.raises(ValueError, match="at least two samples"):
+            fair_crps(np.array([1.0]), 0.0)
         with pytest.raises(ValueError, match="window 0 .*at least two samples"):
             build_report([np.zeros((1, 2, 2))], [np.zeros((2, 2))])
 
