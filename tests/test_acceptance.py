@@ -283,8 +283,7 @@ def test_criterion_3_crps_oracle():
     pair_ok = pair == (0.5, 0.0)
     _verdict(
         3, "CRPS estimator oracle", constant_ok and mc_ok and pair_ok,
-        f"closed {closed:.5f}, report {est[0]:.5f}, fair {est[1]:.5f}, "
-        f"fixture report {pair[0]} fair {pair[1]}",
+        f"closed {closed:.5f}, report {est[0]:.5f}, fair {est[1]:.5f}, fixture {pair}",
     )
 
 

@@ -90,7 +90,6 @@ class TestLosses:
         rng = np.random.default_rng(3)
         pred = rng.normal(size=(6, 7))
         target = rng.normal(size=(1, 7))
-        # each point's fair CRPS, its spread a plain double loop over the 6 samples
         want = np.mean([
             np.mean(np.abs(col - y)) - sum(abs(a - b) for a in col for b in col) / (2 * 6 * 5)
             for col, y in zip(pred.T, target[0])
