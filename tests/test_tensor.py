@@ -111,9 +111,14 @@ def test_concat_and_slice_round_trip():
     np.testing.assert_array_equal(cat[2:5, :].data, b.data)
 
 
-def test_concat_cols_width_mismatch():
+def test_concat_rows_width_mismatch():
     with pytest.raises(ShapeError):
         tz.concat_rows([Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3)))])
+
+
+def test_concat_cols_height_mismatch():
+    with pytest.raises(ShapeError, match=r"concat_cols: row counts differ: \[2, 3\]"):
+        tz.concat_cols([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2)))])
 
 
 def test_slice_out_of_range_is_an_error():
