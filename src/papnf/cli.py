@@ -30,7 +30,7 @@ from papnf.evaluate import (
     write_quantiles_csv,
 )
 from papnf.metrics import coverage_label
-from papnf.model import ModelConfig, PapNfModel, ablation_variant
+from papnf.model import ABLATION_ARMS, ModelConfig, PapNfModel, ablation_variant
 from papnf.seeding import derive_seed
 from papnf.train import (
     PretrainConfig,
@@ -46,7 +46,6 @@ from papnf.train import (
 
 __all__ = ["main", "ConfigError", "RunConfig", "load_config", "resolve_config"]
 
-ABLATION_ARMS = ("full", "no_pap", "random_backbone", "no_global_context")
 DEFAULT_K_LIST = (1, 3, 5, 8, 12)
 
 
@@ -401,14 +400,14 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_prefix(args) -> int:
     run, splits = _start(args)
+    arms = {}
     for i, k in enumerate(run.sweep.k_list):  # an over-budget K must not cost a pretraining run
         try:
-            replace(run.model, k_prefix=k)
+            arms[k] = replace(run.model, k_prefix=k)
         except ValueError as err:
             raise ConfigError(f"sweep.k_list[{i}]: {err}") from None
     backbone = _ensure_backbone(run, run.model)
-    arms = {k: replace(run.model, k_prefix=k) for k in sorted(set(run.sweep.k_list))}
-    results = _train_and_score(run, splits, arms, "k_prefix", backbone)
+    results = _train_and_score(run, splits, dict(sorted(arms.items())), "k_prefix", backbone)
     _write_csv(
         os.path.join(run.out, "prefix_sweep.csv"),
         ["k_prefix", "mse", "mae"],

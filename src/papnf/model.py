@@ -179,6 +179,10 @@ class PapNfModel:
         load_weights(self.tensors(), weights, "model weights")
 
 
+# The arms ``papnf ablate`` trains, in its table's order.
+ABLATION_ARMS = ("full", "no_pap", "random_backbone", "no_global_context")
+
+
 def ablation_variant(cfg: ModelConfig, arm: str) -> ModelConfig:
     """Derive the config for one ablation arm from the full config."""
     if arm == "full":

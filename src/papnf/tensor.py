@@ -22,6 +22,7 @@ requires_grad=False (``matmul`` skips them too):
 * ``energy_score``: the fair energy score of an ensemble.
 
 They compose numpy kernels, one forward and one backward per sublayer.
+``concat_rows`` and ``concat_cols`` are one kernel, which takes the axis.
 
 Sampling and training run several windows per pass. The ops the model's
 forward pass and its losses use accept a leading window axis, (B, rows,
@@ -67,7 +68,6 @@ __all__ = [
     "Layer",
     "Tape",
     "no_grad",
-    "repeat_rows",
     "mean_rows",
     "sum_in_order",
     "concat_rows",
@@ -193,8 +193,6 @@ class Tensor:
         """Backpropagate from this scalar through the recorded graph."""
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
-        if not self.requires_grad:
-            return
         self.accumulate_grad(np.ones_like(self.data))
         Tape.from_root(self).replay_backward()
 
@@ -401,16 +399,11 @@ def _reduce(t: Tensor, lefts: list[np.ndarray] | None, blocks: list[np.ndarray])
 
     The rows, in the blocks' order, make one matrix R, and the lefts' rows
     make L: t takes ``L.T @ R`` if it is a weight and R's row sum otherwise.
-    One row is its own sum.
     """
     if lefts is not None:
         t._add_grad(_c_rows(lefts).T @ _c_rows(blocks))
-        return
-    rows = _c_rows(blocks)
-    if len(rows) == 1:
-        t.accumulate_grad(rows.reshape(t.shape))
     else:
-        t._add_grad(np.add.reduce(rows, axis=0).reshape(t.shape))
+        t._add_grad(np.add.reduce(_c_rows(blocks), axis=0).reshape(t.shape))
 
 
 def _c_rows(blocks: list[np.ndarray]) -> np.ndarray:
@@ -486,57 +479,45 @@ def _slice(x: Tensor, key) -> Tensor:
     return out
 
 
-def _common_windows(parts: list[Tensor]) -> list[np.ndarray]:
-    """The parts' arrays, 2-D ones repeated over the others' window axis."""
+def _concat(parts: Iterable[Tensor], axis: int) -> Tensor:
+    """The parts joined along axis -2 (rows) or -1 (columns), 2-D ones repeated over windows."""
+    op, other, kept = ("concat_rows", "column", -1) if axis == -2 else ("concat_cols", "row", -2)
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise ShapeError(f"{op} needs at least one tensor")
+    for p in parts:
+        _require_2d(p, op, windows=True)
+    counts = {p.shape[kept] for p in parts}
+    if len(counts) != 1:
+        raise ShapeError(f"{op}: {other} counts differ: {sorted(counts)}")
     windows = {p.shape[0] for p in parts if p.data.ndim == 3}
     if len(windows) > 1:
         raise ShapeError(f"concat: window axes differ: {sorted(windows)}")
-    if not windows:
-        return [p.data for p in parts]
-    (b,) = windows
-    return [p.data if p.data.ndim == 3 else p.data[None].repeat(b, axis=0) for p in parts]
+    arrays = [p.data for p in parts]
+    if windows:
+        (b,) = windows
+        arrays = [a if a.ndim == 3 else a[None].repeat(b, axis=0) for a in arrays]
+    after = (slice(None),) * (-1 - axis)  # the axes after the joined one
+
+    def _bw():
+        off = 0
+        for p in parts:
+            k = p.shape[axis]
+            _accumulate_rows(p, out.grad[(..., slice(off, off + k), *after)])
+            off += k
+
+    out = _make(np.concatenate(arrays, axis=axis), parts, _bw)
+    return out
 
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_rows needs at least one tensor")
-    for p in parts:
-        _require_2d(p, "concat_rows", windows=True)
-    widths = {p.shape[-1] for p in parts}
-    if len(widths) != 1:
-        raise ShapeError(f"concat_rows: column counts differ: {sorted(widths)}")
-
-    def _bw():
-        off = 0
-        for p in parts:
-            r = p.shape[-2]
-            _accumulate_rows(p, out.grad[..., off : off + r, :])
-            off += r
-
-    out = _make(np.concatenate(_common_windows(parts), axis=-2), parts, _bw)
-    return out
+    """Parts of n columns each, stacked along rows."""
+    return _concat(parts, -2)
 
 
 def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_cols needs at least one tensor")
-    for p in parts:
-        _require_2d(p, "concat_cols", windows=True)
-    heights = {p.shape[-2] for p in parts}
-    if len(heights) != 1:
-        raise ShapeError(f"concat_cols: row counts differ: {sorted(heights)}")
-
-    def _bw():
-        off = 0
-        for p in parts:
-            c = p.shape[-1]
-            _accumulate_rows(p, out.grad[..., off : off + c])
-            off += c
-
-    out = _make(np.concatenate(_common_windows(parts), axis=-1), parts, _bw)
-    return out
+    """Parts of r rows each, joined along columns."""
+    return _concat(parts, -1)
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -571,18 +552,6 @@ def sum_in_order(x: Tensor) -> Tensor:
     """
     y = np.asarray(np.cumsum(x.data.reshape(-1))[-1])
     out = _make(y, (x,), lambda: x.accumulate_grad(np.broadcast_to(out.grad, x.shape)))
-    return out
-
-
-def repeat_rows(v: Tensor, n: int) -> Tensor:
-    """Tile a (1, c) row vector into an (n, c) matrix."""
-    _require_2d(v, "repeat_rows", windows=True)
-    if v.shape[-2] != 1:
-        raise ShapeError(f"repeat_rows expects a single row, got {v.shape}")
-    if n < 1:
-        raise ShapeError("repeat_rows needs n >= 1")
-    y = np.repeat(v.data, n, axis=-2)
-    out = _make(y, (v,), lambda: v._add_grad(out.grad.sum(axis=-2, keepdims=True)))
     return out
 
 
@@ -877,7 +846,7 @@ def transformer(x: Tensor, pos: Tensor, blocks: Sequence[tuple[Tensor, ...]],
         if pos.requires_grad:
             windows = g_h.reshape(-1, *g_h.shape[-2:])
             g_pos = np.zeros_like(pos.data)
-            g_pos[:n] = windows[0] if len(windows) == 1 else np.add.reduce(windows, axis=0)
+            g_pos[:n] = np.add.reduce(windows, axis=0)
             _accumulate_rows(pos, g_pos)
         _accumulate_rows(x, g_h)
 
@@ -895,11 +864,6 @@ def hypernet(h: np.ndarray, U1: Tensor, c1: Tensor, U2: Tensor, c2: Tensor):
     return t, _affine(t, U2.data, c2.data)
 
 
-def _require_theta(u: Tensor, theta_shape: tuple[int, ...], op: str) -> None:
-    if theta_shape != (*u.shape[:-2], 1, 2 * u.shape[-1] + 1):
-        raise ShapeError(f"{op}: parameter row {theta_shape} for latents {u.shape}")
-
-
 def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: Tensor) -> Tensor:
     """A planar step whose row theta a hypernet computes from h, as one graph node.
 
@@ -910,7 +874,8 @@ def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: T
     """
     _require_2d(u, "planar_layer", windows=True)
     t, theta = hypernet(h.data, U1, c1, U2, c2)
-    _require_theta(u, theta.shape, "planar_layer")
+    if theta.shape != (*u.shape[:-2], 1, 2 * u.shape[-1] + 1):
+        raise ShapeError(f"planar_layer: parameter row {theta.shape} for latents {u.shape}")
     y, saved = planar_map(u.data, theta)
 
     def _bw():
@@ -927,27 +892,23 @@ def planar_layer(u: Tensor, h: Tensor, U1: Tensor, c1: Tensor, U2: Tensor, c2: T
     return out
 
 
-def _require_split(u: Tensor, h: Tensor, W: Tensor, b: Tensor, op: str) -> None:
-    _require_2d(u, op, windows=True)
-    _require_2d(h, op, windows=True)
-    _require_2d(W, op)
-    if h.shape[-2] != 1:
-        raise ShapeError(f"{op}: h must be a single row, got {h.shape}")
-    if h.shape[:-2] != u.shape[:-2]:
-        raise ShapeError(f"{op}: window axes differ for u {u.shape} and h {h.shape}")
-    if u.shape[-1] + h.shape[-1] != W.shape[1]:
-        raise ShapeError(
-            f"{op}: widths {u.shape[-1]} + {h.shape[-1]} for a weight of shape {W.shape}"
-        )
-    _require_rowvec(b, W.shape[0], f"{op} bias")
-
-
 def mlp_split(u: Tensor, h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
     """``tanh([u | h] @ W1.T + b1) @ W2.T + b2`` of latent rows u and one row h, as one node.
 
     h's product with W1 runs once per window, as a bias row (``_linear_split``).
     """
-    _require_split(u, h, W1, b1, "mlp_split")
+    _require_2d(u, "mlp_split", windows=True)
+    _require_2d(h, "mlp_split", windows=True)
+    _require_2d(W1, "mlp_split")
+    if h.shape[-2] != 1:
+        raise ShapeError(f"mlp_split: h must be a single row, got {h.shape}")
+    if h.shape[:-2] != u.shape[:-2]:
+        raise ShapeError(f"mlp_split: window axes differ for u {u.shape} and h {h.shape}")
+    if u.shape[-1] + h.shape[-1] != W1.shape[1]:
+        raise ShapeError(
+            f"mlp_split: widths {u.shape[-1]} + {h.shape[-1]} for a weight of shape {W1.shape}"
+        )
+    _require_rowvec(b1, W1.shape[0], "mlp_split bias")
     t = np.tanh(_linear_split(u.data, h.data, W1, b1))
 
     def _bw():

@@ -1,11 +1,12 @@
 """Training loop: Adam, reconstruction and energy objectives, checkpoints.
 
-Two objectives are available. "mse" is the plain reconstruction loss with a
-single latent draw per window per step; it optimizes the point forecast but
-lets the predictive spread collapse, so intervals from an "mse"-trained model
-are not calibrated. "energy" (the default) is the sample-based energy score
-over a small ensemble per window, which is a proper score: it rewards both
-accuracy and honest spread, so coverage checks are only meaningful under it.
+Two objectives are available. "mse" is the plain reconstruction loss of a
+single latent draw per window per step, one prediction row against the
+target row; it optimizes the point forecast but lets the predictive spread
+collapse, so intervals from an "mse"-trained model are not calibrated.
+"energy" (the default) is the sample-based energy score over a small
+ensemble per window, which is a proper score: it rewards both accuracy and
+honest spread, so coverage checks are only meaningful under it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from papnf.flow import sample_windows
 from papnf.model import ModelConfig, PapNfModel
 from papnf.seeding import derive_seed, substream
 from papnf.synthetic import pretrain_sequences
-from papnf.tensor import Tensor, energy_score, matmul, repeat_rows, sum_in_order
+from papnf.tensor import Tensor, energy_score, matmul, sum_in_order
 
 __all__ = [
     "OBJECTIVES",
@@ -185,15 +186,16 @@ def _guarded_step(opt: Adam, loss: Tensor, epoch: int, batch: int, history: list
 
 
 def loss_reconstruction(pred_rows: Tensor, target_row: Tensor) -> Tensor:
-    """Mean squared error over all entries of (S, H*C) predictions vs truth.
+    """Mean squared error over all entries of a (1, H*C) prediction vs truth.
 
-    Stacks (B, S, H*C) and (B, 1, H*C) give each window's error, (B,).
+    The "mse" objective scores one latent draw per window, so its prediction
+    is one row, of the target's shape. Stacks (B, 1, H*C) give each window's
+    error, (B,).
     """
-    *windows, s, n = pred_rows.shape
-    if target_row.shape != (*windows, 1, n):
-        raise ValueError(f"target shape {target_row.shape} does not match {(*windows, 1, n)}")
-    diff = pred_rows - repeat_rows(target_row, s)
-    return (diff * diff).sum() * (1.0 / (s * n))
+    if target_row.shape != pred_rows.shape:
+        raise ValueError(f"target shape {target_row.shape} does not match {pred_rows.shape}")
+    diff = pred_rows - target_row
+    return (diff * diff).sum() * (1.0 / pred_rows.shape[-1])
 
 
 def loss_energy(pred_rows: Tensor, target_row: Tensor) -> Tensor:

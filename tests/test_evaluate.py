@@ -504,10 +504,9 @@ def _window_axis_cases(rng):
             lambda x, y: tz.concat_cols([x, y]), [_arr(rng, B, 1, d), _arr(rng, B, 1, 2)], []
         ),
         "mean_rows": (tz.mean_rows, [_arr(rng, B, n, d)], []),
-        "repeat_rows": (lambda v: tz.repeat_rows(v, 6), [_arr(rng, B, 1, d)], []),
         "energy_score": (tz.energy_score, [_arr(rng, B, 7, d), _arr(rng, B, 1, d)], []),
         "loss_reconstruction": (
-            loss_reconstruction, [_arr(rng, B, 7, d), _arr(rng, B, 1, d)], []
+            loss_reconstruction, [_arr(rng, B, 1, d), _arr(rng, B, 1, d)], []
         ),
         "sum": (lambda x: x.sum(), [_arr(rng, B, n, d)], []),
         "slice": (lambda x: x[1:4, 0:3], [_arr(rng, B, n, d)], []),

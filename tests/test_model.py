@@ -342,13 +342,13 @@ def test_window_loss_graph_uses_one_node_per_fused_layer():
     assert kinds["planar_layer"] == cfg.t_flow
     for layer in model.flow_layers:
         assert _kind(_consumer(nodes, layer.U1)) == "planar_layer"
-    # the recon head takes h's term once, so no repeat_rows; the one
-    # concat_cols left is the fusion's [z; c]
+    # the recon head takes h's term once; the fusion's input is the [z; c]
+    # node that takes the global encoding z
     assert kinds["mlp_split"] == 1
     assert _consumer(nodes, model.recon.G1) is _consumer(nodes, model.recon.G2)
-    assert kinds["repeat_rows"] == 0
-    assert kinds["concat_cols"] == 1
-    assert _kind(_consumer(nodes, model.fusion.W_h)._parents[0]) == "concat_cols"
+    z = _consumer(nodes, model.encoder.W)
+    assert _consumer(nodes, model.fusion.W_h)._parents[0] is _consumer(nodes, z)
+    assert _consumer(nodes, z).shape == (1, cfg.d_n + cfg.d_c)
     assert len(nodes) == 15
 
 

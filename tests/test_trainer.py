@@ -64,23 +64,21 @@ class TestLosses:
         assert loss_reconstruction(pred, target).item() == 0.0
 
     def test_reconstruction_offset_one(self):
-        pred = Tensor(np.zeros((3, 8)) + 1.0)
+        pred = Tensor(np.zeros((1, 8)) + 1.0)
         target = Tensor(np.zeros((1, 8)))
         assert loss_reconstruction(pred, target).item() == pytest.approx(1.0, abs=1e-15)
 
     def test_reconstruction_matches_scalar_loop(self):
         rng = np.random.default_rng(1)
-        pred = rng.normal(size=(4, 6))
+        pred = rng.normal(size=(1, 6))
         target = rng.normal(size=(1, 6))
-        want = sum(
-            (pred[s, j] - target[0, j]) ** 2 for s in range(4) for j in range(6)
-        ) / 24.0
+        want = sum((pred[0, j] - target[0, j]) ** 2 for j in range(6)) / 6.0
         got = loss_reconstruction(Tensor(pred), Tensor(target)).item()
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_reconstruction_gradient_matches_numeric(self):
         rng = np.random.default_rng(2)
-        pred = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        pred = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
         target = Tensor(rng.normal(size=(1, 5)))
         loss_reconstruction(pred, target).backward()
         want = 2.0 * (pred.data - target.data) / pred.data.size
@@ -137,6 +135,8 @@ class TestLosses:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             loss_reconstruction(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 5))))
+        with pytest.raises(ValueError):  # the mse objective scores one draw, one row
+            loss_reconstruction(Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4))))
         with pytest.raises(ValueError):
             loss_energy(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
 
