@@ -346,9 +346,9 @@ def test_window_loss_graph_uses_one_node_per_fused_layer():
     # node that takes the global encoding z
     assert kinds["mlp_split"] == 1
     assert _consumer(nodes, model.recon.G1) is _consumer(nodes, model.recon.G2)
-    z = _consumer(nodes, model.encoder.W)
-    assert _consumer(nodes, model.fusion.W_h)._parents[0] is _consumer(nodes, z)
-    assert _consumer(nodes, z).shape == (1, cfg.d_n + cfg.d_c)
+    z_c = _consumer(nodes, _consumer(nodes, model.encoder.W))
+    assert _consumer(nodes, model.fusion.W_h)._parents[0] is z_c
+    assert z_c.shape == (1, cfg.d_n + cfg.d_c)
     assert len(nodes) == 15
 
 
